@@ -14,8 +14,6 @@ and seed), ``run_meta.json`` (timing, kept separate so reports stay
 bit-reproducible), and per-command CSVs.  Reports embed the normalized
 spec, so ``--spec report.json`` re-runs the same problem.  Exit codes:
 0 success, 2 verification failure, 3 family inapplicable, 4 invalid input.
-``LAGRANGEFORGE_THREADS`` caps worker threads for per-family and pairwise
-sweeps.
 """
 from __future__ import annotations
 
@@ -27,15 +25,16 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import jsonschema
 
 from .constructors import (
     BuilderOptions,
     StandardCoeffs,
+    affine_rhs,
     build_composed_invariant,
     build_exponential_family,
     build_generalized_kinetic,
@@ -51,11 +50,16 @@ from .constructors import (
     build_standard,
     c_from_ab,
     constraint_defect,
+    generalized_kinetic_rhs,
     log_velocity_lagrangian,
+    monomial_rhs,
     multi_lagrangian_suite,
     n_parameter_lagrangian,
+    power_damping_rhs,
+    radical_equal_rhs,
     radical_forward_rhs,
     reciprocal_forward_rhs,
+    reciprocal_linear_rhs,
     standard_hamiltonian,
 )
 from .dynamics import integrate_ode
@@ -75,7 +79,6 @@ from .evaluation import evaluate
 from .expressions import (
     Const,
     Neg,
-    Pow,
     Var,
     differentiate,
     parse_expression,
@@ -99,7 +102,7 @@ EXIT_VERIFY_FAIL = 2
 EXIT_INAPPLICABLE = 3
 EXIT_INPUT_ERROR = 4
 
-_X, _V, _T = Var("x"), Var("v"), Var("t")
+_V = Var("v")
 
 _INPUT_ERRORS = (SpecValidationError, ExpressionError)
 _INAPPLICABLE_ERRORS = (
@@ -110,63 +113,6 @@ _INAPPLICABLE_ERRORS = (
     NotInvariantError,
     EmptyDomainError,
 )
-
-# families whose recipes differ from a naive transcription; the keys are
-# stable so downstream tooling can audit which corrections were active
-DISCREPANCY_NOTES = {
-    "standard": (
-        "time-gauge-factor: the kinetic profile carries exp(int b(x0, t) dt) "
-        "so x-independent damping components stay representable",
-    ),
-    "monomial": (
-        "time-gauge-factor: F carries exp((mu - 1) int b(x0, t) dt)",
-    ),
-    "power-damping": (
-        "exponent-identification: power drag nu maps to the monomial "
-        "exponent mu = 2 - nu, excluding nu in {1, 2}",
-    ),
-    "reciprocal-linear": (
-        "time-linear-recipe: auxiliary profile solved as w'' = (b/3) w' + "
-        "((2/3) b' + (2/9) b^2 - c) w with f = w^3 and g = (2 f b - f')/3; "
-        "the rejected simpler recipe is kept as "
-        "build_reciprocal_linear_variant and fails verification",
-    ),
-    "reciprocal-nu2": (
-        "separated-drag-exponents: F = exp(2 int a + 3 int b) and "
-        "G = exp(+int b); the sign-flipped variant mirrors the damping "
-        "term and fails verification",
-    ),
-    "radical-equal": (
-        "scale-quadrature-sign: S = S0 - nu int b exp(-nu int a) dt; the "
-        "opposite sign flips the super-linear drag coefficient",
-    ),
-    "composed": (
-        "position-form-invariant: for quadratic drag the conserved quantity "
-        "is v e^{k x}; compositions use the position form",
-    ),
-    "log-velocity": (
-        "position-form-invariant: the boundary member uses v e^{k x}",
-    ),
-}
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("LAGRANGEFORGE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = min(_worker_count(), max(1, len(items)))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -257,8 +203,7 @@ def normalize_spec(spec: dict) -> dict:
     out = json.loads(json.dumps(spec))  # deep copy, JSON-clean
     out["domain"] = {**_DOMAIN_DEFAULTS, **out.get("domain", {})}
     out["options"] = {**_OPTION_DEFAULTS, **out.get("options", {})}
-    if "integrate" in out or True:
-        out["integrate"] = {**_INTEGRATE_DEFAULTS, **out.get("integrate", {})}
+    out["integrate"] = {**_INTEGRATE_DEFAULTS, **out.get("integrate", {})}
     return out
 
 
@@ -288,22 +233,14 @@ def _expr(block: dict, key: str):
     return simplify(expr)
 
 
-def _need(block: dict, *keys: str) -> None:
-    missing = [key for key in keys if key not in block]
-    if missing:
-        raise SpecValidationError(
-            f"family {block.get('family')!r} needs field(s): {', '.join(missing)}"
-        )
-
-
 class BuiltProblem:
     """Outcome of interpreting an equation block: members + target dynamics."""
 
-    def __init__(self, ode, members, control=None, notes=(), extras=None):
+    def __init__(self, ode, members, control=None, extras=None):
         self.ode = ode
         self.members = members          # dict name -> Lagrangian
         self.control = control
-        self.notes = list(notes)
+        self.notes = []
         self.extras = extras or {}
 
     @property
@@ -311,147 +248,212 @@ class BuiltProblem:
         return next(iter(self.members.values()))
 
 
-def _build_block(block: dict, options: BuilderOptions) -> BuiltProblem:
-    family = block["family"]
-    notes = DISCREPANCY_NOTES.get(family, ())
+# --- family table --------------------------------------------------------------
 
-    if family == "standard":
-        _need(block, "a", "b", "c")
-        coeffs = StandardCoeffs(_expr(block, "a"), _expr(block, "b"),
-                                _expr(block, "c"))
-        L = build_standard(coeffs, options)
-        extras = {"hamiltonian": str(simplify(standard_hamiltonian(coeffs, options)))}
-        return BuiltProblem(coeffs.ode(), {"standard": L}, notes=notes,
-                            extras=extras)
-
-    if family == "reciprocal":
-        _need(block, "F", "G")
-        nu = float(block.get("nu", 1.0))
-        F, G = _expr(block, "F"), _expr(block, "G")
-        L = build_reciprocal(F, G, nu, options=options)
-        return BuiltProblem(OdeSpec(reciprocal_forward_rhs(F, G, nu)),
-                            {"reciprocal": L}, notes=notes)
-
-    if family == "reciprocal-autonomous":
-        _need(block, "a", "b")
-        a, b = _expr(block, "a"), _expr(block, "b")
-        if "c" in block:
-            c = _expr(block, "c")
+def _parse(block: dict) -> dict:
+    """A family block's fields as builders take them: expressions, floats."""
+    out = {}
+    for key, value in block.items():
+        if key in ("family", "name", "params"):
+            out[key] = value
+        elif isinstance(value, str):
+            out[key] = _expr(block, key)
+        elif isinstance(value, list):
+            out[key] = tuple(float(z) for z in value)
         else:
-            c = c_from_ab(a, b, lam=float(block.get("lam", 0.0)))
-        L = build_reciprocal_autonomous(a, b, c, options)
-        rhs = simplify(Neg(a * Pow(_V, Const(2.0)) + b * _V + c))
-        extras = {"constraint_residual": constraint_defect(a, b, c)}
-        return BuiltProblem(OdeSpec(rhs), {"reciprocal-autonomous": L},
-                            notes=notes, extras=extras)
+            out[key] = float(value)
+    return out
 
-    if family == "reciprocal-linear":
-        _need(block, "b", "c", "t_span")
-        b, c = _expr(block, "b"), _expr(block, "c")
-        span = tuple(float(z) for z in block["t_span"])
-        L = build_reciprocal_linear(b, c, span, options)
-        rhs = simplify(Neg(b * _V + c * _X))
-        return BuiltProblem(OdeSpec(rhs), {"reciprocal-linear": L}, notes=notes)
 
-    if family == "reciprocal-nu2":
-        _need(block, "a", "b")
-        a, b = _expr(block, "a"), _expr(block, "b")
-        L = build_reciprocal_nu2(a, b, options)
-        rhs = simplify(Neg(a * Pow(_V, Const(2.0)) + b * _V))
-        return BuiltProblem(OdeSpec(rhs), {"reciprocal-nu2": L}, notes=notes)
+class Family(NamedTuple):
+    """How the CLI reads, targets and builds one kind of family block.
 
-    if family == "monomial":
-        _need(block, "a", "b", "c", "mu")
-        a, b, c = _expr(block, "a"), _expr(block, "b"), _expr(block, "c")
-        mu = float(block["mu"])
-        L = build_monomial(a, b, c, mu, options)
-        rhs = simplify(Neg(a * Pow(_V, Const(2.0)) + b * _V
-                           + c * Pow(_V, Const(2.0 - mu))))
-        return BuiltProblem(OdeSpec(rhs), {"monomial": L}, notes=notes)
+    ``ode(blk)`` gives the target dynamics through the same rhs function the
+    builder verifies against, so a report's ``rhs`` is what was certified.
+    ``build(blk, ode, options)`` returns a :class:`BuiltProblem` and calls
+    builders by their module-global name, so wrappers on those names see
+    each call.  ``notes`` mark recipes that differ from a naive
+    transcription; their keys are stable for downstream audits.
+    """
 
-    if family == "power-damping":
-        _need(block, "a", "c", "nu")
-        a, c = _expr(block, "a"), _expr(block, "c")
-        nu = float(block["nu"])
-        L = build_power_damping(a, c, nu, options)
-        rhs = simplify(Neg(a * Pow(_V, Const(2.0)) + c * Pow(_V, Const(nu))))
-        return BuiltProblem(OdeSpec(rhs), {"power-damping": L}, notes=notes)
+    fields: tuple
+    ode: Callable
+    build: Callable
+    notes: tuple = ()
 
-    if family == "n-parameter":
-        _need(block, "n", "k")
-        n, k = float(block["n"]), float(block["k"])
-        L = n_parameter_lagrangian(n, k, options)
-        rhs = simplify(Neg(Const(k) * Pow(_V, Const(2.0))))
-        return BuiltProblem(OdeSpec(rhs), {"n-parameter": L}, notes=notes)
 
-    if family == "generalized-kinetic":
-        _need(block, "f", "R")
-        f, R = _expr(block, "f"), _expr(block, "R")
-        psi = _expr(block, "psi") if "psi" in block else None
-        L = build_generalized_kinetic(f, R, psi=psi, options=options)
-        return BuiltProblem(OdeSpec(simplify(f * R)),
-                            {"generalized-kinetic": L}, notes=notes)
+_ZERO = Const(0.0)
 
-    if family == "radical":
-        _need(block, "A", "B", "mu", "nu")
-        A, B = _expr(block, "A"), _expr(block, "B")
-        mu, nu = float(block["mu"]), float(block["nu"])
-        L = build_radical(A, B, mu, nu, options=options)
-        return BuiltProblem(OdeSpec(radical_forward_rhs(A, B, mu, nu)),
-                            {"radical": L}, notes=notes)
 
-    if family == "radical-equal":
-        _need(block, "a", "b", "nu")
-        a, b = _expr(block, "a"), _expr(block, "b")
-        nu = float(block["nu"])
-        L = build_radical_equal(a, b, nu, S0=float(block.get("S0", 1.0)),
-                                options=options)
-        rhs = simplify(Neg(a * _V + b * Pow(_V, Const(nu + 1.0))))
-        return BuiltProblem(OdeSpec(rhs), {"radical-equal": L}, notes=notes)
+def _quadratic(blk: dict) -> StandardCoeffs:
+    """(a, b, c) of x'' = -(a v^2 + b v + c); an absent c becomes the
+    cubic-restoring completion of (a, b)."""
+    # stored in the block so the target ODE and the build share one completion
+    if "c" not in blk:
+        blk["c"] = c_from_ab(blk["a"], blk["b"], lam=blk.get("lam", 0.0))
+    return StandardCoeffs(blk["a"], blk["b"], blk["c"])
 
-    if family == "radical-linear":
-        _need(block, "a", "b", "mu")
-        a, b = _expr(block, "a"), _expr(block, "b")
-        mu = float(block["mu"])
-        L = build_radical_linear(a, b, mu, B0=float(block.get("B0", 1.0)),
-                                 options=options)
-        return BuiltProblem(OdeSpec(simplify(a * _V + b)),
-                            {"radical-linear": L}, notes=notes)
 
-    if family == "exponential":
-        _need(block, "a", "b")
-        a, b = _expr(block, "a"), _expr(block, "b")
-        kwargs = {"c0": float(block.get("c0", 0.0)), "options": options}
-        if "outer" in block:
-            kwargs["outer"] = _expr(block, "outer")
-        L = build_exponential_family(a, b, **kwargs)
-        return BuiltProblem(OdeSpec(simplify(a * _V + b)),
-                            {"exponential": L}, notes=notes)
+def _build_standard(blk, ode, options):
+    coeffs = _quadratic(blk)
+    L = build_standard(coeffs, options)
+    hamiltonian = simplify(standard_hamiltonian(coeffs, options))
+    return BuiltProblem(ode, {"standard": L},
+                        extras={"hamiltonian": str(hamiltonian)})
 
-    if family == "composed":
-        _need(block, "invariant", "outer", "rhs")
-        ode = OdeSpec(_expr(block, "rhs"))
-        L = build_composed_invariant(_expr(block, "invariant"),
-                                     _expr(block, "outer"), ode, options)
-        return BuiltProblem(ode, {"composed": L}, notes=notes)
 
-    if family == "log-velocity":
-        _need(block, "k")
-        k = float(block["k"])
-        member = log_velocity_lagrangian(k, options)
-        quad = build_monomial(Const(k), Const(0.0), Const(0.0), 2.0, options)
-        rhs = simplify(Neg(Const(k) * Pow(_V, Const(2.0))))
-        return BuiltProblem(OdeSpec(rhs),
-                            {"log-velocity": member, "quadratic-kinetic": quad},
-                            notes=notes)
+def _build_autonomous(blk, ode, options):
+    q = _quadratic(blk)
+    L = build_reciprocal_autonomous(q.a, q.b, q.c, options)
+    return BuiltProblem(ode, {"reciprocal-autonomous": L}, extras={
+        "constraint_residual": constraint_defect(q.a, q.b, q.c)})
 
-    if family == "multiL":
-        _need(block, "k")
-        suite = multi_lagrangian_suite(float(block["k"]), options)
-        return BuiltProblem(suite.ode, dict(suite.members),
-                            control=suite.control, notes=notes)
 
-    raise SpecValidationError(f"unknown family {family!r}")
+def _build_exponential(blk, ode, options):
+    extra = {"outer": blk["outer"]} if "outer" in blk else {}
+    L = build_exponential_family(blk["a"], blk["b"], c0=blk.get("c0", 0.0),
+                                 options=options, **extra)
+    return BuiltProblem(ode, {"exponential": L})
+
+
+def _build_log_velocity(blk, ode, options):
+    member = log_velocity_lagrangian(blk["k"], options)
+    quad = build_monomial(Const(blk["k"]), _ZERO, _ZERO, 2.0, options)
+    return BuiltProblem(ode, {"log-velocity": member, "quadratic-kinetic": quad})
+
+
+def _build_multi(blk, ode, options):
+    suite = multi_lagrangian_suite(blk["k"], options)
+    return BuiltProblem(ode, dict(suite.members), control=suite.control)
+
+
+FAMILIES = {
+    "standard": Family(
+        ("a", "b", "c"), lambda blk: _quadratic(blk).ode(), _build_standard,
+        ("time-gauge-factor: the kinetic profile carries exp(int b(x0, t) dt) "
+         "so x-independent damping components stay representable",)),
+    "reciprocal": Family(
+        ("F", "G"),
+        lambda blk: OdeSpec(reciprocal_forward_rhs(blk["F"], blk["G"],
+                                                   blk.get("nu", 1.0))),
+        lambda blk, ode, options: BuiltProblem(ode, {"reciprocal": build_reciprocal(
+            blk["F"], blk["G"], blk.get("nu", 1.0), options=options)})),
+    "reciprocal-autonomous": Family(
+        ("a", "b"), lambda blk: _quadratic(blk).ode(), _build_autonomous),
+    "reciprocal-linear": Family(
+        ("b", "c", "t_span"),
+        lambda blk: OdeSpec(reciprocal_linear_rhs(blk["b"], blk["c"])),
+        lambda blk, ode, options: BuiltProblem(ode, {
+            "reciprocal-linear": build_reciprocal_linear(
+                blk["b"], blk["c"], blk["t_span"], options)}),
+        ("time-linear-recipe: auxiliary profile solved as w'' = (b/3) w' + "
+         "((2/3) b' + (2/9) b^2 - c) w with f = w^3 and g = (2 f b - f')/3; "
+         "the rejected simpler recipe is kept as "
+         "build_reciprocal_linear_variant and fails verification",)),
+    "reciprocal-nu2": Family(
+        ("a", "b"),
+        lambda blk: StandardCoeffs(blk["a"], blk["b"], _ZERO).ode(),
+        lambda blk, ode, options: BuiltProblem(ode, {
+            "reciprocal-nu2": build_reciprocal_nu2(blk["a"], blk["b"], options)}),
+        ("separated-drag-exponents: F = exp(2 int a + 3 int b) and "
+         "G = exp(+int b); the sign-flipped variant mirrors the damping "
+         "term and fails verification",)),
+    "monomial": Family(
+        ("a", "b", "c", "mu"),
+        lambda blk: OdeSpec(monomial_rhs(blk["a"], blk["b"], blk["c"], blk["mu"])),
+        lambda blk, ode, options: BuiltProblem(ode, {"monomial": build_monomial(
+            blk["a"], blk["b"], blk["c"], blk["mu"], options)}),
+        ("time-gauge-factor: F carries exp((mu - 1) int b(x0, t) dt)",)),
+    "power-damping": Family(
+        ("a", "c", "nu"),
+        lambda blk: OdeSpec(power_damping_rhs(blk["a"], blk["c"], blk["nu"])),
+        lambda blk, ode, options: BuiltProblem(ode, {
+            "power-damping": build_power_damping(
+                blk["a"], blk["c"], blk["nu"], options)}),
+        ("exponent-identification: power drag nu maps to the monomial "
+         "exponent mu = 2 - nu, excluding nu in {1, 2}",)),
+    "n-parameter": Family(
+        ("n", "k"),
+        lambda blk: OdeSpec(monomial_rhs(Const(blk["k"]), _ZERO, _ZERO, blk["n"])),
+        lambda blk, ode, options: BuiltProblem(ode, {
+            "n-parameter": n_parameter_lagrangian(blk["n"], blk["k"], options)})),
+    "generalized-kinetic": Family(
+        ("f", "R"),
+        lambda blk: OdeSpec(generalized_kinetic_rhs(blk["f"], blk["R"])),
+        lambda blk, ode, options: BuiltProblem(ode, {
+            "generalized-kinetic": build_generalized_kinetic(
+                blk["f"], blk["R"], psi=blk.get("psi"), options=options)})),
+    "radical": Family(
+        ("A", "B", "mu", "nu"),
+        lambda blk: OdeSpec(radical_forward_rhs(blk["A"], blk["B"], blk["mu"],
+                                                blk["nu"])),
+        lambda blk, ode, options: BuiltProblem(ode, {"radical": build_radical(
+            blk["A"], blk["B"], blk["mu"], blk["nu"], options=options)})),
+    "radical-equal": Family(
+        ("a", "b", "nu"),
+        lambda blk: OdeSpec(radical_equal_rhs(blk["a"], blk["b"], blk["nu"])),
+        lambda blk, ode, options: BuiltProblem(ode, {
+            "radical-equal": build_radical_equal(
+                blk["a"], blk["b"], blk["nu"], S0=blk.get("S0", 1.0),
+                options=options)}),
+        ("scale-quadrature-sign: S = S0 - nu int b exp(-nu int a) dt; the "
+         "opposite sign flips the super-linear drag coefficient",)),
+    "radical-linear": Family(
+        ("a", "b", "mu"),
+        lambda blk: OdeSpec(affine_rhs(blk["a"], blk["b"])),
+        lambda blk, ode, options: BuiltProblem(ode, {
+            "radical-linear": build_radical_linear(
+                blk["a"], blk["b"], blk["mu"], B0=blk.get("B0", 1.0),
+                options=options)})),
+    "exponential": Family(
+        ("a", "b"), lambda blk: OdeSpec(affine_rhs(blk["a"], blk["b"])),
+        _build_exponential),
+    "composed": Family(
+        ("invariant", "outer", "rhs"),
+        lambda blk: OdeSpec(blk["rhs"]),
+        lambda blk, ode, options: BuiltProblem(ode, {
+            "composed": build_composed_invariant(
+                blk["invariant"], blk["outer"], ode, options)}),
+        ("position-form-invariant: for quadratic drag the conserved quantity "
+         "is v e^{k x}; compositions use the position form",)),
+    "log-velocity": Family(
+        ("k",),
+        lambda blk: OdeSpec(monomial_rhs(Const(blk["k"]), _ZERO, _ZERO, 2.0)),
+        _build_log_velocity,
+        ("position-form-invariant: the boundary member uses v e^{k x}",)),
+    "multiL": Family(
+        ("k",), lambda blk: StandardCoeffs(_ZERO, Const(blk["k"]), _ZERO).ode(),
+        _build_multi),
+}
+
+
+def _family(block: dict) -> tuple:
+    """The table entry for a family block and the block's parsed fields."""
+    name = block["family"]
+    if name not in FAMILIES:
+        raise SpecValidationError(f"unknown family {name!r}")
+    family = FAMILIES[name]
+    missing = [key for key in family.fields if key not in block]
+    if missing:
+        raise SpecValidationError(
+            f"family {name!r} needs field(s): {', '.join(missing)}")
+    return family, _parse(block)
+
+
+def _build_block(block: dict, options: BuilderOptions) -> BuiltProblem:
+    family, blk = _family(block)
+    problem = family.build(blk, family.ode(blk), options)
+    problem.notes = list(family.notes)
+    return problem
+
+
+def _target(spec: dict):
+    """Target rhs of the spec's equation, without running a construction."""
+    eq = spec["equation"]
+    if "family" not in eq:
+        return _expr(eq, "rhs")
+    family, blk = _family(eq)
+    return family.ode(blk).rhs
 
 
 def _problem(spec: dict) -> BuiltProblem:
@@ -463,74 +465,6 @@ def _problem(spec: dict) -> BuiltProblem:
     if "lagrangian" in eq:
         members["user"] = Lagrangian(_expr(eq, "lagrangian"), family="user")
     return BuiltProblem(ode, members)
-
-
-def _rhs_expr(spec: dict):
-    eq = spec["equation"]
-    if "family" in eq:
-        return _build_block_rhs(eq, _options(spec))
-    return _expr(eq, "rhs")
-
-
-def _build_block_rhs(block: dict, options: BuilderOptions):
-    """Target rhs of a family block without running the construction."""
-    family = block["family"]
-    if family == "standard" or family == "reciprocal-autonomous":
-        _need(block, "a", "b")
-        a, b = _expr(block, "a"), _expr(block, "b")
-        if "c" in block:
-            c = _expr(block, "c")
-        elif family == "reciprocal-autonomous":
-            c = c_from_ab(a, b, lam=float(block.get("lam", 0.0)))
-        else:
-            raise SpecValidationError("family 'standard' needs field(s): c")
-        return simplify(Neg(a * Pow(_V, Const(2.0)) + b * _V + c))
-    if family == "reciprocal":
-        _need(block, "F", "G")
-        return reciprocal_forward_rhs(_expr(block, "F"), _expr(block, "G"),
-                                      float(block.get("nu", 1.0)))
-    if family == "reciprocal-linear":
-        _need(block, "b", "c")
-        return simplify(Neg(_expr(block, "b") * _V + _expr(block, "c") * _X))
-    if family == "reciprocal-nu2":
-        _need(block, "a", "b")
-        return simplify(Neg(_expr(block, "a") * Pow(_V, Const(2.0))
-                            + _expr(block, "b") * _V))
-    if family == "monomial":
-        _need(block, "a", "b", "c", "mu")
-        mu = float(block["mu"])
-        return simplify(Neg(_expr(block, "a") * Pow(_V, Const(2.0))
-                            + _expr(block, "b") * _V
-                            + _expr(block, "c") * Pow(_V, Const(2.0 - mu))))
-    if family == "power-damping":
-        _need(block, "a", "c", "nu")
-        return simplify(Neg(_expr(block, "a") * Pow(_V, Const(2.0))
-                            + _expr(block, "c") * Pow(_V, Const(float(block["nu"])))))
-    if family in ("n-parameter", "log-velocity"):
-        _need(block, "k")
-        return simplify(Neg(Const(float(block["k"])) * Pow(_V, Const(2.0))))
-    if family == "generalized-kinetic":
-        _need(block, "f", "R")
-        return simplify(_expr(block, "f") * _expr(block, "R"))
-    if family == "radical":
-        _need(block, "A", "B", "mu", "nu")
-        return radical_forward_rhs(_expr(block, "A"), _expr(block, "B"),
-                                   float(block["mu"]), float(block["nu"]))
-    if family == "radical-equal":
-        _need(block, "a", "b", "nu")
-        nu = float(block["nu"])
-        return simplify(Neg(_expr(block, "a") * _V
-                            + _expr(block, "b") * Pow(_V, Const(nu + 1.0))))
-    if family in ("radical-linear", "exponential"):
-        _need(block, "a", "b")
-        return simplify(_expr(block, "a") * _V + _expr(block, "b"))
-    if family == "composed":
-        _need(block, "rhs")
-        return _expr(block, "rhs")
-    if family == "multiL":
-        _need(block, "k")
-        return simplify(Neg(Const(float(block["k"])) * _V))
-    raise SpecValidationError(f"unknown family {family!r}")
 
 
 # --- classifier ----------------------------------------------------------------
@@ -855,7 +789,7 @@ def _verification_payload(report) -> dict:
 
 
 def cmd_classify(spec: dict, out_dir: Path):
-    f = _rhs_expr(spec)
+    f = _target(spec)
     entries = classify_equation(f, spec["domain"])
     rows = [[e["family"], "yes" if e["applicable"] else "no",
              "" if e["residual"] is None else repr(e["residual"]),
@@ -919,16 +853,9 @@ def cmd_verify(spec: dict, out_dir: Path):
 
 
 def cmd_integrate(spec: dict, out_dir: Path):
-    eq = spec["equation"]
-    L = None
-    if "family" in eq:
-        problem = _problem(spec)
-        ode = problem.ode
-        L = problem.primary if problem.members else None
-    else:
-        ode = OdeSpec(_expr(eq, "rhs"))
-        if "lagrangian" in eq:
-            L = Lagrangian(_expr(eq, "lagrangian"), family="user")
+    problem = _problem(spec)
+    ode = problem.ode
+    L = problem.primary if problem.members else None
     cfg = spec["integrate"]
     traj = integrate_ode(ode, cfg["x0"], cfg["v0"], cfg["t0"], cfg["t1"])
     columns = [c for c in ("t", "x", "v", "L", "E", "p") if c in cfg["columns"]]
@@ -1004,13 +931,8 @@ def cmd_compare(spec: dict, out_dir: Path):
     tol = spec["options"]["verify_tol"]
     names = list(members)
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-
-    def gap_of(pair):
-        i, j = pair
-        return pairwise_acceleration_gap(
-            [members[names[i]], members[names[j]]], box)
-
-    gaps = _parallel_map(gap_of, pairs)
+    gaps = [pairwise_acceleration_gap([members[names[i]], members[names[j]]], box)
+            for i, j in pairs]
     matrix = [[0.0] * len(names) for _ in names]
     for (i, j), gap in zip(pairs, gaps):
         matrix[i][j] = matrix[j][i] = gap

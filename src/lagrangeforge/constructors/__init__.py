@@ -19,13 +19,18 @@ from .power import (
     build_generalized_kinetic,
     build_monomial,
     build_power_damping,
+    generalized_kinetic_rhs,
     monomial_admissibility_defect,
+    monomial_rhs,
     n_parameter_lagrangian,
+    power_damping_rhs,
 )
 from .radical import (
+    affine_rhs,
     build_radical,
     build_radical_equal,
     build_radical_linear,
+    radical_equal_rhs,
     radical_forward_rhs,
 )
 from .reciprocal import (
@@ -39,6 +44,7 @@ from .reciprocal import (
     c_from_ab,
     constraint_defect,
     reciprocal_forward_rhs,
+    reciprocal_linear_rhs,
 )
 from .standard import (
     StandardCoeffs,
@@ -54,6 +60,7 @@ __all__ = [
     "StandardCoeffs",
     "a_from_bc",
     "admissibility_defect",
+    "affine_rhs",
     "build_composed_invariant",
     "compose_invariant",
     "build_exponential_family",
@@ -73,11 +80,16 @@ __all__ = [
     "c_from_ab",
     "coefficient",
     "constraint_defect",
+    "generalized_kinetic_rhs",
     "log_velocity_lagrangian",
     "monomial_admissibility_defect",
+    "monomial_rhs",
     "multi_lagrangian_suite",
     "n_parameter_lagrangian",
+    "power_damping_rhs",
+    "radical_equal_rhs",
     "radical_forward_rhs",
     "reciprocal_forward_rhs",
+    "reciprocal_linear_rhs",
     "standard_hamiltonian",
 ]

@@ -31,8 +31,8 @@ from ..expressions import (
 from ..lagrangian import DomainBox, Lagrangian, OdeSpec, assert_invariant
 from ._symbolic import antiderivative_in
 from .common import BuilderOptions, DEFAULT_OPTIONS, post_verify, require_free_of
-from .power import build_generalized_kinetic, build_monomial
-from .radical import build_radical_equal
+from .power import build_generalized_kinetic, build_monomial, monomial_rhs
+from .radical import affine_rhs, build_radical_equal
 from .reciprocal import build_reciprocal
 from .standard import StandardCoeffs, build_standard
 
@@ -73,14 +73,13 @@ def build_exponential_family(a: Expr, b: Expr,
     )
     u = simplify(Sub(Mul(_V, decay), beta))
     L = simplify(Mul(Exp(alpha), substitute(outer, "v", u)))
-    rhs = simplify(a * _V + b)
     lagr = Lagrangian(L, family="exponential-profile",
                       gauge=f"c0={c0}, anchor t0={options.t0}")
     box = DomainBox(
         x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=59,
     )
-    return post_verify(lagr, OdeSpec(rhs), box, options)
+    return post_verify(lagr, OdeSpec(affine_rhs(a, b)), box, options)
 
 
 def build_composed_invariant(invariant: Expr, outer: Expr, ode: OdeSpec,
@@ -127,7 +126,7 @@ def log_velocity_lagrangian(k: float,
     L = simplify(
         Mul(Mul(_V, Sub(Const(1.0), Ln(_V))), Exp(Mul(Const(k), _X)))
     )
-    rhs = simplify(Neg(Mul(Const(k), Pow(_V, Const(2.0)))))
+    rhs = monomial_rhs(Const(k), Const(0.0), Const(0.0), 2.0)
     lagr = Lagrangian(L, family="log-velocity", domain_note="x' > 0")
     box = DomainBox(
         x=(-1.0, 1.0), v=(0.2, 2.2), t=(0.0, 1.0),
@@ -153,8 +152,8 @@ def multi_lagrangian_suite(k: float = 0.5,
     used to confirm that disagreement is detectable.
     """
     k = float(k)
-    ode = OdeSpec(simplify(Neg(Mul(Const(k), _V))),
-                  description=f"linear drag, k={k}")
+    ode = StandardCoeffs(Const(0.0), Const(k), Const(0.0)).ode(
+        description=f"linear drag, k={k}")
     two_kt = Exp(Mul(Const(2.0 * k), _T))
     one_kt = Exp(Mul(Const(k), _T))
     members = {

@@ -37,8 +37,11 @@ __all__ = [
     "build_generalized_kinetic",
     "build_monomial",
     "build_power_damping",
+    "generalized_kinetic_rhs",
     "monomial_admissibility_defect",
+    "monomial_rhs",
     "n_parameter_lagrangian",
+    "power_damping_rhs",
 ]
 
 _X, _V, _T = Var("x"), Var("v"), Var("t")
@@ -68,10 +71,25 @@ def monomial_admissibility_defect(a: Expr, b: Expr, mu: float,
     return worst
 
 
-def build_monomial(a: Expr, b: Expr, c: Expr, mu: float,
-                   options: BuilderOptions = DEFAULT_OPTIONS,
-                   admissibility_tol: float = 1e-9) -> Lagrangian:
-    """L = F x'^mu - G for x'' + a x'^2 + b x' + c x'^(2-mu) = 0."""
+def monomial_rhs(a: Expr, b: Expr, c: Expr, mu: float) -> Expr:
+    """Acceleration -(a v^2 + b v + c v^(2-mu)) of the monomial family."""
+    return simplify(-(
+        a * Pow(_V, Const(2.0))
+        + b * _V
+        + c * Pow(_V, Const(2.0 - float(mu)))
+    ))
+
+
+def power_damping_rhs(a: Expr, c: Expr, nu: float) -> Expr:
+    """Acceleration -(a v^2 + c v^nu); nu is used as given, not
+    recovered from the monomial exponent 2 - nu."""
+    return simplify(-(a * Pow(_V, Const(2.0)) + c * Pow(_V, Const(float(nu)))))
+
+
+def _monomial_lagrangian(a: Expr, b: Expr, c: Expr, mu: float,
+                         options: BuilderOptions,
+                         admissibility_tol: float = 1e-9) -> Lagrangian:
+    """Unverified L = F x'^mu - G; callers verify against their own rhs."""
     mu = float(mu)
     if mu in (0.0, 1.0):
         raise BadExponentError(f"exponent mu = {mu!r} degenerates the family")
@@ -97,15 +115,17 @@ def build_monomial(a: Expr, b: Expr, c: Expr, mu: float,
             simplify(Mul(c, F)), "x", x0
         )
         L = L - G
-    L = simplify(L)
-    rhs = simplify(-(
-        a * Pow(_V, Const(2.0))
-        + b * _V
-        + c * Pow(_V, Const(2.0 - mu))
-    ))
-    lagr = Lagrangian(L, family="monomial",
+    return Lagrangian(simplify(L), family="monomial",
                       gauge=f"mu={mu}, anchors x0={x0}, t0={t0}")
-    return post_verify(lagr, OdeSpec(rhs), _DEFAULT_BOX, options)
+
+
+def build_monomial(a: Expr, b: Expr, c: Expr, mu: float,
+                   options: BuilderOptions = DEFAULT_OPTIONS,
+                   admissibility_tol: float = 1e-9) -> Lagrangian:
+    """L = F x'^mu - G for x'' + a x'^2 + b x' + c x'^(2-mu) = 0."""
+    lagr = _monomial_lagrangian(a, b, c, mu, options, admissibility_tol)
+    return post_verify(lagr, OdeSpec(monomial_rhs(a, b, c, mu)),
+                       _DEFAULT_BOX, options)
 
 
 def build_power_damping(a: Expr, c: Expr, nu: float,
@@ -116,7 +136,9 @@ def build_power_damping(a: Expr, c: Expr, nu: float,
         raise BadExponentError(
             f"damping exponent nu = {nu!r} degenerates the family"
         )
-    return build_monomial(a, Const(0.0), c, 2.0 - nu, options)
+    lagr = _monomial_lagrangian(a, Const(0.0), c, 2.0 - nu, options)
+    return post_verify(lagr, OdeSpec(power_damping_rhs(a, c, nu)),
+                       _DEFAULT_BOX, options)
 
 
 def n_parameter_lagrangian(n: float, k: float,
@@ -124,6 +146,11 @@ def n_parameter_lagrangian(n: float, k: float,
     """L = x'^n e^{n k x} for x'' + k x'^2 = 0, one member per n."""
     return build_monomial(Const(float(k)), Const(0.0), Const(0.0), float(n),
                           options)
+
+
+def generalized_kinetic_rhs(f: Expr, R: Expr) -> Expr:
+    """Acceleration f(x, t) R(x') of the generalized kinetic family."""
+    return simplify(Mul(f, R))
 
 
 def build_generalized_kinetic(f: Expr, R: Expr,
@@ -155,7 +182,6 @@ def build_generalized_kinetic(f: Expr, R: Expr,
         Psi = antiderivative_in(simplify(slope), "v", v_anchor)
     G = antiderivative_in(f, "x", options.x0)
     L = simplify(Psi + G)
-    rhs = simplify(Mul(f, R))
     lagr = Lagrangian(L, family="kinetic-potential",
                       gauge=f"anchors v={v_anchor}, x0={options.x0}")
     box = DomainBox(
@@ -163,4 +189,5 @@ def build_generalized_kinetic(f: Expr, R: Expr,
         grid=(4, 4, 4), n_random=32, seed=41,
         strata=(SingularStratum(Div(Abs(R), Abs(R) + Const(1.0)), 0.02),),
     )
-    return post_verify(lagr, OdeSpec(rhs), box, options)
+    return post_verify(lagr, OdeSpec(generalized_kinetic_rhs(f, R)), box,
+                       options)

@@ -37,9 +37,11 @@ from ._symbolic import antiderivative_in
 from .common import BuilderOptions, DEFAULT_OPTIONS, post_verify, require_free_of
 
 __all__ = [
+    "affine_rhs",
     "build_radical",
     "build_radical_equal",
     "build_radical_linear",
+    "radical_equal_rhs",
     "radical_forward_rhs",
 ]
 
@@ -107,6 +109,11 @@ def build_radical(A: Expr, B: Expr, mu: float, nu: float,
     return post_verify(lagr, ode, box, options)
 
 
+def radical_equal_rhs(a: Expr, b: Expr, nu: float) -> Expr:
+    """Acceleration -(a x' + b x'^(nu+1)) of the equal-exponent family."""
+    return simplify(-(a * _V + b * Pow(_V, Const(float(nu) + 1.0))))
+
+
 def build_radical_equal(a: Expr, b: Expr, nu: float, S0: float = 1.0,
                         options: BuilderOptions = DEFAULT_OPTIONS) -> Lagrangian:
     """L = (A x'^nu + B)^(1/nu) for x'' + a(t) x' + b(t) x'^(nu+1) = 0."""
@@ -138,7 +145,6 @@ def build_radical_equal(a: Expr, b: Expr, nu: float, S0: float = 1.0,
     B = simplify(Pow(S, Const(-nu)) * decay)
     radicand = simplify(A * Pow(_V, Const(nu)) + B)
     L = simplify(Pow(radicand, Const(1.0 / nu)))
-    rhs = simplify(-(a * _V + b * Pow(_V, Const(nu + 1.0))))
     lagr = Lagrangian(L, family="radical",
                       gauge=f"mu=nu={nu}, S0={S0}, anchor t0={t0}")
     box = DomainBox(
@@ -146,7 +152,14 @@ def build_radical_equal(a: Expr, b: Expr, nu: float, S0: float = 1.0,
         n_random=box.n_random, seed=box.seed,
         strata=box.strata + (_relative_stratum(radicand),),
     )
-    return post_verify(lagr, OdeSpec(rhs), box, options.with_box(box))
+    return post_verify(lagr, OdeSpec(radical_equal_rhs(a, b, nu)), box,
+                       options.with_box(box))
+
+
+def affine_rhs(a: Expr, b: Expr) -> Expr:
+    """Acceleration a(t) x' + b(t), shared by the radical-linear and
+    exponential families."""
+    return simplify(a * _V + b)
 
 
 def build_radical_linear(a: Expr, b: Expr, mu: float, B0: float = 1.0,
@@ -164,7 +177,6 @@ def build_radical_linear(a: Expr, b: Expr, mu: float, B0: float = 1.0,
     B = simplify(Exp(simplify(Const(mu) * alpha)) * (Const(float(B0)) - I))
     radicand = simplify(A * _V + B)
     L = simplify(Pow(radicand, Const(1.0 / mu)))
-    rhs = simplify(a * _V + b)
     lagr = Lagrangian(L, family="radical",
                       gauge=f"mu={mu}, nu=1, B0={B0}, anchor t0={t0}")
     box = DomainBox(
@@ -172,4 +184,4 @@ def build_radical_linear(a: Expr, b: Expr, mu: float, B0: float = 1.0,
         grid=(4, 4, 4), n_random=32, seed=53,
         strata=(_relative_stratum(radicand),),
     )
-    return post_verify(lagr, OdeSpec(rhs), box, options)
+    return post_verify(lagr, OdeSpec(affine_rhs(a, b)), box, options)

@@ -46,6 +46,7 @@ from ..lagrangian import DomainBox, Lagrangian, OdeSpec, SingularStratum
 from ..normal_form import normal_form
 from ._symbolic import antiderivative_in
 from .common import BuilderOptions, DEFAULT_OPTIONS, post_verify, require_free_of
+from .standard import StandardCoeffs
 
 __all__ = [
     "a_from_bc",
@@ -58,6 +59,7 @@ __all__ = [
     "c_from_ab",
     "constraint_defect",
     "reciprocal_forward_rhs",
+    "reciprocal_linear_rhs",
 ]
 
 _X, _V, _T = Var("x"), Var("v"), Var("t")
@@ -200,7 +202,6 @@ def build_reciprocal_autonomous(a: Expr, b: Expr, c: Expr,
     G = simplify(Div(Const(3.0) * c * F, b))
     denom = F * _V + G
     L = simplify(Div(Const(1.0), denom))
-    rhs = simplify(-(a * Pow(_V, Const(2.0)) + b * _V + c))
     lagr = Lagrangian(L, family="reciprocal",
                       gauge=f"nu=1, anchor x0={options.x0}")
     box = DomainBox(
@@ -209,7 +210,7 @@ def build_reciprocal_autonomous(a: Expr, b: Expr, c: Expr,
         strata=(_denominator_stratum(simplify(denom)),
                 SingularStratum(b, 1e-6)),
     )
-    return post_verify(lagr, OdeSpec(rhs), box, options)
+    return post_verify(lagr, StandardCoeffs(a, b, c).ode(), box, options)
 
 
 # --- time-dependent linear dynamics -------------------------------------------
@@ -285,6 +286,11 @@ def _ode_time_samples(rhs: Expr, lo: float, init: tuple):
     return samples
 
 
+def reciprocal_linear_rhs(b: Expr, c: Expr) -> Expr:
+    """Acceleration -(b(t) x' + c(t) x) of the time-dependent linear family."""
+    return simplify(-(b * _V + c * _X))
+
+
 def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
                             options: BuilderOptions = DEFAULT_OPTIONS,
                             w_init: tuple = (1.0, 0.0)) -> Lagrangian:
@@ -326,7 +332,6 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
     g = simplify(Div(Const(2.0) * f * b - differentiate(f, "t"), Const(3.0)))
     denom = f * _V + g * _X
     L = simplify(Div(Const(1.0), denom))
-    rhs = simplify(-(b * _V + c * _X))
     lagr = Lagrangian(
         L, family="reciprocal-linear",
         gauge=f"w({lo}) = {w_init[0]}, w'({lo}) = {w_init[1]}; "
@@ -343,7 +348,8 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
         verify_tol=max(options.verify_tol, 1e-5), verify_box=box,
         quadrature=options.quadrature,
     )
-    return post_verify(lagr, OdeSpec(rhs), box, opts, mandatory=True)
+    return post_verify(lagr, OdeSpec(reciprocal_linear_rhs(b, c)), box, opts,
+                       mandatory=True)
 
 
 def build_reciprocal_linear_variant(b: Expr, c: Expr, t_span: tuple,
@@ -395,7 +401,6 @@ def build_reciprocal_nu2(a: Expr, b: Expr,
     G = Exp(simplify(Ib))
     denom = simplify(F * Pow(_V, Const(2.0)) + G)
     L = simplify(Pow(denom, Const(-1.0)))
-    rhs = simplify(-(a * Pow(_V, Const(2.0)) + b * _V))
     lagr = Lagrangian(L, family="reciprocal",
                       gauge=f"nu=2, anchors x0={options.x0}, t0={options.t0}")
     # curvature in v vanishes on the shell 3 F v^2 = G; exclude it as well
@@ -406,7 +411,8 @@ def build_reciprocal_nu2(a: Expr, b: Expr,
         strata=(_denominator_stratum(denom),
                 _denominator_stratum(regularity)),
     )
-    return post_verify(lagr, OdeSpec(rhs), box, options)
+    return post_verify(lagr, StandardCoeffs(a, b, Const(0.0)).ode(), box,
+                       options)
 
 
 def build_reciprocal_nu2_variant(a: Expr, b: Expr,

@@ -8,16 +8,19 @@ import json
 
 import pytest
 
+from lagrangeforge import cli
 from lagrangeforge.cli import (
     EXIT_INAPPLICABLE,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    FAMILIES,
     classify_equation,
     main,
     normalize_spec,
     validate_spec,
 )
+from lagrangeforge.constructors import common
 from lagrangeforge.expressions import parse_expression
 from lagrangeforge.presets import PRESETS, preset_names
 
@@ -375,14 +378,16 @@ class TestCompare:
 
 class TestDeterminism:
     def test_reports_are_bit_identical(self, tmp_path):
-        spec = write_spec(tmp_path, DAMPED)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run("verify", spec, out1) == EXIT_OK
-        assert run("verify", spec, out2) == EXIT_OK
-        assert (out1 / "report.json").read_bytes() == \
-            (out2 / "report.json").read_bytes()
-        assert (out1 / "residuals.csv").read_bytes() == \
-            (out2 / "residuals.csv").read_bytes()
+        for command, doc, table in (
+                ("verify", DAMPED, "residuals.csv"),
+                ("compare", TestCompare.MEMBERS, "matrix.csv")):
+            spec = write_spec(tmp_path, doc, f"{command}.json")
+            out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+            assert run(command, spec, out1) == EXIT_OK
+            assert run(command, spec, out2) == EXIT_OK
+            for name in ("report.json", table):
+                assert (out1 / name).read_bytes() == \
+                    (out2 / name).read_bytes(), (command, name)
 
     def test_report_roundtrips_as_spec(self, tmp_path):
         spec = write_spec(tmp_path, DAMPED)
@@ -407,15 +412,6 @@ class TestDeterminism:
         assert run("verify", spec, out, "--seed", "7") == EXIT_OK
         assert load_report(out)["normalized_spec"]["domain"]["seed"] == 7
 
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
-        spec = write_spec(tmp_path, TestCompare.MEMBERS)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.delenv("LAGRANGEFORGE_THREADS", raising=False)
-        assert run("compare", spec, out1) == EXIT_OK
-        monkeypatch.setenv("LAGRANGEFORGE_THREADS", "4")
-        assert run("compare", spec, out2) == EXIT_OK
-        assert (out1 / "matrix.csv").read_bytes() == \
-            (out2 / "matrix.csv").read_bytes()
 
 
 class TestDemo:
@@ -447,3 +443,80 @@ class TestDemo:
     def test_every_preset_succeeds(self, tmp_path, name):
         out = tmp_path / name
         assert main(["demo", name, "--out", str(out)]) == EXIT_OK
+
+
+# one block per family; two families run on their preset's domain box
+FAMILY_BLOCKS = {
+    "standard": {"a": "0", "b": "0.2", "c": "1.0*x"},
+    "reciprocal": {"F": "1.0 + 0.3*x^2", "G": "2.0 + 0.1*t + 0.2*x",
+                   "nu": 2.0},
+    "reciprocal-autonomous": {"a": "0", "b": "1.0*x", "lam": 0.9},
+    "reciprocal-linear": {"b": "0", "c": "-1.0*t", "t_span": [0.1, 2.0]},
+    "reciprocal-nu2": {"a": "0.4*x", "b": "0.3"},
+    "monomial": {"a": "0.3*x", "b": "0.2", "c": "0.5*x", "mu": 3.0},
+    "power-damping": {"a": "0.3*x", "c": "0.5", "nu": 0.1},
+    "n-parameter": {"n": 3.0, "k": 1.0},
+    "generalized-kinetic": {"f": "-0.4", "R": "(1 - v^2/9)^1.5",
+                            "psi": "-9*(1 - v^2/9)^0.5"},
+    "radical": {"A": "1.0 + 0.2*x^2", "B": "2.0 + 0.3*t + 0.1*x",
+                "mu": 3.0, "nu": 2.0},
+    "radical-equal": {"a": "0.3", "b": "0.2", "nu": 2.0},
+    "radical-linear": {"a": "-0.3", "b": "0.4 + 0.1*t", "mu": 3.0},
+    "exponential": {"a": "-0.3", "b": "0.4 + 0.1*t", "c0": 0.5},
+    "composed": {"invariant": "v*exp(0.7*x)", "outer": "0.5*v^2",
+                 "rhs": "-0.7*v^2"},
+    "multiL": {"k": 0.5},
+    "log-velocity": {"k": 1.0},
+}
+
+SPEC_EXTRAS = {
+    "reciprocal-linear": {"domain": PRESETS["airy"]["domain"],
+                          "options": {"verify_tol": 1e-5}},
+    "reciprocal-autonomous": {"domain": PRESETS["lienard"]["domain"]},
+}
+
+MULTI_MEMBER = {"multiL", "log-velocity"}
+
+
+def family_spec(family):
+    return {"version": 1,
+            "equation": {"family": family, **FAMILY_BLOCKS[family]},
+            **SPEC_EXTRAS.get(family, {})}
+
+
+class TestFamilyTable:
+    def test_schema_enum_matches_table(self):
+        schema = cli._schema()
+        enum = schema["definitions"]["family_block"]["properties"]["family"]["enum"]
+        assert set(enum) == set(FAMILIES)
+        assert set(FAMILY_BLOCKS) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_BLOCKS))
+    def test_commands_report_one_rhs(self, tmp_path, family):
+        spec = write_spec(tmp_path, family_spec(family))
+        rhs = set()
+        for command in ("classify", "build", "verify"):
+            out = tmp_path / command
+            assert run(command, spec, out) == EXIT_OK, command
+            rhs.add(load_report(out)["rhs"])
+        assert len(rhs) == 1, rhs
+
+    @pytest.mark.parametrize(
+        "family", sorted(set(FAMILY_BLOCKS) - MULTI_MEMBER))
+    def test_builder_certifies_reported_rhs(self, tmp_path, monkeypatch,
+                                            family):
+        verified = []
+        original = common.verify_lagrangian
+
+        def recording(L, ode, *args, **kwargs):
+            verified.append(ode)
+            return original(L, ode, *args, **kwargs)
+
+        monkeypatch.setattr(common, "verify_lagrangian", recording)
+        spec = write_spec(tmp_path, family_spec(family))
+        out = tmp_path / "out"
+        assert run("build", spec, out) == EXIT_OK
+        reported = load_report(out)["rhs"]
+        assert verified
+        assert all(str(ode.rhs) == reported for ode in verified), \
+            [str(ode.rhs) for ode in verified]
