@@ -412,6 +412,18 @@ class TestDeterminism:
         assert run("verify", spec, out, "--seed", "7") == EXIT_OK
         assert load_report(out)["normalized_spec"]["domain"]["seed"] == 7
 
+    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
+        # LAGRANGEFORGE_THREADS once capped a compare thread pool; compare
+        # now runs serially and must ignore the variable.
+        spec = write_spec(tmp_path, TestCompare.MEMBERS)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        monkeypatch.delenv("LAGRANGEFORGE_THREADS", raising=False)
+        assert run("compare", spec, out1) == EXIT_OK
+        monkeypatch.setenv("LAGRANGEFORGE_THREADS", "4")
+        assert run("compare", spec, out2) == EXIT_OK
+        assert (out1 / "matrix.csv").read_bytes() == \
+            (out2 / "matrix.csv").read_bytes()
+
 
 
 class TestDemo:
