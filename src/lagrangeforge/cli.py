@@ -89,10 +89,10 @@ from .lagrangian import (
     DomainBox,
     Lagrangian,
     OdeSpec,
-    euler_lagrange_residual,
+    acceleration_field,
     hamiltonian_value,
     legendre_momentum,
-    pairwise_acceleration_gap,
+    max_acceleration_gap,
     verify_lagrangian,
 )
 from .presets import PRESETS, preset_names
@@ -833,13 +833,8 @@ def cmd_verify(spec: dict, out_dir: Path):
         reports[name] = _verification_payload(report)
         if not report.passed:
             code = EXIT_VERIFY_FAIL
-        for x, v, t in box.sample_points():
-            try:
-                rows.append([repr(x), repr(v), repr(t), name,
-                             repr(euler_lagrange_residual(L, problem.ode, x, v, t))])
-            except (LagrangeForgeError, ValueError, OverflowError,
-                    ZeroDivisionError):
-                rows.append([repr(x), repr(v), repr(t), name, ""])
+        rows.extend([repr(x), repr(v), repr(t), name, "" if r is None else repr(r)]
+                    for (x, v, t), r in report.residuals)
     _write_csv(out_dir / "residuals.csv",
                ["x", "v", "t", "member", "residual"], rows)
     payload = {
@@ -930,9 +925,10 @@ def cmd_compare(spec: dict, out_dir: Path):
     box = _box(spec)
     tol = spec["options"]["verify_tol"]
     names = list(members)
+    points = box.sample_points()
+    fields = [acceleration_field(members[name], points) for name in names]
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-    gaps = [pairwise_acceleration_gap([members[names[i]], members[names[j]]], box)
-            for i, j in pairs]
+    gaps = [max_acceleration_gap([fields[i], fields[j]]) for i, j in pairs]
     matrix = [[0.0] * len(names) for _ in names]
     for (i, j), gap in zip(pairs, gaps):
         matrix[i][j] = matrix[j][i] = gap
@@ -949,8 +945,8 @@ def cmd_compare(spec: dict, out_dir: Path):
         "discrepancy_notes": list(notes),
     }
     if control is not None:
-        control_gap = pairwise_acceleration_gap(
-            [control, members[names[0]]], box)
+        control_gap = max_acceleration_gap(
+            [acceleration_field(control, points), fields[0]])
         payload["control"] = {
             "lagrangian": str(control.expr),
             "gap_vs_first_member": control_gap,

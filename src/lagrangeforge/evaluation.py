@@ -1,8 +1,22 @@
 """Numeric evaluation of expressions: plain values and second-order jets.
 
-Two evaluation modes share one set of domain rules:
+The rules for each node type are written once, in tables keyed by node type:
+
+* A *value rule* maps operand values to the node's value and owns the node's
+  domain check (``_div_value``, ``_pow_value``, ``_exp_value``, ``_ln_value``,
+  ``_sqrt_value``; negation, ``abs``, ``sin`` and ``cos`` are defined
+  everywhere).
+* A *derivative rule* maps a function node's operand value to
+  ``(f, f', f'')``, built on the node's value rule; a jet applies it through
+  :meth:`Jet2.chain`.  Jets add only the checks that values do not need:
+  ``sqrt`` and ``abs`` are not differentiable at zero, and a variable
+  exponent needs a positive base.
+
+Three entry points read the tables:
 
 * :func:`evaluate` walks the tree and returns a float.
+* :func:`compile_callable` builds nested closures once, for integrands and
+  right-hand sides that are called thousands of times.
 * :func:`eval_jet2` returns a :class:`Jet2` carrying the value together with
   the gradient and Hessian with respect to the state variables ``x, v, t``.
   Derivatives are propagated structurally (no finite differences), so they
@@ -12,12 +26,16 @@ Integral nodes evaluate by adaptive quadrature.  Because verification sweeps
 hit the same antiderivative at many nearby upper limits, each node keeps a
 sorted list of previously computed anchor points; a new request integrates
 only from the nearest anchor, so accuracy never degrades while the cost per
-point stays local.
+point stays local.  The jet of an integral node evaluates its cached symbolic
+derivatives from :func:`~lagrangeforge.expressions.differentiate`, which
+applies the fundamental theorem of calculus in the integration variable and
+differentiates under the integral sign in the others.
 """
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import threading
 from typing import Callable, Mapping, Sequence
 
@@ -57,29 +75,32 @@ __all__ = [
 Binding = Mapping[str, float]
 
 
+# --- value rules: one per node type, each owning its domain check ------------
+
+def _div_value(num: float, den: float) -> float:
+    if den == 0.0:
+        raise EvalDomainError("division by zero")
+    return num / den
+
+
 def _pow_value(base: float, exponent: float) -> float:
     """Real power with explicit domain rules.
 
     Integer exponents admit negative bases; fractional exponents require a
     positive base; zero cannot be raised to a negative power.
     """
-    if exponent == math.floor(exponent):
-        if base == 0.0 and exponent < 0.0:
-            raise EvalDomainError("zero raised to a negative power")
-    else:
-        if base < 0.0:
-            raise EvalDomainError(
-                f"negative base {base!r} with non-integer exponent {exponent!r}"
-            )
-        if base == 0.0 and exponent < 0.0:
-            raise EvalDomainError("zero raised to a negative power")
+    if exponent != math.floor(exponent) and base < 0.0:
+        raise EvalDomainError(
+            f"negative base {base!r} with non-integer exponent {exponent!r}"
+        )
+    if base == 0.0 and exponent < 0.0:
+        raise EvalDomainError("zero raised to a negative power")
     try:
-        result = base ** exponent
+        return base ** exponent
     except OverflowError:
         raise EvalDomainError(
             f"overflow computing {base!r} ** {exponent!r}"
         ) from None
-    return result
 
 
 def _exp_value(u: float) -> float:
@@ -89,52 +110,47 @@ def _exp_value(u: float) -> float:
         raise EvalDomainError(f"overflow computing exp({u!r})") from None
 
 
+def _ln_value(u: float) -> float:
+    if u <= 0.0:
+        raise EvalDomainError(f"log of non-positive value {u!r}")
+    return math.log(u)
+
+
+def _sqrt_value(u: float) -> float:
+    if u < 0.0:
+        raise EvalDomainError(f"square root of negative value {u!r}")
+    return math.sqrt(u)
+
+
+# The value rule of each node type that has one.  Binary arithmetic nodes hold
+# their operands as left/right; Pow holds base/exponent and has its own rule.
+_BINARY_VALUE = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+                 Div: _div_value}
+_UNARY_VALUE = {Neg: operator.neg, Exp: _exp_value, Ln: _ln_value,
+                Sqrt: _sqrt_value, Abs: abs, Sin: math.sin, Cos: math.cos}
+
+
 def evaluate(expr: Expr, binding: Binding, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Evaluate ``expr`` at ``binding``; unbound names and domain violations raise."""
-    if isinstance(expr, Const):
+    # constants and binary arithmetic are tested first: they are most of a tree
+    kind = type(expr)
+    if kind is Const:
         return expr.value
-    if isinstance(expr, Var):
+    rule = _BINARY_VALUE.get(kind)
+    if rule is not None:
+        return rule(evaluate(expr.left, binding, cfg), evaluate(expr.right, binding, cfg))
+    if kind is Var:
         try:
             return float(binding[expr.name])
         except KeyError:
             raise EvalDomainError(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Add):
-        return evaluate(expr.left, binding, cfg) + evaluate(expr.right, binding, cfg)
-    if isinstance(expr, Sub):
-        return evaluate(expr.left, binding, cfg) - evaluate(expr.right, binding, cfg)
-    if isinstance(expr, Mul):
-        return evaluate(expr.left, binding, cfg) * evaluate(expr.right, binding, cfg)
-    if isinstance(expr, Div):
-        denom = evaluate(expr.right, binding, cfg)
-        if denom == 0.0:
-            raise EvalDomainError("division by zero")
-        return evaluate(expr.left, binding, cfg) / denom
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, binding, cfg)
-    if isinstance(expr, Pow):
-        return _pow_value(
-            evaluate(expr.base, binding, cfg),
-            evaluate(expr.exponent, binding, cfg),
-        )
-    if isinstance(expr, Exp):
-        return _exp_value(evaluate(expr.operand, binding, cfg))
-    if isinstance(expr, Ln):
-        u = evaluate(expr.operand, binding, cfg)
-        if u <= 0.0:
-            raise EvalDomainError(f"log of non-positive value {u!r}")
-        return math.log(u)
-    if isinstance(expr, Sqrt):
-        u = evaluate(expr.operand, binding, cfg)
-        if u < 0.0:
-            raise EvalDomainError(f"square root of negative value {u!r}")
-        return math.sqrt(u)
-    if isinstance(expr, Abs):
-        return abs(evaluate(expr.operand, binding, cfg))
-    if isinstance(expr, Sin):
-        return math.sin(evaluate(expr.operand, binding, cfg))
-    if isinstance(expr, Cos):
-        return math.cos(evaluate(expr.operand, binding, cfg))
-    if isinstance(expr, Antideriv):
+    rule = _UNARY_VALUE.get(kind)
+    if rule is not None:
+        return rule(evaluate(expr.operand, binding, cfg))
+    if kind is Pow:
+        return _pow_value(evaluate(expr.base, binding, cfg),
+                          evaluate(expr.exponent, binding, cfg))
+    if kind is Antideriv:
         return _antideriv_value(expr, binding, cfg)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
@@ -166,88 +182,48 @@ def compile_callable(
 
 
 def _compile(expr, names, env, cfg):
-    if isinstance(expr, Const):
+    kind = type(expr)
+    if kind is Const:
         c = expr.value
         return lambda *a: c
-    if isinstance(expr, Var):
+    if kind is Var:
         if expr.name in names:
             i = names.index(expr.name)
             return lambda *a: a[i]
         c = float(env[expr.name])
         return lambda *a: c
-    if isinstance(expr, Add):
-        fl = _compile(expr.left, names, env, cfg)
-        fr = _compile(expr.right, names, env, cfg)
-        return lambda *a: fl(*a) + fr(*a)
-    if isinstance(expr, Sub):
-        fl = _compile(expr.left, names, env, cfg)
-        fr = _compile(expr.right, names, env, cfg)
-        return lambda *a: fl(*a) - fr(*a)
-    if isinstance(expr, Mul):
-        fl = _compile(expr.left, names, env, cfg)
-        fr = _compile(expr.right, names, env, cfg)
-        return lambda *a: fl(*a) * fr(*a)
-    if isinstance(expr, Div):
-        fl = _compile(expr.left, names, env, cfg)
-        fr = _compile(expr.right, names, env, cfg)
-
-        def _div(*a):
-            d = fr(*a)
-            if d == 0.0:
-                raise EvalDomainError("division by zero")
-            return fl(*a) / d
-
-        return _div
-    if isinstance(expr, Neg):
-        fo = _compile(expr.operand, names, env, cfg)
-        return lambda *a: -fo(*a)
-    if isinstance(expr, Pow):
-        fb = _compile(expr.base, names, env, cfg)
-        fe = _compile(expr.exponent, names, env, cfg)
-        return lambda *a: _pow_value(fb(*a), fe(*a))
-    if isinstance(expr, Exp):
-        fo = _compile(expr.operand, names, env, cfg)
-        return lambda *a: _exp_value(fo(*a))
-    if isinstance(expr, Ln):
-        fo = _compile(expr.operand, names, env, cfg)
-
-        def _ln(*a):
-            u = fo(*a)
-            if u <= 0.0:
-                raise EvalDomainError(f"log of non-positive value {u!r}")
-            return math.log(u)
-
-        return _ln
-    if isinstance(expr, Sqrt):
-        fo = _compile(expr.operand, names, env, cfg)
-
-        def _sqrt(*a):
-            u = fo(*a)
-            if u < 0.0:
-                raise EvalDomainError(f"square root of negative value {u!r}")
-            return math.sqrt(u)
-
-        return _sqrt
-    if isinstance(expr, Abs):
-        fo = _compile(expr.operand, names, env, cfg)
-        return lambda *a: abs(fo(*a))
-    if isinstance(expr, Sin):
-        fo = _compile(expr.operand, names, env, cfg)
-        return lambda *a: math.sin(fo(*a))
-    if isinstance(expr, Cos):
-        fo = _compile(expr.operand, names, env, cfg)
-        return lambda *a: math.cos(fo(*a))
-    if isinstance(expr, Antideriv):
-        node = expr
-
+    if kind is Antideriv:
         def _anti(*a):
             binding = dict(env)
             for i, n in enumerate(names):
                 binding[n] = a[i]
-            return _antideriv_value(node, binding, cfg)
+            return _antideriv_value(expr, binding, cfg)
 
         return _anti
-    raise TypeError(f"cannot compile node of type {type(expr).__name__}")
+    # Negation and +, -, * have no domain rule and stay inline: a call
+    # through their operator rule costs the integrator at every stage.
+    rule = _UNARY_VALUE.get(kind)
+    if rule is not None:
+        fo = _compile(expr.operand, names, env, cfg)
+        if kind is Neg:
+            return lambda *a: -fo(*a)
+        return lambda *a: rule(fo(*a))
+    if kind is Pow:
+        rule, left, right = _pow_value, expr.base, expr.exponent
+    else:
+        rule = _BINARY_VALUE.get(kind)
+        if rule is None:
+            raise TypeError(f"cannot compile node of type {type(expr).__name__}")
+        left, right = expr.left, expr.right
+    fl = _compile(left, names, env, cfg)
+    fr = _compile(right, names, env, cfg)
+    if kind is Add:
+        return lambda *a: fl(*a) + fr(*a)
+    if kind is Sub:
+        return lambda *a: fl(*a) - fr(*a)
+    if kind is Mul:
+        return lambda *a: fl(*a) * fr(*a)
+    return lambda *a: rule(fl(*a), fr(*a))
 
 
 # --- antiderivative nodes ---------------------------------------------------
@@ -411,19 +387,46 @@ class Jet2:
 
     def __truediv__(self, other):
         w0 = other.f
-        if w0 == 0.0:
-            raise EvalDomainError("division by zero")
-        inv = other.chain(1.0 / w0, -1.0 / (w0 * w0), 2.0 / (w0 * w0 * w0))
+        inv = other.chain(_div_value(1.0, w0), -1.0 / (w0 * w0), 2.0 / (w0 * w0 * w0))
         return self * inv
 
 
-def _jet_pow_const(u: Jet2, n: float) -> Jet2:
-    """u**n for a numeric exponent, skipping undefined derivative terms
-    whose coefficients vanish (so x**2 is fine at x=0)."""
-    f0 = _pow_value(u.f, n)
-    f1 = 0.0 if n == 0.0 else n * _pow_value(u.f, n - 1.0)
-    f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * _pow_value(u.f, n - 2.0)
-    return u.chain(f0, f1, f2)
+# --- derivative rules: (f, f', f'') at the operand value ---------------------
+
+def _exp_rule(u: float) -> tuple:
+    e = _exp_value(u)
+    return e, e, e
+
+
+def _ln_rule(u: float) -> tuple:
+    return _ln_value(u), 1.0 / u, -1.0 / (u * u)
+
+
+def _sqrt_rule(u: float) -> tuple:
+    if u == 0.0:
+        raise NonDifferentiableError("square root is not differentiable at zero")
+    s = _sqrt_value(u)
+    return s, 0.5 / s, -0.25 / (s * u)
+
+
+def _abs_rule(u: float) -> tuple:
+    if u == 0.0:
+        raise NonDifferentiableError("absolute value is not differentiable at zero")
+    return abs(u), (1.0 if u > 0.0 else -1.0), 0.0
+
+
+def _sin_rule(u: float) -> tuple:
+    s, c = math.sin(u), math.cos(u)
+    return s, c, -s
+
+
+def _cos_rule(u: float) -> tuple:
+    s, c = math.sin(u), math.cos(u)
+    return c, -s, -c
+
+
+_DERIVATIVE_RULES = {Exp: _exp_rule, Ln: _ln_rule, Sqrt: _sqrt_rule,
+                     Abs: _abs_rule, Sin: _sin_rule, Cos: _cos_rule}
 
 
 def _is_constant_jet(j: Jet2) -> bool:
@@ -432,129 +435,67 @@ def _is_constant_jet(j: Jet2) -> bool:
             and j.hvv == 0.0 and j.hvt == 0.0 and j.htt == 0.0)
 
 
+def _jet_pow(base: Jet2, exponent: Jet2) -> Jet2:
+    if _is_constant_jet(exponent):
+        # skip undefined derivative terms whose coefficients vanish, so
+        # x**2 is fine at x = 0
+        n = exponent.f
+        f0 = _pow_value(base.f, n)
+        f1 = 0.0 if n == 0.0 else n * _pow_value(base.f, n - 1.0)
+        f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * _pow_value(base.f, n - 2.0)
+        return base.chain(f0, f1, f2)
+    # variable exponent: u**w = exp(w * ln u), requires u > 0
+    if base.f <= 0.0:
+        raise EvalDomainError(f"non-positive base {base.f!r} with variable exponent")
+    arg = exponent * base.chain(*_ln_rule(base.f))
+    return arg.chain(*_exp_rule(arg.f))
+
+
+_JET_BINARY = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__,
+               Div: Jet2.__truediv__}
+_VAR_SLOT = {"x": "gx", "v": "gv", "t": "gt"}
+
+
 def eval_jet2(expr: Expr, binding: Binding, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Jet2:
     """Evaluate ``expr`` with exact first and second derivatives in (x, v, t).
 
     Non-state variables in the binding are treated as constants.
     """
-    if isinstance(expr, Const):
+    kind = type(expr)
+    if kind is Const:
         return Jet2(expr.value)
-    if isinstance(expr, Var):
-        name = expr.name
-        try:
-            value = float(binding[name])
-        except KeyError:
-            raise EvalDomainError(f"unbound variable {name!r}") from None
-        if name == "x":
-            return Jet2(value, gx=1.0)
-        if name == "v":
-            return Jet2(value, gv=1.0)
-        if name == "t":
-            return Jet2(value, gt=1.0)
-        return Jet2(value)
-    if isinstance(expr, Add):
-        return eval_jet2(expr.left, binding, cfg) + eval_jet2(expr.right, binding, cfg)
-    if isinstance(expr, Sub):
-        return eval_jet2(expr.left, binding, cfg) - eval_jet2(expr.right, binding, cfg)
-    if isinstance(expr, Mul):
-        return eval_jet2(expr.left, binding, cfg) * eval_jet2(expr.right, binding, cfg)
-    if isinstance(expr, Div):
-        return eval_jet2(expr.left, binding, cfg) / eval_jet2(expr.right, binding, cfg)
-    if isinstance(expr, Neg):
+    rule = _JET_BINARY.get(kind)
+    if rule is not None:
+        return rule(eval_jet2(expr.left, binding, cfg), eval_jet2(expr.right, binding, cfg))
+    if kind is Var:
+        jet = Jet2(evaluate(expr, binding, cfg))
+        slot = _VAR_SLOT.get(expr.name)
+        if slot is not None:
+            setattr(jet, slot, 1.0)
+        return jet
+    rule = _DERIVATIVE_RULES.get(kind)
+    if rule is not None:
+        u = eval_jet2(expr.operand, binding, cfg)
+        return u.chain(*rule(u.f))
+    if kind is Pow:
+        return _jet_pow(eval_jet2(expr.base, binding, cfg),
+                        eval_jet2(expr.exponent, binding, cfg))
+    if kind is Neg:
         return -eval_jet2(expr.operand, binding, cfg)
-    if isinstance(expr, Pow):
-        ej = eval_jet2(expr.exponent, binding, cfg)
-        base = eval_jet2(expr.base, binding, cfg)
-        if _is_constant_jet(ej):
-            return _jet_pow_const(base, ej.f)
-        # variable exponent: u**w = exp(w * ln u), requires u > 0
-        if base.f <= 0.0:
-            raise EvalDomainError(
-                f"non-positive base {base.f!r} with variable exponent"
-            )
-        lnu = base.chain(math.log(base.f), 1.0 / base.f, -1.0 / (base.f * base.f))
-        arg = ej * lnu
-        e = _exp_value(arg.f)
-        return arg.chain(e, e, e)
-    if isinstance(expr, Exp):
-        u = eval_jet2(expr.operand, binding, cfg)
-        e = _exp_value(u.f)
-        return u.chain(e, e, e)
-    if isinstance(expr, Ln):
-        u = eval_jet2(expr.operand, binding, cfg)
-        if u.f <= 0.0:
-            raise EvalDomainError(f"log of non-positive value {u.f!r}")
-        return u.chain(math.log(u.f), 1.0 / u.f, -1.0 / (u.f * u.f))
-    if isinstance(expr, Sqrt):
-        u = eval_jet2(expr.operand, binding, cfg)
-        if u.f <= 0.0:
-            if u.f < 0.0:
-                raise EvalDomainError(f"square root of negative value {u.f!r}")
-            raise NonDifferentiableError("square root is not differentiable at zero")
-        s = math.sqrt(u.f)
-        return u.chain(s, 0.5 / s, -0.25 / (s * u.f))
-    if isinstance(expr, Abs):
-        u = eval_jet2(expr.operand, binding, cfg)
-        if u.f == 0.0:
-            raise NonDifferentiableError("absolute value is not differentiable at zero")
-        sign = 1.0 if u.f > 0.0 else -1.0
-        return u.chain(abs(u.f), sign, 0.0)
-    if isinstance(expr, Sin):
-        u = eval_jet2(expr.operand, binding, cfg)
-        s, c = math.sin(u.f), math.cos(u.f)
-        return u.chain(s, c, -s)
-    if isinstance(expr, Cos):
-        u = eval_jet2(expr.operand, binding, cfg)
-        s, c = math.sin(u.f), math.cos(u.f)
-        return u.chain(c, -s, -c)
-    if isinstance(expr, Antideriv):
+    if kind is Antideriv:
         return _jet_antideriv(expr, binding, cfg)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
+# Hessian slots of Jet2 in order, as index pairs into _STATE
+_HESSIAN_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
 def _jet_antideriv(node: Antideriv, binding: Binding, cfg: QuadratureConfig) -> Jet2:
-    # Partials in the integration variable come from the fundamental theorem
-    # of calculus (integrand at the upper limit); partials in every other
-    # state variable differentiate under the integral sign.
-    h = node.integrand
-    w = node.var
-    jet = Jet2(_antideriv_value(node, binding, cfg))
-    fv = free_vars(h)
-
-    def under_integral(dexpr):
-        if dexpr == Const(0.0):
-            return 0.0
-        return _antideriv_value(Antideriv(dexpr, w, node.base), binding, cfg)
-
-    slots_g = {"x": "gx", "v": "gv", "t": "gt"}
-    slots_h = {("x", "x"): "hxx", ("x", "v"): "hxv", ("x", "t"): "hxt",
-               ("v", "v"): "hvv", ("v", "t"): "hvt", ("t", "t"): "htt"}
-
-    first = {}
-    for q in _STATE:
-        if q == w:
-            val = evaluate(h, binding, cfg)
-        elif q in fv:
-            val = under_integral(differentiate(h, q))
-        else:
-            val = 0.0
-        first[q] = val
-        setattr(jet, slots_g[q], val)
-
-    for (q, r), slot in slots_h.items():
-        if q == w or r == w:
-            other = r if q == w else q
-            if other == w:
-                # d2/dw2 = dh/dw at the upper limit
-                d = differentiate(h, w)
-                val = 0.0 if d == Const(0.0) else evaluate(d, binding, cfg)
-            else:
-                d = differentiate(h, other)
-                val = 0.0 if d == Const(0.0) else evaluate(d, binding, cfg)
-        elif q in fv or r in fv:
-            d = differentiate(differentiate(h, q), r)
-            val = under_integral(d)
-        else:
-            val = 0.0
-        setattr(jet, slot, val)
-    return jet
+    # differentiate applies the fundamental theorem of calculus in node.var
+    # and differentiates under the integral sign in the other variables.
+    # The slots are evaluated in Jet2's order, which fixes the sequence in
+    # which anchors enter the cache.
+    first = [differentiate(node, q) for q in _STATE]
+    second = [differentiate(first[i], _STATE[j]) for i, j in _HESSIAN_PAIRS]
+    return Jet2(*[evaluate(d, binding, cfg) for d in (node, *first, *second)])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -34,6 +34,7 @@ __all__ = [
     "OdeSpec",
     "SingularStratum",
     "VerificationReport",
+    "acceleration_field",
     "energy_expression",
     "euler_lagrange_residual",
     "hamiltonian_value",
@@ -41,6 +42,7 @@ __all__ = [
     "invariant_drift",
     "invert_momentum",
     "legendre_momentum",
+    "max_acceleration_gap",
     "pairwise_acceleration_gap",
     "total_derivative_gauge",
     "verify_lagrangian",
@@ -247,6 +249,8 @@ class VerificationReport:
     regularity_min: float
     tolerance: float
     notes: tuple = ()
+    # ((x, v, t), residual) per sample; residual None where skipped or degenerate
+    residuals: tuple = field(default=(), repr=False)
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -264,7 +268,8 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
 
     Points where evaluation leaves the domain of definition are skipped and
     counted; degenerate points (|L_vv| < EPS_REG) fail the report outright.
-    The residual at each usable point is |a_implied - f| / (1 + |f|).
+    The residual at each usable point is |a_implied - f| / (1 + |f|); the
+    report keeps every point's residual, None where skipped or degenerate.
     """
     binding_extra = dict(ode.params)
     binding_extra.update(L.param_dict)
@@ -277,13 +282,16 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     regularity_min = math.inf
     notes = []
     degenerate = False
+    residuals = []
 
-    for xv, vv, tv in points:
+    for point in points:
+        xv, vv, tv = point
         try:
             f = ode.rhs_value(xv, vv, tv, cfg)
             jet = L.jet(xv, vv, tv, cfg)
         except (EvalDomainError, NonDifferentiableError):
             skipped += 1
+            residuals.append((point, None))
             continue
         lvv = jet.hvv
         if abs(lvv) < regularity_min:
@@ -296,13 +304,15 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
                 )
             degenerate = True
             used += 1
+            residuals.append((point, None))
             continue
         a = (jet.gx - jet.hxv * vv - jet.hvt) / lvv
         residual = abs(a - f) / (1.0 + abs(f))
         used += 1
+        residuals.append((point, residual))
         if residual > max_residual:
             max_residual = residual
-            argmax = (xv, vv, tv)
+            argmax = point
     if used == 0:
         raise EmptyDomainError(
             "every sample point fell outside the domain of definition"
@@ -322,7 +332,45 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
         regularity_min=regularity_min,
         tolerance=tol,
         notes=tuple(notes),
+        residuals=tuple(residuals),
     )
+
+
+def acceleration_field(L: Lagrangian, points: Sequence[tuple],
+                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list:
+    """Implied acceleration of ``L`` at each (x, v, t) point.
+
+    The entry is None where ``L`` is out of domain, non-differentiable or
+    degenerate there.
+    """
+    out = []
+    for xv, vv, tv in points:
+        try:
+            out.append(implied_acceleration(L, xv, vv, tv, cfg))
+        except (EvalDomainError, NonDifferentiableError, DegenerateLagrangianError):
+            out.append(None)
+    return out
+
+
+def max_acceleration_gap(fields: Sequence[list]) -> float:
+    """Largest normalized spread between acceleration fields on one point set.
+
+    Skips points where some field is None; requires at least one point where
+    every field is defined.
+    """
+    worst = -1.0
+    usable = 0
+    for accels in zip(*fields):
+        if None in accels:
+            continue
+        usable += 1
+        lo, hi = min(accels), max(accels)
+        gap = (hi - lo) / (1.0 + max(abs(lo), abs(hi)))
+        if gap > worst:
+            worst = gap
+    if usable == 0:
+        raise EmptyDomainError("no common usable sample points")
+    return worst
 
 
 def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian], box: DomainBox,
@@ -338,27 +386,7 @@ def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian], box: DomainBox,
     for L in lagrangians:
         extra.update(L.param_dict)
     points = box.sample_points(extra, cfg)
-    worst = -1.0
-    usable = 0
-    for xv, vv, tv in points:
-        accels = []
-        ok = True
-        for L in lagrangians:
-            try:
-                accels.append(implied_acceleration(L, xv, vv, tv, cfg))
-            except (EvalDomainError, NonDifferentiableError, DegenerateLagrangianError):
-                ok = False
-                break
-        if not ok:
-            continue
-        usable += 1
-        lo, hi = min(accels), max(accels)
-        gap = (hi - lo) / (1.0 + max(abs(lo), abs(hi)))
-        if gap > worst:
-            worst = gap
-    if usable == 0:
-        raise EmptyDomainError("no common usable sample points")
-    return worst
+    return max_acceleration_gap([acceleration_field(L, points, cfg) for L in lagrangians])
 
 
 # --- Legendre structure ------------------------------------------------------

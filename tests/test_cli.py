@@ -262,6 +262,24 @@ class TestVerify:
         for row in rows:
             assert float(row[4]) <= 1e-8
 
+    def test_residual_csv_blanks_are_the_report_skips(self, tmp_path):
+        # ln(v) is undefined on the v <= 0 half of the box
+        doc = {"version": 1,
+               "equation": {"rhs": "-0.5*v",
+                            "lagrangian": "v*ln(v) - v - 0.5*x"},
+               "domain": {"x": [-1.0, 1.0], "v": [-1.0, 1.0], "t": [0.0, 1.0],
+                          "grid": [3, 4, 3], "n_random": 0, "seed": 0}}
+        spec = write_spec(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run("verify", spec, out) == EXIT_OK
+        report = load_report(out)["verification"]["user"]
+        _, rows = read_csv(out / "residuals.csv")
+        assert len(rows) == report["samples_used"] + report["samples_skipped"]
+        blank = [row[4] == "" for row in rows]
+        assert blank == [float(row[1]) <= 0.0 for row in rows]
+        assert sum(blank) == report["samples_skipped"] == 18
+        assert max(float(row[4]) for row in rows if row[4]) == report["max_residual"]
+
     def test_bare_rhs_without_lagrangian_is_inapplicable(self, tmp_path):
         spec = write_spec(tmp_path, FREE_RHS)
         assert run("verify", spec, tmp_path / "out") == EXIT_INAPPLICABLE

@@ -8,15 +8,14 @@ import pytest
 from lagrangeforge import (
     Abs,
     Antideriv,
-    Const,
     EvalDomainError,
     Jet2,
     Ln,
     Mul,
     NonDifferentiableError,
     Pow,
-    Sqrt,
     Var,
+    compile_callable,
     eval_jet2,
     evaluate,
     parse_expression,
@@ -177,32 +176,63 @@ class TestIntegralJets:
             assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
+# every entry point that reads the evaluation rule table, as f(expr, point)
+ENTRY_POINTS = (
+    evaluate,
+    lambda expr, point: compile_callable(expr, STATE)(*(point[n] for n in STATE)),
+    lambda expr, point: eval_jet2(expr, point).f,
+)
+
+
+def outcomes(text, x):
+    """Per entry point: the value of ``text`` at x, or the domain error's class."""
+    expr, out = parse_expression(text), []
+    for entry in ENTRY_POINTS:
+        try:
+            out.append(entry(expr, {"x": x, "v": 0.0, "t": 0.0}))
+        except EvalDomainError as exc:
+            out.append(type(exc))
+    return out
+
+
+OUT_OF_DOMAIN = [EvalDomainError] * len(ENTRY_POINTS)
+
+
 class TestDomainRules:
+    """evaluate, compiled callables and jets share each node's domain rule."""
+
+    def test_log_domain(self):
+        assert outcomes("ln(x)", 0.0) == OUT_OF_DOMAIN
+        assert outcomes("ln(x)", -1.0) == OUT_OF_DOMAIN
+
+    def test_sqrt_of_negative(self):
+        assert outcomes("sqrt(x)", -1.0) == OUT_OF_DOMAIN
+
+    def test_division_by_zero(self):
+        assert outcomes("1/x", 0.0) == OUT_OF_DOMAIN
+        assert outcomes("x^-1", 0.0) == OUT_OF_DOMAIN
+
+    def test_fractional_power_of_negative(self):
+        assert outcomes("x^0.5", -1.0) == OUT_OF_DOMAIN
+
+    def test_overflow(self):
+        assert outcomes("exp(x)", 1000.0) == OUT_OF_DOMAIN
+        assert outcomes("10^x", 400.0) == OUT_OF_DOMAIN
+
+    # the three rules that only jets need
+
+    def test_sqrt_at_zero(self):
+        assert outcomes("sqrt(x)", 0.0) == [0.0, 0.0, NonDifferentiableError]
+
     def test_abs_kink(self):
-        with pytest.raises(NonDifferentiableError):
-            eval_jet2(Abs(Var("x")), {"x": 0.0, "v": 0.0, "t": 0.0})
+        assert outcomes("abs(x)", 0.0) == [0.0, 0.0, NonDifferentiableError]
+
+    def test_variable_exponent_needs_positive_base(self):
+        assert outcomes("x^x", -1.0) == [-1.0, -1.0, EvalDomainError]
 
     def test_abs_away_from_kink(self):
         jet = eval_jet2(Abs(Var("x")), {"x": -2.0, "v": 0.0, "t": 0.0})
         assert jet.f == 2.0 and jet.gx == -1.0 and jet.hxx == 0.0
-
-    def test_sqrt_at_zero(self):
-        with pytest.raises(NonDifferentiableError):
-            eval_jet2(Sqrt(Var("x")), {"x": 0.0, "v": 0.0, "t": 0.0})
-
-    def test_log_domain(self):
-        with pytest.raises(EvalDomainError):
-            eval_jet2(Ln(Var("x")), {"x": -1.0, "v": 0.0, "t": 0.0})
-
-    def test_fractional_power_of_negative(self):
-        with pytest.raises(EvalDomainError):
-            eval_jet2(
-                Pow(Var("x"), Const(0.5)), {"x": -1.0, "v": 0.0, "t": 0.0}
-            )
-
-    def test_division_by_zero(self):
-        with pytest.raises(EvalDomainError):
-            eval_jet2(parse_expression("1/x"), {"x": 0.0, "v": 0.0, "t": 0.0})
 
     def test_unbound_variable(self):
         with pytest.raises(EvalDomainError):

@@ -114,6 +114,11 @@ class TestVerifyLagrangian:
         assert report.samples_skipped > 0
         assert report.samples_used + report.samples_skipped == 36
         assert any("skipped" in note for note in report.notes)
+        # the report keeps the residual field it was computed from
+        assert [p for p, _ in report.residuals] == box.sample_points()
+        values = [r for _, r in report.residuals]
+        assert values.count(None) == report.samples_skipped
+        assert max(r for r in values if r is not None) == report.max_residual
 
     def test_all_points_out_of_domain(self):
         L = Lagrangian(parse_expression("v*ln(v)"))
