@@ -1,19 +1,26 @@
-"""Shared configuration and post-construction verification for builders."""
+"""Shared configuration, sampling strata and post-construction verification
+for builders."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..errors import ConstructionVerificationError
 from ..expressions import Expr, as_expr, free_vars, parse_expression
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec, verify_lagrangian
-from ..quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from ..lagrangian import (
+    DomainBox,
+    Lagrangian,
+    OdeSpec,
+    SingularStratum,
+    verify_lagrangian,
+)
 
 __all__ = [
     "BuilderOptions",
     "DEFAULT_OPTIONS",
     "coefficient",
     "post_verify",
+    "relative_stratum",
     "require_free_of",
 ]
 
@@ -33,10 +40,6 @@ class BuilderOptions:
     verify: bool = True
     verify_tol: float = 1e-8
     verify_box: DomainBox | None = None
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE
-
-    def with_box(self, box: DomainBox) -> "BuilderOptions":
-        return replace(self, verify_box=box)
 
 
 DEFAULT_OPTIONS = BuilderOptions()
@@ -57,13 +60,21 @@ def post_verify(L: Lagrangian, ode: OdeSpec, default_box: DomainBox,
     if not options.verify and not mandatory:
         return L
     box = options.verify_box or default_box
-    report = verify_lagrangian(L, ode, box, tol=options.verify_tol,
-                               cfg=options.quadrature)
+    report = verify_lagrangian(L, ode, box, tol=options.verify_tol)
     if not report.passed:
         raise ConstructionVerificationError(
             f"construction failed its residual sweep: {report}", report
         )
     return L
+
+
+def relative_stratum(expr: Expr, margin: float = 0.03) -> SingularStratum:
+    """Exclude a relative neighborhood of ``expr = 0``: |e|/(|e|+1) <= margin.
+
+    The same set is |e| <= margin/(1 - margin), which the sampler checks
+    with one walk of ``expr`` per sample.
+    """
+    return SingularStratum(expr, margin / (1.0 - margin))
 
 
 def require_free_of(expr: Expr, names: tuple, what: str) -> None:

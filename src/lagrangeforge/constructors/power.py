@@ -16,7 +16,6 @@ from __future__ import annotations
 from ..errors import BadExponentError, InadmissibleCoefficientsError
 from ..evaluation import evaluate
 from ..expressions import (
-    Abs,
     Const,
     Div,
     Exp,
@@ -28,10 +27,16 @@ from ..expressions import (
     simplify,
     substitute,
 )
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec, SingularStratum
+from ..lagrangian import DomainBox, Lagrangian, OdeSpec
 from ..normal_form import normal_form
 from ._symbolic import antiderivative_in
-from .common import BuilderOptions, DEFAULT_OPTIONS, post_verify, require_free_of
+from .common import (
+    BuilderOptions,
+    DEFAULT_OPTIONS,
+    post_verify,
+    relative_stratum,
+    require_free_of,
+)
 
 __all__ = [
     "build_generalized_kinetic",
@@ -187,7 +192,7 @@ def build_generalized_kinetic(f: Expr, R: Expr,
     box = DomainBox(
         x=(-1.0, 1.0), v=(0.3, 2.2), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=41,
-        strata=(SingularStratum(Div(Abs(R), Abs(R) + Const(1.0)), 0.02),),
+        strata=(relative_stratum(R, 0.02),),
     )
     return post_verify(lagr, OdeSpec(generalized_kinetic_rhs(f, R)), box,
                        options)

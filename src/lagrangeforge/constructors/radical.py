@@ -18,10 +18,11 @@ samples are skipped, so reports list how many points actually counted.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..errors import BadExponentError, ZeroCrossingError
 from ..evaluation import compile_callable
 from ..expressions import (
-    Abs,
     Const,
     Div,
     Exp,
@@ -32,9 +33,15 @@ from ..expressions import (
     differentiate,
     simplify,
 )
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec, SingularStratum
+from ..lagrangian import DomainBox, Lagrangian, OdeSpec
 from ._symbolic import antiderivative_in
-from .common import BuilderOptions, DEFAULT_OPTIONS, post_verify, require_free_of
+from .common import (
+    BuilderOptions,
+    DEFAULT_OPTIONS,
+    post_verify,
+    relative_stratum,
+    require_free_of,
+)
 
 __all__ = [
     "affine_rhs",
@@ -46,10 +53,6 @@ __all__ = [
 ]
 
 _X, _V, _T = Var("x"), Var("v"), Var("t")
-
-
-def _relative_stratum(expr: Expr, margin: float = 0.03) -> SingularStratum:
-    return SingularStratum(Div(Abs(expr), Abs(expr) + Const(1.0)), margin)
 
 
 def _check_exponents(mu: float, nu: float) -> tuple:
@@ -104,7 +107,7 @@ def build_radical(A: Expr, B: Expr, mu: float, nu: float,
     box = DomainBox(
         x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=43,
-        strata=(_relative_stratum(radicand), _relative_stratum(regularity)),
+        strata=(relative_stratum(radicand), relative_stratum(regularity)),
     )
     return post_verify(lagr, ode, box, options)
 
@@ -147,13 +150,9 @@ def build_radical_equal(a: Expr, b: Expr, nu: float, S0: float = 1.0,
     L = simplify(Pow(radicand, Const(1.0 / nu)))
     lagr = Lagrangian(L, family="radical",
                       gauge=f"mu=nu={nu}, S0={S0}, anchor t0={t0}")
-    box = DomainBox(
-        x=box.x, v=box.v, t=box.t, grid=box.grid,
-        n_random=box.n_random, seed=box.seed,
-        strata=box.strata + (_relative_stratum(radicand),),
-    )
+    box = replace(box, strata=box.strata + (relative_stratum(radicand),))
     return post_verify(lagr, OdeSpec(radical_equal_rhs(a, b, nu)), box,
-                       options.with_box(box))
+                       replace(options, verify_box=box))
 
 
 def affine_rhs(a: Expr, b: Expr) -> Expr:
@@ -182,6 +181,6 @@ def build_radical_linear(a: Expr, b: Expr, mu: float, B0: float = 1.0,
     box = DomainBox(
         x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=53,
-        strata=(_relative_stratum(radicand),),
+        strata=(relative_stratum(radicand),),
     )
     return post_verify(lagr, OdeSpec(affine_rhs(a, b)), box, options)

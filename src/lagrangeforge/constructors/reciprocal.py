@@ -20,6 +20,8 @@ and are never verified at build time.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
@@ -30,7 +32,6 @@ from ..errors import (
 )
 from ..evaluation import compile_callable, evaluate
 from ..expressions import (
-    Abs,
     Const,
     Div,
     Exp,
@@ -45,7 +46,13 @@ from ..dynamics import IntegratorConfig, integrate_ode
 from ..lagrangian import DomainBox, Lagrangian, OdeSpec, SingularStratum
 from ..normal_form import normal_form
 from ._symbolic import antiderivative_in
-from .common import BuilderOptions, DEFAULT_OPTIONS, post_verify, require_free_of
+from .common import (
+    BuilderOptions,
+    DEFAULT_OPTIONS,
+    post_verify,
+    relative_stratum,
+    require_free_of,
+)
 from .standard import StandardCoeffs
 
 __all__ = [
@@ -63,16 +70,6 @@ __all__ = [
 ]
 
 _X, _V, _T = Var("x"), Var("v"), Var("t")
-
-
-def _relative_margin(denom: Expr) -> Expr:
-    """Scale-free distance of the family denominator from zero."""
-    return Div(Abs(denom), Abs(denom) + Const(1.0))
-
-
-def _denominator_stratum(denom: Expr, margin: float = 0.03) -> SingularStratum:
-    # |d|/(|d|+1) <= margin excludes a relative neighborhood of d = 0
-    return SingularStratum(_relative_margin(denom), margin)
 
 
 def reciprocal_forward_rhs(F: Expr, G: Expr, nu: float = 1.0) -> Expr:
@@ -122,8 +119,7 @@ def build_reciprocal(F: Expr, G: Expr, nu: float = 1.0,
     box = DomainBox(
         x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=13,
-        strata=(_denominator_stratum(denom),
-                _denominator_stratum(regularity)),
+        strata=(relative_stratum(denom), relative_stratum(regularity)),
     )
     return post_verify(lagr, ode, box, options)
 
@@ -207,7 +203,7 @@ def build_reciprocal_autonomous(a: Expr, b: Expr, c: Expr,
     box = DomainBox(
         x=(x_lo, x_hi), v=(0.2, 2.0), t=(0.0, 1.0),
         grid=(5, 5, 2), n_random=24, seed=17,
-        strata=(_denominator_stratum(simplify(denom)),
+        strata=(relative_stratum(simplify(denom)),
                 SingularStratum(b, 1e-6)),
     )
     return post_verify(lagr, StandardCoeffs(a, b, c).ode(), box, options)
@@ -341,13 +337,10 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
     box = options.verify_box or DomainBox(
         x=(0.5, 1.5), v=(0.2, 2.0), t=(lo, hi),
         grid=(4, 4, 6), n_random=40, seed=23,
-        strata=(_denominator_stratum(simplify(denom)),),
+        strata=(relative_stratum(simplify(denom)),),
     )
-    opts = BuilderOptions(
-        x0=options.x0, t0=options.t0, verify=True,
-        verify_tol=max(options.verify_tol, 1e-5), verify_box=box,
-        quadrature=options.quadrature,
-    )
+    opts = replace(options, verify=True,
+                   verify_tol=max(options.verify_tol, 1e-5), verify_box=box)
     return post_verify(lagr, OdeSpec(reciprocal_linear_rhs(b, c)), box, opts,
                        mandatory=True)
 
@@ -408,8 +401,7 @@ def build_reciprocal_nu2(a: Expr, b: Expr,
     box = DomainBox(
         x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=29,
-        strata=(_denominator_stratum(denom),
-                _denominator_stratum(regularity)),
+        strata=(relative_stratum(denom), relative_stratum(regularity)),
     )
     return post_verify(lagr, StandardCoeffs(a, b, Const(0.0)).ode(), box,
                        options)

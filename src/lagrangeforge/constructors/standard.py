@@ -9,7 +9,6 @@ necessary for this family.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..errors import InadmissibleCoefficientsError
@@ -22,7 +21,6 @@ from ..expressions import (
     Sub,
     Var,
     differentiate,
-    free_vars,
     simplify,
     substitute,
 )

@@ -1,16 +1,16 @@
 """Time integration of the second-order dynamics and trajectory queries.
 
-Two integrators cover the needs here: a fixed-step classical RK4 (predictable
-cost, used for convergence studies) and an adaptive Dormand-Prince 5(4) pair
-with FSAL reuse (the default).  Dense output between accepted nodes is cubic
-Hermite, which matches the stored state and derivative at both ends.
+One integrator covers the needs here: an adaptive Dormand-Prince 5(4) pair
+with FSAL reuse, whose step size follows a mixed relative/absolute error
+test.  Dense output between accepted nodes is cubic Hermite, which matches
+the stored state and derivative at both ends.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .errors import (
     EvalDomainError,
@@ -21,7 +21,6 @@ from .errors import (
 from .evaluation import compile_callable
 from .expressions import Expr, as_expr, free_vars
 from .lagrangian import OdeSpec
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
 __all__ = [
     "IntegratorConfig",
@@ -33,21 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "dp45"
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    fixed_step: float = 1e-3
-    max_step: float = math.inf
     overflow_guard: float = 1e12
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.method not in ("dp45", "rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.fixed_step <= 0:
-            raise ValueError("fixed_step must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
@@ -62,7 +54,6 @@ class Trajectory:
     times: tuple
     states: tuple          # (x, v) per node
     derivs: tuple          # (v, a) per node
-    method: str
     n_steps: int
     n_rejected: int
 
@@ -106,8 +97,8 @@ class Trajectory:
         )
 
 
-def _rhs_callable(ode: OdeSpec, cfg: QuadratureConfig) -> Callable:
-    return compile_callable(ode.rhs, ("x", "v", "t"), dict(ode.params), cfg)
+def _rhs_callable(ode: OdeSpec) -> Callable:
+    return compile_callable(ode.rhs, ("x", "v", "t"), dict(ode.params))
 
 
 def _guard(x: float, v: float, t: float, limit: float) -> None:
@@ -146,7 +137,7 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
 
     t, x, v = t0, x0, v0
     k1 = (v, a0)
-    h = direction * min(cfg.max_step, span / 10.0 if span > 0.0 else 1.0)
+    h = direction * (span / 10.0 if span > 0.0 else 1.0)
     if h == 0.0:
         h = direction * 1e-3
     steps = 0
@@ -200,58 +191,17 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
             rejected += 1
             factor = min(1.0, max(0.2, 0.9 * err ** -0.2))
         h = h * factor
-        if abs(h) > cfg.max_step:
-            h = direction * cfg.max_step
 
     return Trajectory(
         times=tuple(times), states=tuple(states), derivs=tuple(derivs),
-        method="dp45", n_steps=steps, n_rejected=rejected,
-    )
-
-
-def _integrate_rk4(f, x0, v0, t0, t1, cfg):
-    span = t1 - t0
-    n = max(1, math.ceil(abs(span) / cfg.fixed_step))
-    if n > cfg.max_steps:
-        raise IntegrationError(
-            f"fixed step {cfg.fixed_step!r} needs {n} steps > limit {cfg.max_steps}"
-        )
-    h = span / n
-    times = [t0]
-    states = [(x0, v0)]
-    try:
-        derivs = [(v0, f(x0, v0, t0))]
-        t, x, v = t0, x0, v0
-        for i in range(n):
-            k1x, k1v = v, f(x, v, t)
-            k2x = v + 0.5 * h * k1v
-            k2v = f(x + 0.5 * h * k1x, k2x, t + 0.5 * h)
-            k3x = v + 0.5 * h * k2v
-            k3v = f(x + 0.5 * h * k2x, k3x, t + 0.5 * h)
-            k4x = v + h * k3v
-            k4v = f(x + h * k3x, k4x, t + h)
-            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            t = t0 + (i + 1) * h
-            _guard(x, v, t, cfg.overflow_guard)
-            times.append(t)
-            states.append((x, v))
-            derivs.append((v, f(x, v, t)))
-    except EvalDomainError as err:
-        raise IntegrationError(
-            f"dynamics evaluation failed near t = {t!r}: {err}"
-        ) from err
-    return Trajectory(
-        times=tuple(times), states=tuple(states), derivs=tuple(derivs),
-        method="rk4", n_steps=n, n_rejected=0,
+        n_steps=steps, n_rejected=rejected,
     )
 
 
 def integrate_ode(ode: OdeSpec, x0: float, v0: float, t0: float, t1: float,
-                  config: IntegratorConfig = DEFAULT_INTEGRATOR,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Trajectory:
+                  config: IntegratorConfig = DEFAULT_INTEGRATOR) -> Trajectory:
     """Integrate x'' = rhs(x, x', t) from (x0, v0) at t0 to t1."""
-    f = _rhs_callable(ode, cfg)
+    f = _rhs_callable(ode)
     x0, v0, t0, t1 = float(x0), float(v0), float(t0), float(t1)
     if t0 == t1:
         try:
@@ -262,11 +212,9 @@ def integrate_ode(ode: OdeSpec, x0: float, v0: float, t0: float, t1: float,
             ) from err
         return Trajectory(
             times=(t0,), states=((x0, v0),), derivs=(((v0, a0)),),
-            method=config.method, n_steps=0, n_rejected=0,
+            n_steps=0, n_rejected=0,
         )
     try:
-        if config.method == "rk4":
-            return _integrate_rk4(f, x0, v0, t0, t1, config)
         return _integrate_dp45(f, x0, v0, t0, t1, config)
     except EvalDomainError as err:
         raise IntegrationError(
@@ -275,15 +223,14 @@ def integrate_ode(ode: OdeSpec, x0: float, v0: float, t0: float, t1: float,
 
 
 def monitor_quantity(traj: Trajectory, quantity: Expr,
-                     params: Mapping[str, float] | None = None,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list:
+                     params: Mapping[str, float] | None = None) -> list:
     """Evaluate ``quantity(x, v, t)`` at every trajectory node."""
     quantity = as_expr(quantity)
     base = dict(params or {})
     missing = free_vars(quantity) - {"x", "v", "t"} - set(base)
     if missing:
         raise EvalDomainError(f"unbound variables {sorted(missing)}")
-    f = compile_callable(quantity, ("x", "v", "t"), base, cfg)
+    f = compile_callable(quantity, ("x", "v", "t"), base)
     return [
         f(state[0], state[1], tv)
         for tv, state in zip(traj.times, traj.states)

@@ -60,7 +60,7 @@ from .expressions import (
     differentiate,
     free_vars,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_adaptive
+from .quadrature import integrate_adaptive
 
 __all__ = [
     "Binding",
@@ -130,7 +130,7 @@ _UNARY_VALUE = {Neg: operator.neg, Exp: _exp_value, Ln: _ln_value,
                 Sqrt: _sqrt_value, Abs: abs, Sin: math.sin, Cos: math.cos}
 
 
-def evaluate(expr: Expr, binding: Binding, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def evaluate(expr: Expr, binding: Binding) -> float:
     """Evaluate ``expr`` at ``binding``; unbound names and domain violations raise."""
     # constants and binary arithmetic are tested first: they are most of a tree
     kind = type(expr)
@@ -138,7 +138,7 @@ def evaluate(expr: Expr, binding: Binding, cfg: QuadratureConfig = DEFAULT_QUADR
         return expr.value
     rule = _BINARY_VALUE.get(kind)
     if rule is not None:
-        return rule(evaluate(expr.left, binding, cfg), evaluate(expr.right, binding, cfg))
+        return rule(evaluate(expr.left, binding), evaluate(expr.right, binding))
     if kind is Var:
         try:
             return float(binding[expr.name])
@@ -146,12 +146,12 @@ def evaluate(expr: Expr, binding: Binding, cfg: QuadratureConfig = DEFAULT_QUADR
             raise EvalDomainError(f"unbound variable {expr.name!r}") from None
     rule = _UNARY_VALUE.get(kind)
     if rule is not None:
-        return rule(evaluate(expr.operand, binding, cfg))
+        return rule(evaluate(expr.operand, binding))
     if kind is Pow:
-        return _pow_value(evaluate(expr.base, binding, cfg),
-                          evaluate(expr.exponent, binding, cfg))
+        return _pow_value(evaluate(expr.base, binding),
+                          evaluate(expr.exponent, binding))
     if kind is Antideriv:
-        return _antideriv_value(expr, binding, cfg)
+        return _antideriv_value(expr, binding)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
@@ -166,7 +166,6 @@ def compile_callable(
     expr: Expr,
     varnames: Sequence[str],
     env: Mapping[str, float] | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> Callable[..., float]:
     """Compile ``expr`` to a positional-argument callable.
 
@@ -178,10 +177,10 @@ def compile_callable(
     for name in sorted(free_vars(expr)):
         if name not in names and name not in frozen:
             raise EvalDomainError(f"unbound variable {name!r}")
-    return _compile(expr, names, frozen, cfg)
+    return _compile(expr, names, frozen)
 
 
-def _compile(expr, names, env, cfg):
+def _compile(expr, names, env):
     kind = type(expr)
     if kind is Const:
         c = expr.value
@@ -197,14 +196,14 @@ def _compile(expr, names, env, cfg):
             binding = dict(env)
             for i, n in enumerate(names):
                 binding[n] = a[i]
-            return _antideriv_value(expr, binding, cfg)
+            return _antideriv_value(expr, binding)
 
         return _anti
     # Negation and +, -, * have no domain rule and stay inline: a call
     # through their operator rule costs the integrator at every stage.
     rule = _UNARY_VALUE.get(kind)
     if rule is not None:
-        fo = _compile(expr.operand, names, env, cfg)
+        fo = _compile(expr.operand, names, env)
         if kind is Neg:
             return lambda *a: -fo(*a)
         return lambda *a: rule(fo(*a))
@@ -215,8 +214,8 @@ def _compile(expr, names, env, cfg):
         if rule is None:
             raise TypeError(f"cannot compile node of type {type(expr).__name__}")
         left, right = expr.left, expr.right
-    fl = _compile(left, names, env, cfg)
-    fr = _compile(right, names, env, cfg)
+    fl = _compile(left, names, env)
+    fr = _compile(right, names, env)
     if kind is Add:
         return lambda *a: fl(*a) + fr(*a)
     if kind is Sub:
@@ -232,6 +231,9 @@ _CACHE_LOCK = threading.Lock()
 # key -> (sorted upper limits, values at those limits); the base anchor with
 # value 0 is always present.
 _ANTIDERIV_CACHE: dict = {}
+# a new upper limit becomes an anchor only if no anchor lies this close; the
+# values returned are exact quadratures either way
+_ANCHOR_SPACING = 1e-6
 
 
 def clear_antideriv_cache() -> None:
@@ -239,7 +241,7 @@ def clear_antideriv_cache() -> None:
         _ANTIDERIV_CACHE.clear()
 
 
-def _antideriv_value(node: Antideriv, binding: Binding, cfg: QuadratureConfig) -> float:
+def _antideriv_value(node: Antideriv, binding: Binding) -> float:
     if node.var not in binding:
         raise EvalDomainError(f"unbound variable {node.var!r}")
     upper = float(binding[node.var])
@@ -251,7 +253,7 @@ def _antideriv_value(node: Antideriv, binding: Binding, cfg: QuadratureConfig) -
         if name not in binding:
             raise EvalDomainError(f"unbound variable {name!r}")
         env[name] = float(binding[name])
-    key = (node, cfg, tuple(sorted(env.items())))
+    key = (node, tuple(sorted(env.items())))
 
     with _CACHE_LOCK:
         entry = _ANTIDERIV_CACHE.get(key)
@@ -266,14 +268,14 @@ def _antideriv_value(node: Antideriv, binding: Binding, cfg: QuadratureConfig) -
 
     if upper == x0:
         return v0
-    f = _compile(node.integrand, (node.var,), env, cfg)
-    value = v0 + integrate_adaptive(f, x0, upper, cfg)
+    f = _compile(node.integrand, (node.var,), env)
+    value = v0 + integrate_adaptive(f, x0, upper)
 
     with _CACHE_LOCK:
         xs, vals = _ANTIDERIV_CACHE[key]
         i = bisect.bisect_left(xs, upper)
         near = [j for j in (i - 1, i) if 0 <= j < len(xs)]
-        if all(abs(xs[j] - upper) > cfg.cache_resolution for j in near):
+        if all(abs(xs[j] - upper) > _ANCHOR_SPACING for j in near):
             xs.insert(i, upper)
             vals.insert(i, value)
     return value
@@ -285,13 +287,12 @@ def definite_integral(
     lo: float,
     hi: float,
     binding: Binding | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
     """Integrate ``expr`` in ``var`` over [lo, hi], other variables frozen."""
     env = dict(binding) if binding else {}
     env.pop(var, None)
-    f = compile_callable(expr, (var,), env, cfg)
-    return integrate_adaptive(f, float(lo), float(hi), cfg)
+    f = compile_callable(expr, (var,), env)
+    return integrate_adaptive(f, float(lo), float(hi))
 
 
 # --- second-order jets ------------------------------------------------------
@@ -456,7 +457,7 @@ _JET_BINARY = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__,
 _VAR_SLOT = {"x": "gx", "v": "gv", "t": "gt"}
 
 
-def eval_jet2(expr: Expr, binding: Binding, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> Jet2:
+def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
     """Evaluate ``expr`` with exact first and second derivatives in (x, v, t).
 
     Non-state variables in the binding are treated as constants.
@@ -466,24 +467,24 @@ def eval_jet2(expr: Expr, binding: Binding, cfg: QuadratureConfig = DEFAULT_QUAD
         return Jet2(expr.value)
     rule = _JET_BINARY.get(kind)
     if rule is not None:
-        return rule(eval_jet2(expr.left, binding, cfg), eval_jet2(expr.right, binding, cfg))
+        return rule(eval_jet2(expr.left, binding), eval_jet2(expr.right, binding))
     if kind is Var:
-        jet = Jet2(evaluate(expr, binding, cfg))
+        jet = Jet2(evaluate(expr, binding))
         slot = _VAR_SLOT.get(expr.name)
         if slot is not None:
             setattr(jet, slot, 1.0)
         return jet
     rule = _DERIVATIVE_RULES.get(kind)
     if rule is not None:
-        u = eval_jet2(expr.operand, binding, cfg)
+        u = eval_jet2(expr.operand, binding)
         return u.chain(*rule(u.f))
     if kind is Pow:
-        return _jet_pow(eval_jet2(expr.base, binding, cfg),
-                        eval_jet2(expr.exponent, binding, cfg))
+        return _jet_pow(eval_jet2(expr.base, binding),
+                        eval_jet2(expr.exponent, binding))
     if kind is Neg:
-        return -eval_jet2(expr.operand, binding, cfg)
+        return -eval_jet2(expr.operand, binding)
     if kind is Antideriv:
-        return _jet_antideriv(expr, binding, cfg)
+        return _jet_antideriv(expr, binding)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
@@ -491,11 +492,11 @@ def eval_jet2(expr: Expr, binding: Binding, cfg: QuadratureConfig = DEFAULT_QUAD
 _HESSIAN_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _jet_antideriv(node: Antideriv, binding: Binding, cfg: QuadratureConfig) -> Jet2:
+def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
     # differentiate applies the fundamental theorem of calculus in node.var
     # and differentiates under the integral sign in the other variables.
     # The slots are evaluated in Jet2's order, which fixes the sequence in
     # which anchors enter the cache.
     first = [differentiate(node, q) for q in _STATE]
     second = [differentiate(first[i], _STATE[j]) for i, j in _HESSIAN_PAIRS]
-    return Jet2(*[evaluate(d, binding, cfg) for d in (node, *first, *second)])
+    return Jet2(*[evaluate(d, binding) for d in (node, *first, *second)])

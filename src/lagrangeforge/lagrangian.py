@@ -25,7 +25,6 @@ from .errors import (
 )
 from .evaluation import eval_jet2, evaluate
 from .expressions import Expr, Var, as_expr, differentiate, free_vars, parse_expression
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
 __all__ = [
     "EPS_REG",
@@ -85,11 +84,10 @@ class OdeSpec:
     def param_dict(self) -> dict:
         return dict(self.params)
 
-    def rhs_value(self, x: float, v: float, t: float,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    def rhs_value(self, x: float, v: float, t: float) -> float:
         binding = self.param_dict
         binding.update({"x": x, "v": v, "t": t})
-        return evaluate(self.rhs, binding, cfg)
+        return evaluate(self.rhs, binding)
 
 
 @dataclass(frozen=True)
@@ -115,13 +113,11 @@ class Lagrangian:
         b.update({"x": x, "v": v, "t": t})
         return b
 
-    def value(self, x: float, v: float, t: float,
-              cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-        return evaluate(self.expr, self.binding(x, v, t), cfg)
+    def value(self, x: float, v: float, t: float) -> float:
+        return evaluate(self.expr, self.binding(x, v, t))
 
-    def jet(self, x: float, v: float, t: float,
-            cfg: QuadratureConfig = DEFAULT_QUADRATURE):
-        return eval_jet2(self.expr, self.binding(x, v, t), cfg)
+    def jet(self, x: float, v: float, t: float):
+        return eval_jet2(self.expr, self.binding(x, v, t))
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,7 @@ class DomainBox:
             raise ValueError("n_random must be non-negative")
         object.__setattr__(self, "strata", tuple(self.strata))
 
-    def sample_points(self, extra_binding: Mapping[str, float] | None = None,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list:
+    def sample_points(self, extra_binding: Mapping[str, float] | None = None) -> list:
         """Concrete (x, v, t) samples after stratum exclusion; never empty."""
         nx, nv, nt = self.grid
         pts = [
@@ -200,7 +195,7 @@ class DomainBox:
                 keep = True
                 for stratum in self.strata:
                     try:
-                        size = abs(evaluate(stratum.expr, binding, cfg))
+                        size = abs(evaluate(stratum.expr, binding))
                     except EvalDomainError:
                         keep = False
                         break
@@ -216,14 +211,13 @@ class DomainBox:
         return pts
 
 
-def implied_acceleration(L: Lagrangian, x: float, v: float, t: float,
-                         cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def implied_acceleration(L: Lagrangian, x: float, v: float, t: float) -> float:
     """Acceleration forced by the Euler-Lagrange equation of ``L`` at a point.
 
     Solves d/dt(dL/dv) = dL/dx for x'': (L_x - L_vx v - L_vt) / L_vv.
     Raises :class:`DegenerateLagrangianError` when |L_vv| < EPS_REG.
     """
-    jet = L.jet(x, v, t, cfg)
+    jet = L.jet(x, v, t)
     lvv = jet.hvv
     if abs(lvv) < EPS_REG:
         raise DegenerateLagrangianError((x, v, t), lvv)
@@ -231,11 +225,10 @@ def implied_acceleration(L: Lagrangian, x: float, v: float, t: float,
 
 
 def euler_lagrange_residual(L: Lagrangian, ode: OdeSpec,
-                            x: float, v: float, t: float,
-                            cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                            x: float, v: float, t: float) -> float:
     """Normalized pointwise residual |a_implied - f| / (1 + |f|)."""
-    f = ode.rhs_value(x, v, t, cfg)
-    a = implied_acceleration(L, x, v, t, cfg)
+    f = ode.rhs_value(x, v, t)
+    a = implied_acceleration(L, x, v, t)
     return abs(a - f) / (1.0 + abs(f))
 
 
@@ -262,8 +255,7 @@ class VerificationReport:
 
 
 def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
-                      tol: float = 1e-8,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> VerificationReport:
+                      tol: float = 1e-8) -> VerificationReport:
     """Check ``L`` against ``ode`` over every sample in ``box``.
 
     Points where evaluation leaves the domain of definition are skipped and
@@ -273,7 +265,7 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     """
     binding_extra = dict(ode.params)
     binding_extra.update(L.param_dict)
-    points = box.sample_points(binding_extra, cfg)
+    points = box.sample_points(binding_extra)
 
     max_residual = -1.0
     argmax = None
@@ -287,8 +279,8 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     for point in points:
         xv, vv, tv = point
         try:
-            f = ode.rhs_value(xv, vv, tv, cfg)
-            jet = L.jet(xv, vv, tv, cfg)
+            f = ode.rhs_value(xv, vv, tv)
+            jet = L.jet(xv, vv, tv)
         except (EvalDomainError, NonDifferentiableError):
             skipped += 1
             residuals.append((point, None))
@@ -336,8 +328,7 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     )
 
 
-def acceleration_field(L: Lagrangian, points: Sequence[tuple],
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list:
+def acceleration_field(L: Lagrangian, points: Sequence[tuple]) -> list:
     """Implied acceleration of ``L`` at each (x, v, t) point.
 
     The entry is None where ``L`` is out of domain, non-differentiable or
@@ -346,7 +337,7 @@ def acceleration_field(L: Lagrangian, points: Sequence[tuple],
     out = []
     for xv, vv, tv in points:
         try:
-            out.append(implied_acceleration(L, xv, vv, tv, cfg))
+            out.append(implied_acceleration(L, xv, vv, tv))
         except (EvalDomainError, NonDifferentiableError, DegenerateLagrangianError):
             out.append(None)
     return out
@@ -373,8 +364,8 @@ def max_acceleration_gap(fields: Sequence[list]) -> float:
     return worst
 
 
-def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian], box: DomainBox,
-                              cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian],
+                              box: DomainBox) -> float:
     """Largest normalized disagreement in implied acceleration over the box.
 
     Skips points outside some member's domain; requires at least one usable
@@ -385,22 +376,20 @@ def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian], box: DomainBox,
     extra = {}
     for L in lagrangians:
         extra.update(L.param_dict)
-    points = box.sample_points(extra, cfg)
-    return max_acceleration_gap([acceleration_field(L, points, cfg) for L in lagrangians])
+    points = box.sample_points(extra)
+    return max_acceleration_gap([acceleration_field(L, points) for L in lagrangians])
 
 
 # --- Legendre structure ------------------------------------------------------
 
-def legendre_momentum(L: Lagrangian, x: float, v: float, t: float,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def legendre_momentum(L: Lagrangian, x: float, v: float, t: float) -> float:
     """Conjugate momentum p = dL/dv."""
-    return L.jet(x, v, t, cfg).gv
+    return L.jet(x, v, t).gv
 
 
-def hamiltonian_value(L: Lagrangian, x: float, v: float, t: float,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def hamiltonian_value(L: Lagrangian, x: float, v: float, t: float) -> float:
     """Energy function h = v dL/dv - L evaluated at a velocity point."""
-    jet = L.jet(x, v, t, cfg)
+    jet = L.jet(x, v, t)
     return v * jet.gv - jet.f
 
 
@@ -415,8 +404,7 @@ def energy_expression(L) -> Expr:
 
 def invert_momentum(L: Lagrangian, p: float, x: float, t: float,
                     bracket: tuple = (-10.0, 10.0),
-                    tol: float = 1e-12,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                    tol: float = 1e-12) -> float:
     """Solve dL/dv(x, v, t) = p for v inside ``bracket``.
 
     The momentum must be strictly monotone in v across the bracket (checked
@@ -428,7 +416,7 @@ def invert_momentum(L: Lagrangian, p: float, x: float, t: float,
         raise BracketError("empty bracket")
 
     def g(vv: float):
-        jet = L.jet(x, vv, t, cfg)
+        jet = L.jet(x, vv, t)
         return jet.gv - p, jet.hvv
 
     g_lo, curv_lo = g(lo)
@@ -473,8 +461,7 @@ def invert_momentum(L: Lagrangian, p: float, x: float, t: float,
 # --- invariants ---------------------------------------------------------------
 
 def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox,
-                    extra_params: Mapping[str, float] | None = None,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                    extra_params: Mapping[str, float] | None = None) -> float:
     """Max normalized |dI/dt| along the dynamics over the box.
 
     dI/dt = I_x v + I_v f + I_t with f the prescribed acceleration; the rate
@@ -483,15 +470,15 @@ def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox,
     extra = dict(ode.params)
     if extra_params:
         extra.update(extra_params)
-    points = box.sample_points(extra, cfg)
+    points = box.sample_points(extra)
     worst = -1.0
     usable = 0
     for xv, vv, tv in points:
         binding = dict(extra)
         binding.update({"x": xv, "v": vv, "t": tv})
         try:
-            f = evaluate(ode.rhs, binding, cfg)
-            jet = eval_jet2(quantity, binding, cfg)
+            f = evaluate(ode.rhs, binding)
+            jet = eval_jet2(quantity, binding)
         except (EvalDomainError, NonDifferentiableError):
             continue
         usable += 1
@@ -505,9 +492,8 @@ def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox,
 
 def assert_invariant(quantity: Expr, ode: OdeSpec, box: DomainBox,
                      tol: float = 1e-8,
-                     extra_params: Mapping[str, float] | None = None,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    rate = invariant_drift(quantity, ode, box, extra_params, cfg)
+                     extra_params: Mapping[str, float] | None = None) -> float:
+    rate = invariant_drift(quantity, ode, box, extra_params)
     if rate > tol:
         raise NotInvariantError(
             f"quantity drifts at normalized rate {rate:.3e} > {tol:.1e}", rate

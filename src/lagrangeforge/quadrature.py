@@ -4,16 +4,19 @@ The Kronrod extension reuses the 7 Gauss nodes, so one panel costs 15
 integrand evaluations and yields both a high-order estimate and an error
 estimate from the Gauss/Kronrod difference.  Panels whose error exceeds the
 local budget are bisected recursively, halving the budget per side.
+
+The error budget is fixed: the total error estimate of an integral ``I`` is
+kept at or below ``max(1e-10, 1e-10 * |I|)``, and bisection stops with
+:class:`QuadratureDepthError` at depth 50.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import QuadratureDepthError, QuadratureError
 
-__all__ = ["QuadratureConfig", "DEFAULT_QUADRATURE", "integrate_adaptive"]
+__all__ = ["integrate_adaptive"]
 
 # Kronrod-15 abscissae (non-negative half) and weights; the odd indices and
 # the centre are the embedded Gauss-7 nodes.
@@ -45,31 +48,9 @@ _WG_CENTER = 0.417959183673469387755102040816327
 
 _EPS_FLOOR = 50.0 * 2.220446049250313e-16
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits for adaptive integration.
-
-    ``cache_resolution`` is the anchor spacing used when memoizing integral
-    nodes; values returned are always exact quadratures, the resolution only
-    bounds how densely anchors are stored.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 50
-    cache_resolution: float = 1e-6
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if self.cache_resolution <= 0:
-            raise ValueError("cache_resolution must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_DEPTH = 50
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float):
@@ -127,13 +108,12 @@ def integrate_adaptive(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
-    """Integrate ``f`` from ``lo`` to ``hi`` within the configured tolerance.
+    """Integrate ``f`` from ``lo`` to ``hi`` within the fixed error budget.
 
     The total error estimate is kept at or below
-    ``max(abs_tol, rel_tol * |result|)``.  Raises
-    :class:`QuadratureDepthError` when bisection reaches ``max_depth`` while
+    ``max(1e-10, 1e-10 * |result|)``.  Raises
+    :class:`QuadratureDepthError` when bisection reaches depth 50 while
     the local error still exceeds its budget (as happens on divergent
     integrands), reporting the offending subinterval.
     """
@@ -145,5 +125,5 @@ def integrate_adaptive(
         a, b = b, a
         sign = -1.0
     integral, err, _ = _gk15(f, a, b)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(integral))
-    return sign * _adapt(f, a, b, tol, cfg.max_depth, integral, err)
+    tol = max(_ABS_TOL, _REL_TOL * abs(integral))
+    return sign * _adapt(f, a, b, tol, _MAX_DEPTH, integral, err)

@@ -53,25 +53,6 @@ class TestEndpointOracles:
         assert traj.final_state == (0.3, 0.7)
 
 
-class TestRk4:
-    def _endpoint_error(self, h):
-        cfg = IntegratorConfig(method="rk4", fixed_step=h)
-        traj = integrate_ode(LINEAR_DRAG, 0.0, 1.0, 0.0, 1.0, cfg)
-        x1, _ = traj.final_state
-        return abs(x1 - (1.0 - math.exp(-1.0)))
-
-    def test_fourth_order_convergence(self):
-        ratio = self._endpoint_error(0.05) / self._endpoint_error(0.025)
-        assert 10.0 < ratio < 22.0  # 2^4 = 16 up to higher-order terms
-
-    def test_step_count(self):
-        cfg = IntegratorConfig(method="rk4", fixed_step=0.1)
-        traj = integrate_ode(LINEAR_DRAG, 0.0, 1.0, 0.0, 1.0, cfg)
-        assert len(traj.times) == 11
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(1.0)
-
-
 class TestDenseOutput:
     def test_nodes_are_exact(self):
         traj = integrate_ode(LINEAR_DRAG, 0.0, 1.0, 0.0, 1.0)

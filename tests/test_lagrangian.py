@@ -1,5 +1,6 @@
 """Implied acceleration, verification reports, Legendre structure, gauges."""
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from lagrangeforge import (
     total_derivative_gauge,
     verify_lagrangian,
 )
+from lagrangeforge.constructors.common import relative_stratum
 from lagrangeforge.expressions import Add, Const, Var, simplify
 
 POINTS = [(-0.7, 0.4, 0.0), (0.3, -1.1, 0.8), (1.2, 0.9, 1.5), (0.0, 2.0, 0.3)]
@@ -144,6 +146,16 @@ class TestVerifyLagrangian:
                         strata=(SingularStratum(denom, 0.05),))
         report = verify_lagrangian(L, ode, box, tol=1e-7)
         assert report.passed
+
+    def test_relative_stratum_keeps_points_outside_the_margin(self):
+        # the grid puts a column of points on x = 0.3, inside the margin
+        box = DomainBox(x=(-0.7, 1.3), grid=(5, 5, 3), n_random=60, seed=3)
+        stratum = relative_stratum(parse_expression("x - 0.3"), 0.03)
+        everything = box.sample_points()
+        kept = [p for p in everything
+                if abs(p[0] - 0.3) / (abs(p[0] - 0.3) + 1.0) > 0.03]
+        assert 0 < len(kept) < len(everything)
+        assert replace(box, strata=(stratum,)).sample_points() == kept
 
     def test_everything_excluded_raises(self):
         box = DomainBox(grid=(2, 2, 2), n_random=4,

@@ -9,7 +9,6 @@ from lagrangeforge import (
     Const,
     Mul,
     Pow,
-    QuadratureConfig,
     QuadratureDepthError,
     Var,
     clear_antideriv_cache,
@@ -59,14 +58,6 @@ class TestFailureModes:
         lo, hi = err.value.worst_interval
         assert 0.0 <= lo < hi <= 1e-9
         assert err.value.error_estimate > 0.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_depth=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(cache_resolution=-1.0)
 
 
 class TestIntegralNodes:
