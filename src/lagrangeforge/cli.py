@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import jsonschema
+import numpy as np
 
 from .constructors import (
     BuilderOptions,
@@ -75,7 +76,7 @@ from .errors import (
     SpecValidationError,
     ZeroCrossingError,
 )
-from .evaluation import evaluate
+from .evaluation import evaluate, evaluate_field, jet_field
 from .expressions import (
     Const,
     Neg,
@@ -90,8 +91,6 @@ from .lagrangian import (
     Lagrangian,
     OdeSpec,
     acceleration_field,
-    hamiltonian_value,
-    legendre_momentum,
     max_acceleration_gap,
     verify_lagrangian,
 )
@@ -847,6 +846,12 @@ def cmd_verify(spec: dict, out_dir: Path):
     return payload, {"residuals_csv": "residuals.csv"}, code
 
 
+def _field_cells(values, bad) -> list:
+    """CSV cells of a field: each value's repr, blank where the point is bad."""
+    return ["" if out else repr(value)
+            for value, out in zip(values.tolist(), bad.tolist())]
+
+
 def cmd_integrate(spec: dict, out_dir: Path):
     problem = _problem(spec)
     ode = problem.ode
@@ -856,29 +861,21 @@ def cmd_integrate(spec: dict, out_dir: Path):
     columns = [c for c in ("t", "x", "v", "L", "E", "p") if c in cfg["columns"]]
     if L is None:
         columns = [c for c in columns if c in ("t", "x", "v")]
-    rows = []
-    for (x, v), t in zip(traj.states, traj.times):
-        row = []
-        for col in columns:
-            if col == "t":
-                row.append(repr(t))
-            elif col == "x":
-                row.append(repr(x))
-            elif col == "v":
-                row.append(repr(v))
-            else:
-                try:
-                    if col == "L":
-                        val = evaluate(L.expr, {"x": x, "v": v, "t": t})
-                    elif col == "E":
-                        val = hamiltonian_value(L, x, v, t)
-                    else:
-                        val = legendre_momentum(L, x, v, t)
-                    row.append(repr(val))
-                except (LagrangeForgeError, ValueError, OverflowError,
-                        ZeroDivisionError):
-                    row.append("")
-        rows.append(row)
+    xs, vs = zip(*traj.states)
+    cells = {"t": [repr(t) for t in traj.times], "x": [repr(x) for x in xs],
+             "v": [repr(v) for v in vs]}
+    state = {"x": np.array(xs, dtype=float), "v": np.array(vs, dtype=float),
+             "t": np.array(traj.times, dtype=float)}
+    if "L" in columns:
+        # L binds the state only, not the Lagrangian's parameters
+        cells["L"] = _field_cells(*evaluate_field(L.expr, state))
+    if "E" in columns or "p" in columns:
+        jet, bad = jet_field(L.expr, {**L.param_dict, **state})
+        with np.errstate(all="ignore"):
+            energy = state["v"] * jet.gv - jet.f
+        cells["E"] = _field_cells(energy, bad)
+        cells["p"] = _field_cells(jet.gv, bad)
+    rows = [[cells[c][i] for c in columns] for i in range(len(traj.times))]
     _write_csv(out_dir / "trajectory.csv", columns, rows)
     payload = {
         "rhs": str(ode.rhs),

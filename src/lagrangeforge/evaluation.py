@@ -4,15 +4,16 @@ The rules for each node type are written once, in tables keyed by node type:
 
 * A *value rule* maps operand values to the node's value and owns the node's
   domain check (``_div_value``, ``_pow_value``, ``_exp_value``, ``_ln_value``,
-  ``_sqrt_value``; negation, ``abs``, ``sin`` and ``cos`` are defined
-  everywhere).
+  ``_sqrt_value``, ``_sin_value``, ``_cos_value``; negation and ``abs`` are
+  defined everywhere).
 * A *derivative rule* maps a function node's operand value to
   ``(f, f', f'')``, built on the node's value rule; a jet applies it through
   :meth:`Jet2.chain`.  Jets add only the checks that values do not need:
-  ``sqrt`` and ``abs`` are not differentiable at zero, and a variable
-  exponent needs a positive base.
+  ``sqrt`` and ``abs`` are not differentiable at zero, a variable exponent
+  needs a positive base, and a derivative whose denominator rounds to zero
+  (``1/u`` divides by ``u**3``, ``ln`` by ``u**2``) is out of domain.
 
-Three entry points read the tables:
+Five entry points read the tables:
 
 * :func:`evaluate` walks the tree and returns a float.
 * :func:`compile_callable` builds nested closures once, for integrands and
@@ -21,6 +22,16 @@ Three entry points read the tables:
   the gradient and Hessian with respect to the state variables ``x, v, t``.
   Derivatives are propagated structurally (no finite differences), so they
   are exact up to roundoff.
+* :func:`evaluate_field` and :func:`jet_field` do what :func:`evaluate` and
+  :func:`eval_jet2` do at every sample point in one tree walk, over float64
+  arrays, and return a mask of the points where the scalar walk would
+  raise.  Elsewhere their results equal the scalar ones bit for bit.
+  ``+ - * /`` and negation run in numpy, which rounds them exactly as
+  Python floats do.  Every other rule (``exp``, ``ln``, powers, ``sin``,
+  ``cos``, ``sqrt``, ``abs``) runs point by point on Python floats:
+  numpy's ``exp``, ``log``, ``power``, ``sin`` and ``cos`` differ from the
+  C library's in the last bit on a few percent of inputs, and the scalar
+  walks remain the reference.
 
 Integral nodes evaluate by adaptive quadrature.  Because verification sweeps
 hit the same antiderivative at many nearby upper limits, each node keeps a
@@ -29,7 +40,9 @@ only from the nearest anchor, so accuracy never degrades while the cost per
 point stays local.  The jet of an integral node evaluates its cached symbolic
 derivatives from :func:`~lagrangeforge.expressions.differentiate`, which
 applies the fundamental theorem of calculus in the integration variable and
-differentiates under the integral sign in the others.
+differentiates under the integral sign in the others.  The field walks
+evaluate an integral node one point at a time through these scalar paths,
+in the order the scalar walks would, so the anchors are the same.
 """
 from __future__ import annotations
 
@@ -38,6 +51,8 @@ import math
 import operator
 import threading
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import EvalDomainError, NonDifferentiableError
 from .expressions import (
@@ -68,7 +83,9 @@ __all__ = [
     "compile_callable",
     "definite_integral",
     "evaluate",
+    "evaluate_field",
     "eval_jet2",
+    "jet_field",
     "clear_antideriv_cache",
 ]
 
@@ -89,7 +106,8 @@ def _pow_value(base: float, exponent: float) -> float:
     Integer exponents admit negative bases; fractional exponents require a
     positive base; zero cannot be raised to a negative power.
     """
-    if exponent != math.floor(exponent) and base < 0.0:
+    if base < 0.0 and not (math.isfinite(exponent)
+                           and exponent == math.floor(exponent)):
         raise EvalDomainError(
             f"negative base {base!r} with non-integer exponent {exponent!r}"
         )
@@ -122,12 +140,26 @@ def _sqrt_value(u: float) -> float:
     return math.sqrt(u)
 
 
+def _sin_value(u: float) -> float:
+    try:
+        return math.sin(u)
+    except ValueError:
+        raise EvalDomainError(f"sine of {u!r}") from None
+
+
+def _cos_value(u: float) -> float:
+    try:
+        return math.cos(u)
+    except ValueError:
+        raise EvalDomainError(f"cosine of {u!r}") from None
+
+
 # The value rule of each node type that has one.  Binary arithmetic nodes hold
 # their operands as left/right; Pow holds base/exponent and has its own rule.
 _BINARY_VALUE = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
                  Div: _div_value}
 _UNARY_VALUE = {Neg: operator.neg, Exp: _exp_value, Ln: _ln_value,
-                Sqrt: _sqrt_value, Abs: abs, Sin: math.sin, Cos: math.cos}
+                Sqrt: _sqrt_value, Abs: abs, Sin: _sin_value, Cos: _cos_value}
 
 
 def evaluate(expr: Expr, binding: Binding) -> float:
@@ -388,8 +420,11 @@ class Jet2:
 
     def __truediv__(self, other):
         w0 = other.f
-        inv = other.chain(_div_value(1.0, w0), -1.0 / (w0 * w0), 2.0 / (w0 * w0 * w0))
-        return self * inv
+        w2 = w0 * w0
+        w3 = w2 * w0
+        if w3 == 0.0:
+            raise EvalDomainError(f"division by {w0!r}: its cube is zero")
+        return self * other.chain(1.0 / w0, -1.0 / w2, 2.0 / w3)
 
 
 # --- derivative rules: (f, f', f'') at the operand value ---------------------
@@ -400,14 +435,21 @@ def _exp_rule(u: float) -> tuple:
 
 
 def _ln_rule(u: float) -> tuple:
-    return _ln_value(u), 1.0 / u, -1.0 / (u * u)
+    f = _ln_value(u)
+    uu = u * u
+    if uu == 0.0:
+        raise EvalDomainError(f"second derivative of log at {u!r} overflows")
+    return f, 1.0 / u, -1.0 / uu
 
 
 def _sqrt_rule(u: float) -> tuple:
     if u == 0.0:
         raise NonDifferentiableError("square root is not differentiable at zero")
     s = _sqrt_value(u)
-    return s, 0.5 / s, -0.25 / (s * u)
+    su = s * u
+    if su == 0.0:
+        raise EvalDomainError(f"second derivative of sqrt at {u!r} overflows")
+    return s, 0.5 / s, -0.25 / su
 
 
 def _abs_rule(u: float) -> tuple:
@@ -417,12 +459,12 @@ def _abs_rule(u: float) -> tuple:
 
 
 def _sin_rule(u: float) -> tuple:
-    s, c = math.sin(u), math.cos(u)
+    s, c = _sin_value(u), _cos_value(u)
     return s, c, -s
 
 
 def _cos_rule(u: float) -> tuple:
-    s, c = math.sin(u), math.cos(u)
+    s, c = _sin_value(u), _cos_value(u)
     return c, -s, -c
 
 
@@ -436,15 +478,19 @@ def _is_constant_jet(j: Jet2) -> bool:
             and j.hvv == 0.0 and j.hvt == 0.0 and j.htt == 0.0)
 
 
+def _pow_rule(u: float, n: float) -> tuple:
+    """(f, f', f'') of u**n for a constant exponent n."""
+    # skip undefined derivative terms whose coefficients vanish, so x**2 is
+    # fine at x = 0
+    f0 = _pow_value(u, n)
+    f1 = 0.0 if n == 0.0 else n * _pow_value(u, n - 1.0)
+    f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * _pow_value(u, n - 2.0)
+    return f0, f1, f2
+
+
 def _jet_pow(base: Jet2, exponent: Jet2) -> Jet2:
     if _is_constant_jet(exponent):
-        # skip undefined derivative terms whose coefficients vanish, so
-        # x**2 is fine at x = 0
-        n = exponent.f
-        f0 = _pow_value(base.f, n)
-        f1 = 0.0 if n == 0.0 else n * _pow_value(base.f, n - 1.0)
-        f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * _pow_value(base.f, n - 2.0)
-        return base.chain(f0, f1, f2)
+        return base.chain(*_pow_rule(base.f, exponent.f))
     # variable exponent: u**w = exp(w * ln u), requires u > 0
     if base.f <= 0.0:
         raise EvalDomainError(f"non-positive base {base.f!r} with variable exponent")
@@ -492,11 +538,196 @@ def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
 _HESSIAN_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
+def _antideriv_slots(node: Antideriv) -> tuple:
+    """The expressions of an integral's ten jet slots, in Jet2's order."""
     # differentiate applies the fundamental theorem of calculus in node.var
     # and differentiates under the integral sign in the other variables.
-    # The slots are evaluated in Jet2's order, which fixes the sequence in
-    # which anchors enter the cache.
     first = [differentiate(node, q) for q in _STATE]
     second = [differentiate(first[i], _STATE[j]) for i, j in _HESSIAN_PAIRS]
-    return Jet2(*[evaluate(d, binding) for d in (node, *first, *second)])
+    return (node, *first, *second)
+
+
+def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
+    # the slots are evaluated in Jet2's order, which fixes the sequence in
+    # which anchors enter the cache
+    return Jet2(*[evaluate(d, binding) for d in _antideriv_slots(node)])
+
+
+# --- array sweeps -----------------------------------------------------------
+#
+# evaluate_field and jet_field run one tree walk over every sample point at
+# once.  A value is a float64 array over the points, or a Python float where
+# it is the same at all of them (constants, parameters).  The sweep keeps one
+# mask of the points at which some node visited so far would have raised;
+# after it is set, a point's values are never read, so numpy may compute
+# anything there (its warnings are silenced for the walk).  Nodes are visited
+# in the scalar order (left before right, base before exponent), and the
+# per-point work below skips masked points, so every anchor-cache key sees
+# the requests that the scalar walks make, in the same order.
+
+class _Sweep:
+    __slots__ = ("columns", "bad", "rows", "scalars")
+
+    def __init__(self, columns: Mapping, bad):
+        self.columns = columns
+        self.rows = [n for n, c in columns.items() if isinstance(c, np.ndarray)]
+        self.scalars = {n: float(c) for n, c in columns.items()
+                        if not isinstance(c, np.ndarray)}
+        if bad is None:
+            bad = np.zeros(len(columns[self.rows[0]]), dtype=bool)
+        self.bad = np.array(bad, dtype=bool)
+
+    def per_point(self, width: int, rule, *operands) -> np.ndarray:
+        """``rule`` at every unmasked point, on Python floats; masks where it raises.
+
+        Returns an array of shape (width, n) for a rule returning ``width``
+        floats, NaN at masked points.
+        """
+        good = np.flatnonzero(~self.bad)
+        args = [(op[good] if isinstance(op, np.ndarray)
+                 else np.full(len(good), op)).tolist() for op in operands]
+        kept, results = [], []
+        # one call per point, once: an integral's rule fills the anchor cache
+        for i, point in zip(good.tolist(), zip(*args)):
+            try:
+                results.append(rule(*point))
+            except EvalDomainError:
+                self.bad[i] = True
+                continue
+            kept.append(i)
+        out = np.full((width, len(self.bad)), math.nan)
+        if results:
+            out[:, kept] = np.array(results, dtype=float).reshape(len(results), width).T
+        return out
+
+    def binding(self, values: Sequence[float]) -> dict:
+        """The scalar binding of one point from its per-point column values."""
+        binding = dict(self.scalars)
+        binding.update(zip(self.rows, values))
+        return binding
+
+
+def _full(value, n: int) -> np.ndarray:
+    if isinstance(value, np.ndarray):
+        return value
+    return np.full(n, value, dtype=float)
+
+
+def evaluate_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
+    """:func:`evaluate` at every point of ``columns`` in one tree walk.
+
+    ``columns`` maps each state variable to a float64 array over the points
+    and each parameter to a float.  ``bad`` optionally marks points already
+    excluded; the walk does no per-point work there.  Returns ``(values,
+    bad)``: ``bad`` is True exactly where :func:`evaluate` would raise
+    :class:`EvalDomainError` (or where it was already True), and ``values``
+    equals :func:`evaluate` bit for bit everywhere else.
+    """
+    sweep = _Sweep(columns, bad)
+    with np.errstate(all="ignore"):
+        values = _value_walk(expr, sweep)
+    return _full(values, len(sweep.bad)), sweep.bad
+
+
+def _value_walk(expr, sweep):
+    kind = type(expr)
+    if kind is Const:
+        return expr.value
+    if kind in _BINARY_VALUE:
+        left = _value_walk(expr.left, sweep)
+        right = _value_walk(expr.right, sweep)
+        if kind is Add:
+            return left + right
+        if kind is Sub:
+            return left - right
+        if kind is Mul:
+            return left * right
+        sweep.bad |= right == 0.0
+        return np.divide(left, right)
+    if kind is Var:
+        value = sweep.columns.get(expr.name)
+        if value is None:
+            sweep.bad[:] = True
+            return math.nan
+        return value if isinstance(value, np.ndarray) else float(value)
+    if kind is Neg:
+        return -_value_walk(expr.operand, sweep)
+    rule = _UNARY_VALUE.get(kind)
+    if rule is not None:
+        return sweep.per_point(1, rule, _value_walk(expr.operand, sweep))[0]
+    if kind is Pow:
+        base = _value_walk(expr.base, sweep)
+        exponent = _value_walk(expr.exponent, sweep)
+        return sweep.per_point(1, _pow_value, base, exponent)[0]
+    if kind is Antideriv:
+        return sweep.per_point(
+            1, lambda *p: _antideriv_value(expr, sweep.binding(p)),
+            *(sweep.columns[n] for n in sweep.rows))[0]
+    raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
+
+
+def jet_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
+    """:func:`eval_jet2` at every point of ``columns`` in one tree walk.
+
+    Takes ``columns`` and ``bad`` as :func:`evaluate_field` does.  Returns
+    ``(jet, bad)``: ``jet`` is a :class:`Jet2` whose ten slots are float64
+    arrays over the points, equal to :func:`eval_jet2` bit for bit wherever
+    ``bad`` is False, and ``bad`` is True exactly where :func:`eval_jet2`
+    would raise :class:`EvalDomainError` or
+    :class:`NonDifferentiableError` (or where it was already True).
+    """
+    sweep = _Sweep(columns, bad)
+    with np.errstate(all="ignore"):
+        jet = _jet_walk(expr, sweep)
+    n = len(sweep.bad)
+    return Jet2(*(_full(s, n) for s in _slots(jet))), sweep.bad
+
+
+def _slots(jet: Jet2) -> tuple:
+    return tuple(getattr(jet, s) for s in Jet2.__slots__)
+
+
+def _jet_walk(expr, sweep):
+    kind = type(expr)
+    if kind is Const:
+        return Jet2(expr.value)
+    if kind in _JET_BINARY:
+        left = _jet_walk(expr.left, sweep)
+        right = _jet_walk(expr.right, sweep)
+        if kind is not Div:
+            return _JET_BINARY[kind](left, right)
+        # Jet2.__truediv__ with its domain check turned into a mask
+        w0 = np.asarray(right.f)
+        w2 = w0 * w0
+        w3 = w2 * w0
+        sweep.bad |= w3 == 0.0
+        return left * right.chain(1.0 / w0, -1.0 / w2, 2.0 / w3)
+    if kind is Var:
+        jet = Jet2(_value_walk(expr, sweep))
+        slot = _VAR_SLOT.get(expr.name)
+        if slot is not None:
+            setattr(jet, slot, 1.0)
+        return jet
+    rule = _DERIVATIVE_RULES.get(kind)
+    if rule is not None:
+        u = _jet_walk(expr.operand, sweep)
+        return u.chain(*sweep.per_point(3, rule, u.f))
+    if kind is Pow:
+        base = _jet_walk(expr.base, sweep)
+        exponent = _jet_walk(expr.exponent, sweep)
+        exp_slots = _slots(exponent)
+        if not any(isinstance(s, np.ndarray) for s in exp_slots) \
+                and _is_constant_jet(exponent):
+            return base.chain(*sweep.per_point(3, _pow_rule, base.f, exponent.f))
+        # an exponent that varies over the points: the scalar rule per point
+        return Jet2(*sweep.per_point(
+            10, lambda *p: _slots(_jet_pow(Jet2(*p[:10]), Jet2(*p[10:]))),
+            *_slots(base), *exp_slots))
+    if kind is Neg:
+        return -_jet_walk(expr.operand, sweep)
+    if kind is Antideriv:
+        slots = _antideriv_slots(expr)
+        return Jet2(*sweep.per_point(
+            10, lambda *p: [evaluate(d, sweep.binding(p)) for d in slots],
+            *(sweep.columns[n] for n in sweep.rows)))
+    raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")

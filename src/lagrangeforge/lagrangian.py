@@ -14,16 +14,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     BracketError,
     DegenerateLagrangianError,
     EmptyDomainError,
-    EvalDomainError,
-    NonDifferentiableError,
     NonMonotoneError,
     NotInvariantError,
 )
-from .evaluation import eval_jet2, evaluate
+from .evaluation import eval_jet2, evaluate, evaluate_field, jet_field
 from .expressions import Expr, Var, as_expr, differentiate, free_vars, parse_expression
 
 __all__ = [
@@ -187,28 +187,37 @@ class DomainBox:
                 rng.uniform(*self.x), rng.uniform(*self.v), rng.uniform(*self.t)
             ))
         if self.strata:
-            base = dict(extra_binding or {})
-            kept = []
-            for xv, vv, tv in pts:
-                binding = dict(base)
-                binding.update({"x": xv, "v": vv, "t": tv})
-                keep = True
-                for stratum in self.strata:
-                    try:
-                        size = abs(evaluate(stratum.expr, binding))
-                    except EvalDomainError:
-                        keep = False
-                        break
-                    if size <= stratum.radius:
-                        keep = False
-                        break
-                if keep:
-                    kept.append((xv, vv, tv))
-            pts = kept
+            # a point leaves at the first stratum that is undefined or small
+            # there; later strata are not evaluated at it
+            columns = {**(extra_binding or {}), **_state_columns(pts)}
+            dropped = None
+            for stratum in self.strata:
+                size, dropped = evaluate_field(stratum.expr, columns, dropped)
+                dropped |= np.abs(size) <= stratum.radius
+            pts = [p for p, out in zip(pts, dropped.tolist()) if not out]
         if not pts:
             raise EmptyDomainError("no sample points survive the exclusions")
         pts.sort(key=lambda p: (p[2], p[0], p[1]))
         return pts
+
+
+def _state_columns(points: Sequence[tuple]) -> dict:
+    """The x, v and t arrays of ``points``, as field columns."""
+    xs, vs, ts = np.array(points, dtype=float).reshape(-1, 3).T
+    return {"x": xs, "v": vs, "t": ts}
+
+
+def _acceleration_jet_field(L: Lagrangian, state: dict, bad=None) -> tuple:
+    """The jet field of ``L``, its mask and its implied accelerations.
+
+    The accelerations are (L_x - L_vx v - L_vt) / L_vv, computed as
+    :func:`implied_acceleration` does; they mean nothing where the mask is
+    set or |L_vv| < EPS_REG.
+    """
+    jet, bad = jet_field(L.expr, {**L.param_dict, **state}, bad)
+    with np.errstate(all="ignore"):
+        accels = (jet.gx - jet.hxv * state["v"] - jet.hvt) / jet.hvv
+    return jet, bad, accels
 
 
 def implied_acceleration(L: Lagrangian, x: float, v: float, t: float) -> float:
@@ -266,6 +275,13 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     binding_extra = dict(ode.params)
     binding_extra.update(L.param_dict)
     points = box.sample_points(binding_extra)
+    # the rhs first, then the jet where the rhs is defined, in the order of
+    # the scalar evaluations at one point
+    state = _state_columns(points)
+    rhs, bad = evaluate_field(ode.rhs, {**ode.param_dict, **state})
+    jet, bad, accels = _acceleration_jet_field(L, state, bad)
+    with np.errstate(all="ignore"):
+        field_residuals = np.abs(accels - rhs) / (1.0 + np.abs(rhs))
 
     max_residual = -1.0
     argmax = None
@@ -276,30 +292,24 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     degenerate = False
     residuals = []
 
-    for point in points:
-        xv, vv, tv = point
-        try:
-            f = ode.rhs_value(xv, vv, tv)
-            jet = L.jet(xv, vv, tv)
-        except (EvalDomainError, NonDifferentiableError):
+    for point, out, lvv, residual in zip(points, bad.tolist(), jet.hvv.tolist(),
+                                         field_residuals.tolist()):
+        if out:
             skipped += 1
             residuals.append((point, None))
             continue
-        lvv = jet.hvv
         if abs(lvv) < regularity_min:
             regularity_min = abs(lvv)
         if abs(lvv) < EPS_REG:
             if not degenerate:
                 notes.append(
-                    f"degenerate at (x, v, t) = {(xv, vv, tv)}: "
+                    f"degenerate at (x, v, t) = {point}: "
                     f"|L_vv| = {abs(lvv):.3e} < {EPS_REG:.1e}"
                 )
             degenerate = True
             used += 1
             residuals.append((point, None))
             continue
-        a = (jet.gx - jet.hxv * vv - jet.hvt) / lvv
-        residual = abs(a - f) / (1.0 + abs(f))
         used += 1
         residuals.append((point, residual))
         if residual > max_residual:
@@ -334,13 +344,9 @@ def acceleration_field(L: Lagrangian, points: Sequence[tuple]) -> list:
     The entry is None where ``L`` is out of domain, non-differentiable or
     degenerate there.
     """
-    out = []
-    for xv, vv, tv in points:
-        try:
-            out.append(implied_acceleration(L, xv, vv, tv))
-        except (EvalDomainError, NonDifferentiableError, DegenerateLagrangianError):
-            out.append(None)
-    return out
+    jet, bad, accels = _acceleration_jet_field(L, _state_columns(points))
+    return [None if out or abs(lvv) < EPS_REG else a
+            for out, lvv, a in zip(bad.tolist(), jet.hvv.tolist(), accels.tolist())]
 
 
 def max_acceleration_gap(fields: Sequence[list]) -> float:
@@ -470,19 +476,19 @@ def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox,
     extra = dict(ode.params)
     if extra_params:
         extra.update(extra_params)
-    points = box.sample_points(extra)
+    state = _state_columns(box.sample_points(extra))
+    columns = {**extra, **state}
+    f, bad = evaluate_field(ode.rhs, columns)
+    jet, bad = jet_field(quantity, columns, bad)
+    with np.errstate(all="ignore"):
+        rates = (np.abs(jet.gx * state["v"] + jet.gv * f + jet.gt)
+                 / (1.0 + np.abs(jet.f)))
     worst = -1.0
     usable = 0
-    for xv, vv, tv in points:
-        binding = dict(extra)
-        binding.update({"x": xv, "v": vv, "t": tv})
-        try:
-            f = evaluate(ode.rhs, binding)
-            jet = eval_jet2(quantity, binding)
-        except (EvalDomainError, NonDifferentiableError):
+    for out, rate in zip(bad.tolist(), rates.tolist()):
+        if out:
             continue
         usable += 1
-        rate = abs(jet.gx * vv + jet.gv * f + jet.gt) / (1.0 + abs(jet.f))
         if rate > worst:
             worst = rate
     if usable == 0:

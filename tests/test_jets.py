@@ -219,7 +219,22 @@ class TestDomainRules:
         assert outcomes("exp(x)", 1000.0) == OUT_OF_DOMAIN
         assert outcomes("10^x", 400.0) == OUT_OF_DOMAIN
 
-    # the three rules that only jets need
+    def test_trig_of_infinity(self):
+        assert outcomes("cos(1e300*x*x*1e300)", 1.0) == OUT_OF_DOMAIN
+        assert outcomes("sin(1e300*x*1e300)", 1.0) == OUT_OF_DOMAIN
+
+    def test_negative_base_with_infinite_exponent(self):
+        assert outcomes("(0 - 2)^(1e300*x*1e300)", 1.0) == OUT_OF_DOMAIN
+
+    # the rules that only jets need
+
+    def test_underflowing_jet_denominators(self):
+        # a jet divides by u^2 or u^3 (ln, 1/u) or sqrt(u)*u, which round to
+        # zero while u itself does not
+        for text, x in (("1/x", 1e-120), ("1/(x*1e-170)", 1.0),
+                        ("ln(x)", 1e-170), ("sqrt(x)", 1e-300)):
+            value = evaluate(parse_expression(text), {"x": x})
+            assert outcomes(text, x) == [value, value, EvalDomainError]
 
     def test_sqrt_at_zero(self):
         assert outcomes("sqrt(x)", 0.0) == [0.0, 0.0, NonDifferentiableError]

@@ -129,6 +129,25 @@ class TestVerifyLagrangian:
         with pytest.raises(EmptyDomainError):
             verify_lagrangian(L, ode, box)
 
+    def test_underflowing_jet_denominator_is_skipped(self):
+        # L_x divides by (x*1e-170)^2, which is zero for |x| <= 1
+        L = Lagrangian(parse_expression("0.5*v^2 + 1/(x*1e-170)"))
+        ode = OdeSpec(parse_expression("0*x"))
+        with pytest.raises(EmptyDomainError):
+            verify_lagrangian(L, ode, DomainBox())
+        box = DomainBox(x=(-1.0, 1e110), grid=(3, 3, 3), n_random=0)
+        report = verify_lagrangian(L, ode, box)
+        assert (report.samples_used, report.samples_skipped) == (18, 9)
+        assert {p[0] for p, r in report.residuals if r is None} == {-1.0}
+
+    def test_cosine_of_infinity_is_skipped(self):
+        # the argument is finite only on the grid plane x = 0
+        L = Lagrangian(parse_expression("0.5*v^2 + cos(1e300*x*x*1e300)"))
+        ode = OdeSpec(parse_expression("0*x"))
+        report = verify_lagrangian(L, ode, DomainBox())
+        assert report.passed and report.samples_used == 49
+        assert {p[0] for p, r in report.residuals if r is not None} == {0.0}
+
     def test_degenerate_region_fails_with_note(self):
         # L_vv = 2 v vanishes inside the box
         L = Lagrangian(parse_expression("v^3/3"))
