@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -71,12 +72,11 @@ from .errors import (
     ExpressionError,
     InadmissibleCoefficientsError,
     InapplicableFamilyError,
-    LagrangeForgeError,
     NotInvariantError,
     SpecValidationError,
     ZeroCrossingError,
 )
-from .evaluation import evaluate, evaluate_field, jet_field
+from .evaluation import evaluate_field, jet_field
 from .expressions import (
     Const,
     Neg,
@@ -273,12 +273,16 @@ class Family(NamedTuple):
     builders by their module-global name, so wrappers on those names see
     each call.  ``notes`` mark recipes that differ from a naive
     transcription; their keys are stable for downstream audits.
+    ``classify(probe)`` tests any rhs, read through a :class:`_Probe`, for
+    the family's structure and returns ``(applicable, residual, reason)``;
+    ``classify`` reports the families that have one, in table order.
     """
 
     fields: tuple
     ode: Callable
     build: Callable
     notes: tuple = ()
+    classify: Callable | None = None
 
 
 _ZERO = Const(0.0)
@@ -326,11 +330,257 @@ def _build_multi(blk, ode, options):
     return BuiltProblem(ode, dict(suite.members), control=suite.control)
 
 
+# Structural probes: numeric tests of an arbitrary rhs f(x, v, t) on a small
+# grid over the domain.  Every test evaluates through evaluate_field and
+# skips the points its mask marks, where evaluate would raise.
+
+_STRUCT_TOL = 1e-9
+_PROBE_VS = (0.3, 0.9, 1.7)
+
+
+def _grid(lo: float, hi: float, n: int) -> list:
+    if n == 1:
+        return [0.5 * (lo + hi)]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+class _Points:
+    """Probe points, x by v by t, and the field of ``f`` on them."""
+
+    def __init__(self, f, dom: dict, vs: tuple):
+        cells = [(x, v, t) for x in _grid(dom["x"][0], dom["x"][1], 5)
+                 for v in vs for t in _grid(dom["t"][0], dom["t"][1], 5)]
+        self.columns = {name: np.array(column, dtype=float)
+                        for name, column in zip("xvt", zip(*cells))}
+        self.f, self.f_bad = evaluate_field(f, self.columns)
+
+    def max_rel(self, expr):
+        """max |expr| / (1 + |f|) over usable points; None if none usable."""
+        values, bad = evaluate_field(expr, self.columns)
+        worst = None
+        for val, f, out in zip(values.tolist(), self.f.tolist(),
+                               (bad | self.f_bad).tolist()):
+            if not out:
+                rel = abs(val) / (1.0 + abs(f))
+                worst = rel if worst is None else max(worst, rel)
+        return worst
+
+    def values(self, *exprs) -> list:
+        """Each expression's values at the points where all are defined."""
+        fields = [evaluate_field(expr, self.columns) for expr in exprs]
+        keep = ~np.logical_or.reduce([bad for _, bad in fields])
+        return [values[keep].tolist() for values, _ in fields]
+
+
+class _Probe:
+    """What the family tests read about f, each part computed once."""
+
+    def __init__(self, f, dom: dict):
+        self.f = f
+        self.dom = dom
+        self.f_v = simplify(differentiate(f, "v"))
+        self.f_vv = simplify(differentiate(self.f_v, "v"))
+        self.f_vvv = simplify(differentiate(self.f_vv, "v"))
+        self.points = _Points(f, dom, _PROBE_VS)
+        self.cubic_term = self.points.max_rel(self.f_vvv)
+        self.linear_term = self.points.max_rel(self.f_vv)
+        self.is_linear = (self.linear_term is not None
+                          and self.linear_term <= _STRUCT_TOL)
+        # (a, b, c) with f = -(a v^2 + b v + c), when f is quadratic
+        self.quad = None
+        if self.cubic_term is not None and self.cubic_term <= _STRUCT_TOL:
+            try:
+                self.quad = (
+                    simplify(Const(-0.5) * substitute(self.f_vv, "v", Const(0.0))),
+                    simplify(Neg(substitute(self.f_v, "v", Const(0.0)))),
+                    simplify(Neg(substitute(f, "v", Const(0.0)))))
+            except ExpressionError:
+                pass
+
+    @cached_property
+    def xt(self) -> _Points:
+        """The (x, t) grid at v = 1, for coefficients free of v."""
+        return _Points(self.f, self.dom, (1.0,))
+
+    @cached_property
+    def x_dep(self):
+        return self.points.max_rel(differentiate(self.f, "x"))
+
+    @cached_property
+    def t_dep(self):
+        return self.points.max_rel(differentiate(self.f, "t"))
+
+
+def _spread(values: list):
+    return max(values) - min(values) if values else None
+
+
+def _verdict(defects: list, tol: float, holds: str, fails: str,
+             failed: str = "structure probe failed") -> tuple:
+    """Applicable when every defect was measured and the largest is small."""
+    if any(d is None for d in defects):
+        return False, None, failed
+    res = max(defects)
+    ok = res <= tol
+    return ok, res, holds if ok else fails
+
+
+def _if_quadratic(test: Callable) -> Callable:
+    """A family test for f = -(a v^2 + b v + c); it is given (a, b, c)."""
+    def classify(p: _Probe) -> tuple:
+        if p.quad is None:
+            return False, p.cubic_term, "rhs is not quadratic in v"
+        return test(p, *p.quad)
+    return classify
+
+
+def _if_linear(test: Callable) -> Callable:
+    """A family test for f linear in v."""
+    def classify(p: _Probe) -> tuple:
+        if not p.is_linear:
+            return False, p.linear_term, "rhs is not linear in v"
+        return test(p)
+    return classify
+
+
+@_if_quadratic
+def _classify_standard(p, a, b, c):
+    """Quadratic kinetic profile: b_x = 2 a_t."""
+    res = p.xt.max_rel(simplify(differentiate(b, "x")
+                                - Const(2.0) * differentiate(a, "t")))
+    ok = res is not None and res <= _STRUCT_TOL
+    return ok, res, ("admissible" if ok else
+                     "cross-derivative condition b_x = 2 a_t fails")
+
+
+@_if_quadratic
+def _classify_autonomous(p, a, b, c):
+    """Autonomous reciprocal: x-only coefficients, cubic-restoring constraint."""
+    t_checks = [p.xt.max_rel(differentiate(z, "t")) for z in (a, b, c)]
+    t_dep = max((d for d in t_checks if d is not None), default=0.0)
+    [b_vals] = p.xt.values(b)
+    b_min = min((abs(z) for z in b_vals), default=0.0)
+    if t_dep > _STRUCT_TOL:
+        return False, t_dep, "coefficients depend on t"
+    if b_min <= 1e-6:
+        return False, b_min, "linear damping coefficient vanishes on the domain"
+    res = constraint_defect(a, b, c, x_interval=tuple(p.dom["x"]))
+    ok = res <= 1e-8
+    return ok, res, ("constraint holds" if ok else
+                     "cubic-restoring constraint violated")
+
+
+@_if_linear
+def _classify_time_linear(p):
+    """Time-dependent linear: f = -(b(t) v + c(t) x)."""
+    b = simplify(Neg(substitute(p.f_v, "v", Const(0.0))))
+    rest = simplify(Neg(substitute(p.f, "v", Const(0.0))))
+    return _verdict([
+        p.xt.max_rel(differentiate(b, "x")),
+        p.xt.max_rel(differentiate(differentiate(rest, "x"), "x")),
+        p.xt.max_rel(differentiate(substitute(rest, "x", Const(0.0)), "t")),
+        p.xt.max_rel(substitute(rest, "x", Const(0.0))),
+    ], _STRUCT_TOL, "matches b(t) v + c(t) x",
+        "rhs is not of the form -(b(t) v + c(t) x)")
+
+
+@_if_quadratic
+def _classify_nu2(p, a, b, c):
+    """Separated quadratic drag: f = -(a(x) v^2 + b(t) v)."""
+    return _verdict([p.xt.max_rel(c), p.xt.max_rel(differentiate(a, "t")),
+                     p.xt.max_rel(differentiate(b, "x"))], _STRUCT_TOL,
+                    "matches a(x) v^2 + b(t) v",
+                    "needs a(x) v^2 + b(t) v with no velocity-free term")
+
+
+@_if_quadratic
+def _classify_monomial(p, a, b, c):
+    """Velocity power, pure quadratic-drag sub-shape: (mu-1) b_x = mu a_t."""
+    c_norm = p.xt.max_rel(c)
+    # one mask for both, so each b_x is paired with a_t at the same point
+    bx, at = p.xt.values(differentiate(b, "x"), differentiate(a, "t"))
+    if c_norm is None or c_norm > _STRUCT_TOL:
+        return False, c_norm, ("velocity-free term present; supply the "
+                               "exponent and build directly")
+    if max(map(abs, bx), default=0.0) <= _STRUCT_TOL \
+            and max(map(abs, at), default=0.0) <= _STRUCT_TOL:
+        return True, 0.0, "condition holds for every exponent"
+    mus = [bxi / (bxi - ati) for bxi, ati in zip(bx, at)
+           if abs(bxi - ati) > 1e-12]
+    spread = _spread(mus)
+    if spread is None or len(mus) < len(bx):
+        return False, None, "no consistent exponent"
+    mu = sum(mus) / len(mus)
+    ok = spread <= 1e-6 and min(abs(mu), abs(mu - 1.0)) > 1e-9
+    return ok, spread, (f"consistent exponent mu = {mu:.6g}" if ok else
+                        "exponent inconsistent or degenerate")
+
+
+def _classify_power(p):
+    """Power drag: f = -c(x) v^nu, free of t."""
+    t_dep = p.t_dep
+    [nu_hats] = p.points.values(simplify(_V * p.f_v / p.f)) \
+        if t_dep is not None else [[]]
+    if t_dep is None or t_dep > _STRUCT_TOL:
+        return False, t_dep, "rhs depends on t"
+    if not nu_hats:
+        return False, None, "structure probe failed (rhs vanishes?)"
+    spread = _spread(nu_hats)
+    nu = sum(nu_hats) / len(nu_hats)
+    if spread > 1e-6:
+        return False, spread, "not a pure velocity power"
+    if min(abs(nu - 1.0), abs(nu - 2.0)) <= 1e-9:
+        return False, spread, f"measured exponent {nu:.3g} is excluded"
+    return True, spread, f"pure power drag, nu = {nu:.6g}"
+
+
+def _classify_split(p):
+    """Multiplicative split: f = phi(x, t) R(v)."""
+    ratio = simplify(p.f_v / p.f)
+    return _verdict([p.points.max_rel(differentiate(ratio, "x")),
+                     p.points.max_rel(differentiate(ratio, "t"))], 1e-7,
+                    "rhs splits as f(x,t) R(v)",
+                    "rhs does not split as f(x,t) R(v)",
+                    failed="structure probe failed (rhs vanishes?)")
+
+
+def _classify_drag_ladder(p):
+    """Drag ladder: f = -(a(t) v + b(t) v^{nu+1})."""
+    if p.x_dep is None or p.x_dep > _STRUCT_TOL:
+        return False, p.x_dep, "rhs depends on x"
+    try:
+        a_lin = simplify(Neg(substitute(p.f_v, "v", Const(0.0))))
+    except ExpressionError:
+        return False, None, "structure probe failed"
+    rest = simplify(p.f + a_lin * _V)
+    rest_size = p.points.max_rel(rest)
+    if rest_size is not None and rest_size <= _STRUCT_TOL:
+        return True, 0.0, "pure linear drag; exponent free"
+    [ratios] = p.points.values(simplify(_V * differentiate(rest, "v") / rest))
+    hats = [z - 1.0 for z in ratios]
+    spread = _spread(hats)
+    if spread is None:
+        return False, None, "structure probe failed"
+    nu = sum(hats) / len(hats)
+    ok = spread <= 1e-6 and min(abs(nu), abs(nu - 1.0)) > 1e-9
+    return ok, spread, (f"drag powers (1, {nu + 1.0:.6g})" if ok else
+                        "super-linear drag exponent inconsistent or degenerate")
+
+
+@_if_linear
+def _classify_affine(p):
+    """Affine in v with time-only coefficients: f = a(t) v + b(t)."""
+    return _verdict([p.x_dep, p.linear_term], _STRUCT_TOL,
+                    "matches a(t) v + b(t)",
+                    "rhs must be a(t) v + b(t) with no position term")
+
+
 FAMILIES = {
     "standard": Family(
         ("a", "b", "c"), lambda blk: _quadratic(blk).ode(), _build_standard,
         ("time-gauge-factor: the kinetic profile carries exp(int b(x0, t) dt) "
-         "so x-independent damping components stay representable",)),
+         "so x-independent damping components stay representable",),
+        _classify_standard),
     "reciprocal": Family(
         ("F", "G"),
         lambda blk: OdeSpec(reciprocal_forward_rhs(blk["F"], blk["G"],
@@ -338,7 +588,8 @@ FAMILIES = {
         lambda blk, ode, options: BuiltProblem(ode, {"reciprocal": build_reciprocal(
             blk["F"], blk["G"], blk.get("nu", 1.0), options=options)})),
     "reciprocal-autonomous": Family(
-        ("a", "b"), lambda blk: _quadratic(blk).ode(), _build_autonomous),
+        ("a", "b"), lambda blk: _quadratic(blk).ode(), _build_autonomous,
+        classify=_classify_autonomous),
     "reciprocal-linear": Family(
         ("b", "c", "t_span"),
         lambda blk: OdeSpec(reciprocal_linear_rhs(blk["b"], blk["c"])),
@@ -348,7 +599,8 @@ FAMILIES = {
         ("time-linear-recipe: auxiliary profile solved as w'' = (b/3) w' + "
          "((2/3) b' + (2/9) b^2 - c) w with f = w^3 and g = (2 f b - f')/3; "
          "the rejected simpler recipe is kept as "
-         "build_reciprocal_linear_variant and fails verification",)),
+         "build_reciprocal_linear_variant and fails verification",),
+        _classify_time_linear),
     "reciprocal-nu2": Family(
         ("a", "b"),
         lambda blk: StandardCoeffs(blk["a"], blk["b"], _ZERO).ode(),
@@ -356,13 +608,15 @@ FAMILIES = {
             "reciprocal-nu2": build_reciprocal_nu2(blk["a"], blk["b"], options)}),
         ("separated-drag-exponents: F = exp(2 int a + 3 int b) and "
          "G = exp(+int b); the sign-flipped variant mirrors the damping "
-         "term and fails verification",)),
+         "term and fails verification",),
+        _classify_nu2),
     "monomial": Family(
         ("a", "b", "c", "mu"),
         lambda blk: OdeSpec(monomial_rhs(blk["a"], blk["b"], blk["c"], blk["mu"])),
         lambda blk, ode, options: BuiltProblem(ode, {"monomial": build_monomial(
             blk["a"], blk["b"], blk["c"], blk["mu"], options)}),
-        ("time-gauge-factor: F carries exp((mu - 1) int b(x0, t) dt)",)),
+        ("time-gauge-factor: F carries exp((mu - 1) int b(x0, t) dt)",),
+        _classify_monomial),
     "power-damping": Family(
         ("a", "c", "nu"),
         lambda blk: OdeSpec(power_damping_rhs(blk["a"], blk["c"], blk["nu"])),
@@ -370,7 +624,8 @@ FAMILIES = {
             "power-damping": build_power_damping(
                 blk["a"], blk["c"], blk["nu"], options)}),
         ("exponent-identification: power drag nu maps to the monomial "
-         "exponent mu = 2 - nu, excluding nu in {1, 2}",)),
+         "exponent mu = 2 - nu, excluding nu in {1, 2}",),
+        _classify_power),
     "n-parameter": Family(
         ("n", "k"),
         lambda blk: OdeSpec(monomial_rhs(Const(blk["k"]), _ZERO, _ZERO, blk["n"])),
@@ -381,7 +636,8 @@ FAMILIES = {
         lambda blk: OdeSpec(generalized_kinetic_rhs(blk["f"], blk["R"])),
         lambda blk, ode, options: BuiltProblem(ode, {
             "generalized-kinetic": build_generalized_kinetic(
-                blk["f"], blk["R"], psi=blk.get("psi"), options=options)})),
+                blk["f"], blk["R"], psi=blk.get("psi"), options=options)}),
+        classify=_classify_split),
     "radical": Family(
         ("A", "B", "mu", "nu"),
         lambda blk: OdeSpec(radical_forward_rhs(blk["A"], blk["B"], blk["mu"],
@@ -396,17 +652,19 @@ FAMILIES = {
                 blk["a"], blk["b"], blk["nu"], S0=blk.get("S0", 1.0),
                 options=options)}),
         ("scale-quadrature-sign: S = S0 - nu int b exp(-nu int a) dt; the "
-         "opposite sign flips the super-linear drag coefficient",)),
+         "opposite sign flips the super-linear drag coefficient",),
+        _classify_drag_ladder),
     "radical-linear": Family(
         ("a", "b", "mu"),
         lambda blk: OdeSpec(affine_rhs(blk["a"], blk["b"])),
         lambda blk, ode, options: BuiltProblem(ode, {
             "radical-linear": build_radical_linear(
                 blk["a"], blk["b"], blk["mu"], B0=blk.get("B0", 1.0),
-                options=options)})),
+                options=options)}),
+        classify=_classify_affine),
     "exponential": Family(
         ("a", "b"), lambda blk: OdeSpec(affine_rhs(blk["a"], blk["b"])),
-        _build_exponential),
+        _build_exponential, classify=_classify_affine),
     "composed": Family(
         ("invariant", "outer", "rhs"),
         lambda blk: OdeSpec(blk["rhs"]),
@@ -439,6 +697,19 @@ def _family(block: dict) -> tuple:
     return family, _parse(block)
 
 
+def classify_equation(f, dom: dict) -> list:
+    """Structural applicability of each family for x'' = f(x, v, t).
+
+    Families needing an exponent are matched only in their directly
+    detectable sub-shapes; a False verdict means "not detected", with the
+    reason naming the missing structure.
+    """
+    probe = _Probe(f, dom)
+    return [dict(zip(("family", "applicable", "residual", "reason"),
+                     (name, *family.classify(probe))))
+            for name, family in FAMILIES.items() if family.classify]
+
+
 def _build_block(block: dict, options: BuilderOptions) -> BuiltProblem:
     family, blk = _family(block)
     problem = family.build(blk, family.ode(blk), options)
@@ -464,302 +735,6 @@ def _problem(spec: dict) -> BuiltProblem:
     if "lagrangian" in eq:
         members["user"] = Lagrangian(_expr(eq, "lagrangian"), family="user")
     return BuiltProblem(ode, members)
-
-
-# --- classifier ----------------------------------------------------------------
-
-_STRUCT_TOL = 1e-9
-
-
-def _grid(lo: float, hi: float, n: int) -> list:
-    if n == 1:
-        return [0.5 * (lo + hi)]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
-class _Probe:
-    """Numeric structural probes of a rhs f(x, v, t) over the domain."""
-
-    def __init__(self, f, dom: dict):
-        self.f = f
-        self.f_v = simplify(differentiate(f, "v"))
-        self.f_vv = simplify(differentiate(self.f_v, "v"))
-        self.f_vvv = simplify(differentiate(self.f_vv, "v"))
-        self.xs = _grid(dom["x"][0], dom["x"][1], 5)
-        self.ts = _grid(dom["t"][0], dom["t"][1], 5)
-        self.vs = (0.3, 0.9, 1.7)
-        self.points = [
-            {"x": x, "v": v, "t": t}
-            for x in self.xs for v in self.vs for t in self.ts
-        ]
-
-    def max_rel(self, expr, points=None):
-        """max |expr| / (1 + |f|) over usable points; None if none usable."""
-        worst = None
-        for env in points if points is not None else self.points:
-            try:
-                val = abs(evaluate(expr, env)) / (1.0 + abs(evaluate(self.f, env)))
-            except (LagrangeForgeError, ValueError, OverflowError,
-                    ZeroDivisionError):
-                continue
-            worst = val if worst is None else max(worst, val)
-        return worst
-
-    def values(self, expr, points=None):
-        out = []
-        for env in points if points is not None else self.points:
-            try:
-                out.append(evaluate(expr, env))
-            except (LagrangeForgeError, ValueError, OverflowError,
-                    ZeroDivisionError):
-                continue
-        return out
-
-
-def _entry(family: str, applicable: bool, residual, reason: str) -> dict:
-    return {"family": family, "applicable": applicable,
-            "residual": residual, "reason": reason}
-
-
-def _quadratic_coefficients(probe: _Probe):
-    """(a, b, c) with f = -(a v^2 + b v + c); valid when f is quadratic."""
-    a = simplify(Const(-0.5) * substitute(probe.f_vv, "v", Const(0.0)))
-    b = simplify(Neg(substitute(probe.f_v, "v", Const(0.0))))
-    c = simplify(Neg(substitute(probe.f, "v", Const(0.0))))
-    return a, b, c
-
-
-def _spread(values: list):
-    return max(values) - min(values) if values else None
-
-
-def classify_equation(f, dom: dict) -> list:
-    """Structural applicability of each family for x'' = f(x, v, t).
-
-    Families needing an exponent are matched only in their directly
-    detectable sub-shapes; a False verdict means "not detected", with the
-    reason naming the missing structure.
-    """
-    probe = _Probe(f, dom)
-    entries = []
-
-    cubic_term = probe.max_rel(probe.f_vvv)
-    is_quadratic = cubic_term is not None and cubic_term <= _STRUCT_TOL
-    linear_term = probe.max_rel(probe.f_vv)
-    is_linear = linear_term is not None and linear_term <= _STRUCT_TOL
-
-    quad = None
-    if is_quadratic:
-        try:
-            quad = _quadratic_coefficients(probe)
-        except (LagrangeForgeError, ValueError, ZeroDivisionError):
-            quad = None
-
-    xt_points = [{"x": x, "v": 1.0, "t": t} for x in probe.xs for t in probe.ts]
-
-    def on_xt(expr):
-        return probe.max_rel(expr, xt_points)
-
-    # quadratic kinetic profile: f = -(a v^2 + b v + c) with b_x = 2 a_t
-    if quad is None:
-        entries.append(_entry("standard", False, cubic_term,
-                              "rhs is not quadratic in v"))
-    else:
-        a, b, c = quad
-        res = on_xt(simplify(differentiate(b, "x")
-                             - Const(2.0) * differentiate(a, "t")))
-        ok = res is not None and res <= _STRUCT_TOL
-        entries.append(_entry(
-            "standard", ok, res,
-            "admissible" if ok else "cross-derivative condition b_x = 2 a_t fails"))
-
-    # autonomous reciprocal: coefficients x-only, cubic-restoring constraint
-    if quad is None:
-        entries.append(_entry("reciprocal-autonomous", False, cubic_term,
-                              "rhs is not quadratic in v"))
-    else:
-        a, b, c = quad
-        t_checks = [on_xt(differentiate(z, "t")) for z in (a, b, c)]
-        t_dep = max((d for d in t_checks if d is not None), default=0.0)
-        b_vals = probe.values(b, xt_points)
-        b_min = min((abs(z) for z in b_vals), default=0.0)
-        if t_dep > _STRUCT_TOL:
-            entries.append(_entry("reciprocal-autonomous", False, t_dep,
-                                  "coefficients depend on t"))
-        elif b_min <= 1e-6:
-            entries.append(_entry("reciprocal-autonomous", False, b_min,
-                                  "linear damping coefficient vanishes on the domain"))
-        else:
-            res = constraint_defect(a, b, c, x_interval=tuple(dom["x"]))
-            ok = res <= 1e-8
-            entries.append(_entry(
-                "reciprocal-autonomous", ok, res,
-                "constraint holds" if ok else
-                "cubic-restoring constraint violated"))
-
-    # time-dependent linear: f = -(b(t) v + c(t) x)
-    if not is_linear:
-        entries.append(_entry("reciprocal-linear", False, linear_term,
-                              "rhs is not linear in v"))
-    else:
-        b = simplify(Neg(substitute(probe.f_v, "v", Const(0.0))))
-        rest = simplify(Neg(substitute(probe.f, "v", Const(0.0))))
-        defects = [
-            on_xt(differentiate(b, "x")),
-            on_xt(differentiate(differentiate(rest, "x"), "x")),
-            on_xt(differentiate(substitute(rest, "x", Const(0.0)), "t")),
-            probe.max_rel(substitute(rest, "x", Const(0.0)), xt_points),
-        ]
-        if any(d is None for d in defects):
-            entries.append(_entry("reciprocal-linear", False, None,
-                                  "structure probe failed"))
-        else:
-            res = max(defects)
-            ok = res <= _STRUCT_TOL
-            entries.append(_entry(
-                "reciprocal-linear", ok, res,
-                "matches b(t) v + c(t) x" if ok else
-                "rhs is not of the form -(b(t) v + c(t) x)"))
-
-    # separated quadratic drag: f = -(a(x) v^2 + b(t) v)
-    if quad is None:
-        entries.append(_entry("reciprocal-nu2", False, cubic_term,
-                              "rhs is not quadratic in v"))
-    else:
-        a, b, c = quad
-        defects = [on_xt(c), on_xt(differentiate(a, "t")),
-                   on_xt(differentiate(b, "x"))]
-        if any(d is None for d in defects):
-            entries.append(_entry("reciprocal-nu2", False, None,
-                                  "structure probe failed"))
-        else:
-            res = max(defects)
-            ok = res <= _STRUCT_TOL
-            entries.append(_entry(
-                "reciprocal-nu2", ok, res,
-                "matches a(x) v^2 + b(t) v" if ok else
-                "needs a(x) v^2 + b(t) v with no velocity-free term"))
-
-    # velocity-power family (pure quadratic-drag sub-shape, exponent free)
-    if quad is None:
-        entries.append(_entry("monomial", False, cubic_term,
-                              "rhs is not quadratic in v"))
-    else:
-        a, b, c = quad
-        c_norm = on_xt(c)
-        bx = probe.values(differentiate(b, "x"), xt_points)
-        at = probe.values(differentiate(a, "t"), xt_points)
-        if c_norm is None or c_norm > _STRUCT_TOL:
-            entries.append(_entry("monomial", False, c_norm,
-                                  "velocity-free term present; supply the "
-                                  "exponent and build directly"))
-        elif max(map(abs, bx), default=0.0) <= _STRUCT_TOL \
-                and max(map(abs, at), default=0.0) <= _STRUCT_TOL:
-            entries.append(_entry("monomial", True, 0.0,
-                                  "condition holds for every exponent"))
-        else:
-            mus = [bxi / (bxi - ati) for bxi, ati in zip(bx, at)
-                   if abs(bxi - ati) > 1e-12]
-            spread = _spread(mus)
-            if spread is None or len(mus) < len(bx):
-                entries.append(_entry("monomial", False, None,
-                                      "no consistent exponent"))
-            else:
-                mu = sum(mus) / len(mus)
-                ok = spread <= 1e-6 and min(abs(mu), abs(mu - 1.0)) > 1e-9
-                entries.append(_entry(
-                    "monomial", ok, spread,
-                    f"consistent exponent mu = {mu:.6g}" if ok else
-                    "exponent inconsistent or degenerate"))
-
-    # power drag: f = -c(x) v^nu (time-free pure power)
-    t_dep = probe.max_rel(differentiate(f, "t"))
-    nu_hats = probe.values(
-        simplify(_V * probe.f_v / f)) if t_dep is not None else []
-    if t_dep is None or t_dep > _STRUCT_TOL:
-        entries.append(_entry("power-damping", False, t_dep,
-                              "rhs depends on t"))
-    elif not nu_hats:
-        entries.append(_entry("power-damping", False, None,
-                              "structure probe failed (rhs vanishes?)"))
-    else:
-        spread = _spread(nu_hats)
-        nu = sum(nu_hats) / len(nu_hats)
-        if spread > 1e-6:
-            entries.append(_entry("power-damping", False, spread,
-                                  "not a pure velocity power"))
-        elif min(abs(nu - 1.0), abs(nu - 2.0)) <= 1e-9:
-            entries.append(_entry("power-damping", False, spread,
-                                  f"measured exponent {nu:.3g} is excluded"))
-        else:
-            entries.append(_entry("power-damping", True, spread,
-                                  f"pure power drag, nu = {nu:.6g}"))
-
-    # multiplicative split: f = phi(x, t) R(v)
-    ratio = simplify(probe.f_v / f)
-    defects = [probe.max_rel(differentiate(ratio, "x")),
-               probe.max_rel(differentiate(ratio, "t"))]
-    if any(d is None for d in defects):
-        entries.append(_entry("generalized-kinetic", False, None,
-                              "structure probe failed (rhs vanishes?)"))
-    else:
-        res = max(defects)
-        ok = res <= 1e-7
-        entries.append(_entry(
-            "generalized-kinetic", ok, res,
-            "rhs splits as f(x,t) R(v)" if ok else
-            "rhs does not split as f(x,t) R(v)"))
-
-    # drag ladder: f = -(a(t) v + b(t) v^{nu+1})
-    x_dep = probe.max_rel(differentiate(f, "x"))
-    if x_dep is None or x_dep > _STRUCT_TOL:
-        entries.append(_entry("radical-equal", False, x_dep,
-                              "rhs depends on x"))
-    else:
-        try:
-            a_lin = simplify(Neg(substitute(probe.f_v, "v", Const(0.0))))
-            rest = simplify(f + a_lin * _V)
-            rest_size = probe.max_rel(rest)
-            if rest_size is not None and rest_size <= _STRUCT_TOL:
-                entries.append(_entry("radical-equal", True, 0.0,
-                                      "pure linear drag; exponent free"))
-            else:
-                hats = [z - 1.0 for z in probe.values(
-                    simplify(_V * differentiate(rest, "v") / rest))]
-                spread = _spread(hats)
-                if spread is None:
-                    entries.append(_entry("radical-equal", False, None,
-                                          "structure probe failed"))
-                else:
-                    nu = sum(hats) / len(hats)
-                    ok = spread <= 1e-6 and min(abs(nu), abs(nu - 1.0)) > 1e-9
-                    entries.append(_entry(
-                        "radical-equal", ok, spread,
-                        f"drag powers (1, {nu + 1.0:.6g})" if ok else
-                        "super-linear drag exponent inconsistent or degenerate"))
-        except (LagrangeForgeError, ValueError, ZeroDivisionError):
-            entries.append(_entry("radical-equal", False, None,
-                                  "structure probe failed"))
-
-    # affine acceleration in v with time-only coefficients: two families
-    for family in ("radical-linear", "exponential"):
-        if not is_linear:
-            entries.append(_entry(family, False, linear_term,
-                                  "rhs is not linear in v"))
-            continue
-        defects = [x_dep, linear_term]
-        if any(d is None for d in defects):
-            entries.append(_entry(family, False, None,
-                                  "structure probe failed"))
-            continue
-        res = max(defects)
-        ok = res <= _STRUCT_TOL
-        entries.append(_entry(
-            family, ok, res,
-            "matches a(t) v + b(t)" if ok else
-            "rhs must be a(t) v + b(t) with no position term"))
-
-    return entries
 
 
 # --- command implementations ----------------------------------------------------
@@ -896,9 +871,9 @@ def cmd_compare(spec: dict, out_dir: Path):
     control = None
     if "members" in spec:
         built = [_build_block(blk, options) for blk in spec["members"]]
-        probe = _Probe(built[0].ode.rhs, spec["domain"])
+        points = _Points(built[0].ode.rhs, spec["domain"], _PROBE_VS)
         for other in built[1:]:
-            gap = probe.max_rel(simplify(other.ode.rhs - built[0].ode.rhs))
+            gap = points.max_rel(simplify(other.ode.rhs - built[0].ode.rhs))
             if gap is None or gap > 1e-8:
                 raise InapplicableFamilyError(
                     "compare members target different dynamics: "
@@ -980,7 +955,7 @@ def _classified_error(exc: Exception):
 def run_command(command: str, spec: dict, out_dir: Path,
                 tol: float | None = None, seed: int | None = None,
                 report_name: str = "report.json") -> int:
-    started = time.perf_counter()
+    """Run one task and write its report; the exit code is returned."""
     normalized = normalize_spec(spec)
     if seed is not None:
         normalized["domain"]["seed"] = seed
@@ -1006,11 +981,6 @@ def run_command(command: str, spec: dict, out_dir: Path,
         report["error"] = detail
     report["exit_code"] = code
     _write_json(out_dir / report_name, report)
-    _write_json(out_dir / "run_meta.json", {
-        "command": command,
-        "report": report_name,
-        "elapsed_seconds": time.perf_counter() - started,
-    })
     status = {EXIT_OK: "ok", EXIT_VERIFY_FAIL: "verification-failure",
               EXIT_INAPPLICABLE: "inapplicable",
               EXIT_INPUT_ERROR: "input-error"}[code]
@@ -1020,6 +990,25 @@ def run_command(command: str, spec: dict, out_dir: Path,
     return code
 
 
+def run_tasks(spec: dict, out_dir: Path, tasks: list,
+              tol: float | None = None, seed: int | None = None) -> int:
+    """Run each ``(command, report name)`` in order; the worst exit code.
+
+    One ``run_meta.json`` records every task's command, report and
+    elapsed seconds.
+    """
+    worst, records = EXIT_OK, []
+    for command, report_name in tasks:
+        started = time.perf_counter()
+        code = run_command(command, spec, out_dir, tol=tol, seed=seed,
+                           report_name=report_name)
+        records.append({"command": command, "report": report_name,
+                        "elapsed_seconds": time.perf_counter() - started})
+        worst = max(worst, code)
+    _write_json(out_dir / "run_meta.json", {"tasks": records})
+    return worst
+
+
 def cmd_demo(name: str, out_dir: Path, tol: float | None,
              seed: int | None) -> int:
     if name not in PRESETS:
@@ -1027,12 +1016,9 @@ def cmd_demo(name: str, out_dir: Path, tol: float | None,
               file=sys.stderr)
         return EXIT_INPUT_ERROR
     spec = PRESETS[name]
-    worst = EXIT_OK
-    for task in spec.get("tasks", ["build"]):
-        code = run_command(task, spec, out_dir, tol=tol, seed=seed,
-                           report_name=f"report_{task}.json")
-        worst = max(worst, code)
-    return worst
+    tasks = [(task, f"report_{task}.json")
+             for task in spec.get("tasks", ["build"])]
+    return run_tasks(spec, out_dir, tasks, tol=tol, seed=seed)
 
 
 def main(argv=None) -> int:
@@ -1071,8 +1057,8 @@ def main(argv=None) -> int:
         })
         print(f"{args.command}: input-error ({exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return run_command(args.command, spec, out_dir,
-                       tol=args.tol, seed=args.seed)
+    return run_tasks(spec, out_dir, [(args.command, "report.json")],
+                     tol=args.tol, seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,10 @@
 """
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import BadExponentError, InadmissibleCoefficientsError
-from ..evaluation import evaluate
+from ..evaluation import evaluate_points
 from ..expressions import (
     Const,
     Div,
@@ -66,14 +68,11 @@ def monomial_admissibility_defect(a: Expr, b: Expr, mu: float,
     )
     if normal_form(defect) == ():
         return 0.0
-    worst = 0.0
-    nx, _, nt = box.grid
-    for i in range(max(nx, 2)):
-        xv = box.x[0] + (box.x[1] - box.x[0]) * i / (max(nx, 2) - 1)
-        for j in range(max(nt, 2)):
-            tv = box.t[0] + (box.t[1] - box.t[0]) * j / (max(nt, 2) - 1)
-            worst = max(worst, abs(evaluate(defect, {"x": xv, "t": tv})))
-    return worst
+    nx, nt = max(box.grid[0], 2), max(box.grid[2], 2)
+    xs = [box.x[0] + (box.x[1] - box.x[0]) * i / (nx - 1) for i in range(nx)]
+    ts = [box.t[0] + (box.t[1] - box.t[0]) * j / (nt - 1) for j in range(nt)]
+    columns = {"x": np.repeat(xs, nt), "t": np.tile(ts, nx)}
+    return max([0.0] + [abs(z) for z in evaluate_points(defect, columns)])
 
 
 def monomial_rhs(a: Expr, b: Expr, c: Expr, mu: float) -> Expr:
@@ -175,8 +174,8 @@ def build_generalized_kinetic(f: Expr, R: Expr,
         require_free_of(psi, ("x", "t"), "kinetic term psi")
         psi_vv = differentiate(differentiate(psi, "v"), "v")
         check = simplify(Mul(psi_vv, R))
-        for vv in (0.4, 0.9, 1.7):
-            got = evaluate(check, {"v": vv})
+        vs = (0.4, 0.9, 1.7)
+        for vv, got in zip(vs, evaluate_points(check, {"v": np.array(vs)})):
             if abs(got - 1.0) > 1e-9:
                 raise ValueError(
                     "psi'' R != 1 (got %.3e at v=%.1f)" % (got, vv)

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from ..errors import BadExponentError, ZeroCrossingError
-from ..evaluation import compile_callable
+from ..evaluation import evaluate_points
 from ..expressions import (
     Const,
     Div,
@@ -136,9 +138,9 @@ def build_radical_equal(a: Expr, b: Expr, nu: float, S0: float = 1.0,
         x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=47,
     )
-    s_fn = compile_callable(S, ("t",))
     lo, hi = box.t
-    s_min = min(abs(s_fn(lo + (hi - lo) * i / 200.0)) for i in range(201))
+    ts = np.array([lo + (hi - lo) * i / 200.0 for i in range(201)])
+    s_min = min(abs(s) for s in evaluate_points(S, {"t": ts}))
     if s_min < 1e-8:
         raise ZeroCrossingError(
             "scale function S vanishes inside the verification window; "

@@ -30,7 +30,7 @@ from ..errors import (
     InadmissibleCoefficientsError,
     ZeroCrossingError,
 )
-from ..evaluation import compile_callable, evaluate
+from ..evaluation import evaluate_points
 from ..expressions import (
     Const,
     Div,
@@ -147,12 +147,9 @@ def constraint_defect(a: Expr, b: Expr, c: Expr,
     )
     if normal_form(cleared) == ():
         return 0.0
-    worst = 0.0
     lo, hi = x_interval
-    for i in range(n):
-        xv = lo + (hi - lo) * i / (n - 1)
-        worst = max(worst, abs(evaluate(defect, {"x": xv})))
-    return worst
+    xs = np.array([lo + (hi - lo) * i / (n - 1) for i in range(n)])
+    return max([0.0] + [abs(z) for z in evaluate_points(defect, {"x": xs})])
 
 
 def c_from_ab(a: Expr, b: Expr, lam: float = 0.0, x0: float = 0.0) -> Expr:
@@ -315,8 +312,8 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
     W, fit_err = _fit_time_function(_ode_time_samples(aux_rhs, lo, w_init),
                                     lo, hi)
 
-    w_fn = compile_callable(W, ("t",))
-    w_min = min(abs(w_fn(lo + (hi - lo) * i / 200.0)) for i in range(201))
+    ts = np.array([lo + (hi - lo) * i / 200.0 for i in range(201)])
+    w_min = min(abs(w) for w in evaluate_points(W, {"t": ts}))
     if w_min < 1e-8:
         raise ZeroCrossingError(
             "auxiliary oscillation crosses zero inside the interval; "

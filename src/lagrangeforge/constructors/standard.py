@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import InadmissibleCoefficientsError
-from ..evaluation import evaluate
+from ..evaluation import evaluate_points
 from ..expressions import (
     Const,
     Exp,
@@ -73,13 +75,10 @@ def admissibility_defect(coeffs: StandardCoeffs,
     if normal_form(defect) == ():
         return 0.0
     box = box or DomainBox(grid=(7, 1, 7), n_random=20)
-    binding_extra = dict(params or {})
-    worst = 0.0
-    for xv, vv, tv in box.sample_points(binding_extra):
-        binding = dict(binding_extra)
-        binding.update({"x": xv, "v": vv, "t": tv})
-        worst = max(worst, abs(evaluate(defect, binding)))
-    return worst
+    extra = dict(params or {})
+    xs, vs, ts = zip(*box.sample_points(extra))
+    columns = {**extra, "x": np.array(xs), "v": np.array(vs), "t": np.array(ts)}
+    return max([0.0] + [abs(z) for z in evaluate_points(defect, columns)])
 
 
 def _kinetic_factor(coeffs: StandardCoeffs, x0: float, t0: float) -> Expr:

@@ -12,13 +12,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import (
     EvalDomainError,
     IntegrationError,
     OverflowGuardError,
     StepUnderflowError,
 )
-from .evaluation import compile_callable
+from .evaluation import compile_callable, evaluate_points
 from .expressions import Expr, as_expr, free_vars
 from .lagrangian import OdeSpec
 
@@ -230,8 +232,7 @@ def monitor_quantity(traj: Trajectory, quantity: Expr,
     missing = free_vars(quantity) - {"x", "v", "t"} - set(base)
     if missing:
         raise EvalDomainError(f"unbound variables {sorted(missing)}")
-    f = compile_callable(quantity, ("x", "v", "t"), base)
-    return [
-        f(state[0], state[1], tv)
-        for tv, state in zip(traj.times, traj.states)
-    ]
+    xs, vs = zip(*traj.states)
+    return evaluate_points(quantity, {**base, "x": np.array(xs),
+                                      "v": np.array(vs),
+                                      "t": np.array(traj.times)})

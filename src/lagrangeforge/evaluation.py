@@ -26,6 +26,8 @@ Five entry points read the tables:
   :func:`eval_jet2` do at every sample point in one tree walk, over float64
   arrays, and return a mask of the points where the scalar walk would
   raise.  Elsewhere their results equal the scalar ones bit for bit.
+  :func:`evaluate_points` is :func:`evaluate_field` for scans that need
+  every point: it raises where the mask is set.
   ``+ - * /`` and negation run in numpy, which rounds them exactly as
   Python floats do.  Every other rule (``exp``, ``ln``, powers, ``sin``,
   ``cos``, ``sqrt``, ``abs``) runs point by point on Python floats:
@@ -84,6 +86,7 @@ __all__ = [
     "definite_integral",
     "evaluate",
     "evaluate_field",
+    "evaluate_points",
     "eval_jet2",
     "jet_field",
     "clear_antideriv_cache",
@@ -627,6 +630,22 @@ def evaluate_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
     with np.errstate(all="ignore"):
         values = _value_walk(expr, sweep)
     return _full(values, len(sweep.bad)), sweep.bad
+
+
+def evaluate_points(expr: Expr, columns: Mapping) -> list:
+    """:func:`evaluate` at every point of ``columns``, as floats in point order.
+
+    One :func:`evaluate_field` walk; raises :class:`EvalDomainError`, naming
+    the first such point, if :func:`evaluate` would raise at any point.
+    """
+    values, bad = evaluate_field(expr, columns)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = ", ".join(f"{name}={column[i].item()!r}"
+                          for name, column in columns.items()
+                          if isinstance(column, np.ndarray))
+        raise EvalDomainError(f"expression undefined at {where}")
+    return values.tolist()
 
 
 def _value_walk(expr, sweep):

@@ -14,6 +14,7 @@ import pytest
 
 from lagrangeforge import cli
 from lagrangeforge.evaluation import clear_antideriv_cache
+from lagrangeforge.expressions import parse_expression
 
 from test_cli import FAMILY_BLOCKS
 
@@ -42,3 +43,28 @@ def test_classification_matches_fixture(case):
             "residual": None if e["residual"] is None else repr(e["residual"]),
             "reason": e["reason"]} for e in entries]
     assert got == case["classification"]
+
+
+def test_entries_follow_the_family_table():
+    dom = {"x": [-1.0, 1.0], "t": [0.0, 1.5]}
+    entries = cli.classify_equation(parse_expression("-0.8*v"), dom)
+    probed = [name for name, family in cli.FAMILIES.items()
+              if family.classify is not None]
+    assert [e["family"] for e in entries] == probed
+    assert len(probed) == 10
+
+
+@pytest.mark.parametrize("rhs, mu", [
+    ("-(t*abs(x)*v^2 + x*abs(x)*v)", "2"),
+    ("-(t*abs(x)*v^2 + 2*x*abs(x)*v)", "1.33333"),
+])
+def test_monomial_exponent_pairs_coefficients_at_one_point(rhs, mu):
+    # b_x is undefined at x = 0, a_t is not; each ratio must pair the two
+    # at the same point
+    dom = {"x": [-1.0, 1.0], "t": [0.0, 1.5]}
+    table = {e["family"]: e
+             for e in cli.classify_equation(parse_expression(rhs), dom)}
+    monomial = table["monomial"]
+    assert monomial["applicable"]
+    assert monomial["residual"] == 0.0
+    assert monomial["reason"] == f"consistent exponent mu = {mu}"

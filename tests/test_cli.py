@@ -421,7 +421,9 @@ class TestDeterminism:
         run("build", spec, out)
         report = load_report(out)
         meta = load_report(out, "run_meta.json")
-        assert "elapsed_seconds" in meta
+        [task] = meta["tasks"]
+        assert (task["command"], task["report"]) == ("build", "report.json")
+        assert "elapsed_seconds" in task
         assert "elapsed_seconds" not in json.dumps(report)
 
     def test_seed_override_changes_normalized_spec(self, tmp_path):
@@ -461,6 +463,16 @@ class TestDemo:
         assert (out / "families.csv").exists()
         verify = load_report(out, "report_verify.json")
         assert verify["verification"]["standard"]["passed"]
+
+    def test_run_meta_records_every_task(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["demo", "multiL", "--out", str(out)]) == EXIT_OK
+        meta = load_report(out, "run_meta.json")
+        tasks = PRESETS["multiL"]["tasks"]
+        assert len(tasks) >= 2
+        assert [(t["command"], t["report"]) for t in meta["tasks"]] == \
+            [(task, f"report_{task}.json") for task in tasks]
+        assert all(t["elapsed_seconds"] >= 0.0 for t in meta["tasks"])
 
     def test_unknown_preset_lists_names(self, tmp_path, capsys):
         code = main(["demo", "not-a-preset", "--out", str(tmp_path / "o")])
