@@ -352,13 +352,13 @@ class _Points:
                  for v in vs for t in _grid(dom["t"][0], dom["t"][1], 5)]
         self.columns = {name: np.array(column, dtype=float)
                         for name, column in zip("xvt", zip(*cells))}
-        self.f, self.f_bad = evaluate_field(f, self.columns)
+        self.f_values, self.f_bad = evaluate_field(f, self.columns)
 
     def max_rel(self, expr):
         """max |expr| / (1 + |f|) over usable points; None if none usable."""
         values, bad = evaluate_field(expr, self.columns)
         worst = None
-        for val, f, out in zip(values.tolist(), self.f.tolist(),
+        for val, f, out in zip(values.tolist(), self.f_values.tolist(),
                                (bad | self.f_bad).tolist()):
             if not out:
                 rel = abs(val) / (1.0 + abs(f))
@@ -705,9 +705,13 @@ def classify_equation(f, dom: dict) -> list:
     reason naming the missing structure.
     """
     probe = _Probe(f, dom)
-    return [dict(zip(("family", "applicable", "residual", "reason"),
-                     (name, *family.classify(probe))))
-            for name, family in FAMILIES.items() if family.classify]
+    entries = []
+    for name, family in FAMILIES.items():
+        if family.classify is not None:
+            applicable, residual, reason = family.classify(probe)
+            entries.append({"family": name, "applicable": applicable,
+                            "residual": residual, "reason": reason})
+    return entries
 
 
 def _build_block(block: dict, options: BuilderOptions) -> BuiltProblem:

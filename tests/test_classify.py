@@ -1,9 +1,10 @@
 """Pinned output of the structural classifier.
 
 ``data/classify_golden.json`` holds, for every rhs the CLI classify tests
-use and for the target of every family block in ``test_cli.FAMILY_BLOCKS``
-on its spec's domain, the entries ``classify_equation`` reported when the
-fixture was recorded.  Residuals are stored as ``repr`` strings, which is
+use, for two rhs that are undefined at some probe points, and for the
+target of every family block in ``test_cli.FAMILY_BLOCKS`` on its spec's
+domain, the entries ``classify_equation`` reported before its probes moved
+onto ``evaluate_field``.  Residuals are stored as ``repr`` strings, which is
 how ``families.csv`` prints them, so a last-bit change or a numpy scalar in
 place of a float fails the comparison.
 """
