@@ -373,7 +373,12 @@ class _Points:
 
 
 class _Probe:
-    """What the family tests read about f, each part computed once."""
+    """What the family tests read about f, each part computed once.
+
+    The v = 1 grid and the x and t dependence are computed on first use, in
+    the order the family tests ask for them: an integral's value can depend
+    on which upper limits were requested before.
+    """
 
     def __init__(self, f, dom: dict):
         self.f = f
