@@ -69,6 +69,7 @@ from .errors import (
     BadExponentError,
     ConstructionVerificationError,
     EmptyDomainError,
+    EvalDomainError,
     ExpressionError,
     InadmissibleCoefficientsError,
     InapplicableFamilyError,
@@ -469,7 +470,12 @@ def _classify_autonomous(p, a, b, c):
         return False, t_dep, "coefficients depend on t"
     if b_min <= 1e-6:
         return False, b_min, "linear damping coefficient vanishes on the domain"
-    res = constraint_defect(a, b, c, x_interval=tuple(p.dom["x"]))
+    try:
+        res = constraint_defect(a, b, c, x_interval=tuple(p.dom["x"]))
+    except EvalDomainError as exc:
+        # the constraint's grid spans the whole x-interval, where c may
+        # be undefined
+        return False, None, str(exc)
     ok = res <= 1e-8
     return ok, res, ("constraint holds" if ok else
                      "cubic-restoring constraint violated")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
@@ -60,6 +60,9 @@ ExprLike = Union["Expr", float, int]
 @dataclass(frozen=True)
 class Expr:
     """Base class for all expression nodes."""
+
+    # the node's structural hash, stored on first use (see ``_node``)
+    __slots__ = ("_hash",)
 
     def __add__(self, other: ExprLike) -> "Expr":
         return Add(self, as_expr(other))
@@ -98,7 +101,42 @@ class Expr:
         return format_expression(self)
 
 
-@dataclass(frozen=True)
+def _memo_hash(self: Expr) -> int:
+    try:
+        return self._hash
+    except AttributeError:
+        h = self._structural_hash()
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+def _refuse_setattr(self: Expr, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self: Expr, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _node(cls: type) -> type:
+    """Declare an expression node: a slotted frozen dataclass whose hash is
+    the dataclass's structural hash, computed once per instance and stored.
+
+    Without the memo every hash of a tree walks the whole tree, and the
+    anchor cache and the ``lru_cache``s hash their keys at every request.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._structural_hash = cls.__hash__
+    cls.__hash__ = _memo_hash
+    # the generated guards name the class that ``slots=True`` replaced: they
+    # raise TypeError for a name that is not a field, and keep that class
+    # alive among ``Expr.__subclasses__()``
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
+@_node
 class Const(Expr):
     value: float
 
@@ -111,7 +149,7 @@ class Const(Expr):
         object.__setattr__(self, "value", val)
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
@@ -122,72 +160,72 @@ class Var(Expr):
             raise ExpressionError(f"{self.name!r} is a reserved function name")
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Exp(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Ln(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Abs(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sqrt(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sin(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Cos(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Antideriv(Expr):
     """Definite integral of ``integrand`` from ``base`` to the value of ``var``.
 
@@ -252,7 +290,7 @@ def _children(expr: Expr) -> Iterable[Expr]:
     return ()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def free_vars(expr: Expr) -> frozenset[str]:
     """Names the expression's value depends on (an Antideriv depends on its var)."""
     if isinstance(expr, Const):
@@ -797,7 +835,7 @@ def _diff(expr: Expr, var: str, notes: set[str]) -> Expr:
     raise ExpressionError(f"cannot differentiate {type(expr).__name__}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _diff_cached(expr: Expr, var: str) -> tuple[Expr, frozenset[str]]:
     notes: set[str] = set()
     result = simplify(_diff(expr, var, notes))

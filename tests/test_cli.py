@@ -160,6 +160,20 @@ class TestClassify:
         assert table["reciprocal-autonomous"]["applicable"]
         assert table["reciprocal-autonomous"]["residual"] <= 1e-8
 
+    def test_constraint_undefined_on_part_of_domain(self, tmp_path):
+        # c = ln(x + 0.5) is undefined on the x <= -0.5 part of the default
+        # domain, where the cubic-restoring constraint is sampled
+        doc = {"version": 1, "equation": {"rhs": "-(v + ln(x + 0.5))"}}
+        table, out = self.classification(tmp_path, doc)
+        probed = [name for name, family in FAMILIES.items()
+                  if family.classify is not None]
+        assert list(table) == probed
+        entry = table["reciprocal-autonomous"]
+        assert not entry["applicable"]
+        assert entry["residual"] is None
+        assert entry["reason"] == "expression undefined at x=-0.5"
+        assert (out / "run_meta.json").exists()
+
     def test_classify_accepts_family_blocks_too(self, tmp_path):
         doc = {"version": 1,
                "equation": {"family": "reciprocal-nu2", "a": "0.4*x",

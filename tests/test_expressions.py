@@ -1,6 +1,9 @@
 """Parser, formatter, differentiation and substitution behavior."""
 
+import dataclasses
+import gc
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from lagrangeforge import (
     Abs,
+    Add,
     Antideriv,
     Const,
     Cos,
@@ -21,6 +25,7 @@ from lagrangeforge import (
     Sin,
     Sqrt,
     SubstitutionError,
+    Expr,
     UnknownIdentifierError,
     Var,
     canonical,
@@ -33,6 +38,9 @@ from lagrangeforge import (
     simplify,
     substitute,
 )
+
+from lagrangeforge.evaluation import _antideriv_value
+from lagrangeforge.expressions import _diff_cached, _memo_hash
 
 X, V, T = Var("x"), Var("v"), Var("t")
 
@@ -299,3 +307,131 @@ class TestStructure:
     def test_sqrt_of_square_abs_semantics(self):
         e = Sqrt(Pow(X, Const(2.0)))
         assert evaluate(e, {"x": -3.0}) == 3.0
+
+
+# one tree holding every node type; the integral's base keeps its anchor-cache
+# key apart from every other test's
+ALL_NODES = ("exp(2*x) + ln(v) - abs(t) * sqrt(x) / sin(v)^cos(t) + -x"
+             " + integral(s, 0.375, s*x)")
+
+
+def _nodes(expr):
+    yield expr
+    for f in dataclasses.fields(expr):
+        child = getattr(expr, f.name)
+        if isinstance(child, Expr):
+            yield from _nodes(child)
+
+
+def _subclasses(base):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _subclasses(cls)
+
+
+def _node_types():
+    gc.collect()  # drop classes that earlier tests defined and released
+    return list(_subclasses(Expr))
+
+
+def _unmemoised_node_types():
+    """Subclasses of ``Expr`` whose instances carry a ``__dict__`` or whose
+    hash walks the whole tree, i.e. not declared through ``_node``."""
+    return sorted(
+        cls.__name__ for cls in _node_types()
+        if "__slots__" not in vars(cls) or cls.__dictoffset__
+        or cls.__hash__ is not _memo_hash
+        or "_structural_hash" not in vars(cls))
+
+
+def _count_structural_hashes(monkeypatch):
+    calls = []
+    for cls in _node_types():
+        def counting(self, _hash=cls._structural_hash):
+            calls.append(type(self).__name__)
+            return _hash(self)
+        monkeypatch.setattr(cls, "_structural_hash", counting)
+    return calls
+
+
+class TestNodeHash:
+    def test_every_node_type_is_slotted_and_memoised(self):
+        assert len(_node_types()) == 15
+        assert _unmemoised_node_types() == []
+
+    def test_check_flags_a_plain_dataclass_node(self):
+        def declare():
+            @dataclasses.dataclass(frozen=True)
+            class Plain(Expr):
+                operand: Expr
+            return Plain
+        plain = declare()
+        try:
+            assert _unmemoised_node_types() == ["Plain"]
+            assert hasattr(plain(X), "__dict__")
+        finally:
+            del plain
+        assert _unmemoised_node_types() == []
+
+    def test_nodes_have_no_dict_and_hash_structurally(self):
+        tree = parse_expression(ALL_NODES, params=("s",))
+        nodes = list(_nodes(tree))
+        assert {type(n) for n in nodes} == set(_node_types())
+        for node in nodes:
+            assert not hasattr(node, "__dict__")
+        hash(tree)
+        for node, fresh in zip(nodes, _nodes(parse_expression(ALL_NODES,
+                                                              params=("s",)))):
+            structural = hash(tuple(getattr(fresh, f.name)
+                                    for f in dataclasses.fields(fresh)))
+            assert hash(node) == node._hash == structural
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        calls = _count_structural_hashes(monkeypatch)
+        tree = parse_expression(ALL_NODES, params=("s",))
+        hash(tree)
+        assert len(calls) == len(list(_nodes(tree)))
+        calls.clear()
+        for _ in range(3):
+            hash(tree)
+            for node in _nodes(tree):
+                hash(node)
+        assert calls == []
+
+    def test_antideriv_requests_rehash_nothing(self, monkeypatch):
+        calls = _count_structural_hashes(monkeypatch)
+        node = parse_expression("integral(s, 0.375, s*x)", params=("s",))
+        assert _antideriv_value(node, {"s": 0.5, "x": 2.0}) == pytest.approx(
+            0.5 ** 2 - 0.375 ** 2)
+        calls.clear()
+        for s in (0.5, 0.75, 1.0, 0.75):
+            _antideriv_value(node, {"s": s, "x": 2.0})
+        assert calls == []
+
+    def test_memo_stays_out_of_fields_repr_eq_and_pickle(self):
+        tree = parse_expression(ALL_NODES, params=("s",))
+        text = repr(tree)
+        hash(tree)
+        assert repr(tree) == text and "_hash" not in text
+        for node in _nodes(tree):
+            assert "_hash" not in {f.name for f in dataclasses.fields(node)}
+        forged = parse_expression(ALL_NODES, params=("s",))
+        object.__setattr__(forged, "_hash", 0)
+        assert forged == tree
+        restored = pickle.loads(pickle.dumps(tree))
+        assert not hasattr(restored, "_hash")
+        assert restored == tree and hash(restored) == hash(tree)
+
+    def test_nodes_stay_frozen(self):
+        node = Add(X, V)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.left = T
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node._hash = 0
+        assert node.left == X and not hasattr(node, "_hash")
+
+
+def test_symbolic_caches_are_bounded():
+    for cached in (free_vars, _diff_cached):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
