@@ -16,8 +16,8 @@ The rules for each node type are written once, in tables keyed by node type:
 Five entry points read the tables:
 
 * :func:`evaluate` walks the tree and returns a float.
-* :func:`compile_callable` builds nested closures once, for integrands and
-  right-hand sides that are called thousands of times.
+* :func:`compile_callable` builds nested closures once, for ODE right-hand
+  sides that are called thousands of times.
 * :func:`eval_jet2` returns a :class:`Jet2` carrying the value together with
   the gradient and Hessian with respect to the state variables ``x, v, t``.
   Derivatives are propagated structurally (no finite differences), so they
@@ -35,16 +35,22 @@ Five entry points read the tables:
   C library's in the last bit on a few percent of inputs, and the scalar
   walks remain the reference.
 
-Integral nodes evaluate by adaptive quadrature.  Because verification sweeps
-hit the same antiderivative at many nearby upper limits, each node keeps a
-sorted list of previously computed anchor points; a new request integrates
-only from the nearest anchor, so accuracy never degrades while the cost per
-point stays local.  The jet of an integral node evaluates its cached symbolic
-derivatives from :func:`~lagrangeforge.expressions.differentiate`, which
-applies the fundamental theorem of calculus in the integration variable and
-differentiates under the integral sign in the others.  The field walks
-evaluate an integral node one point at a time through these scalar paths,
-in the order the scalar walks would, so the anchors are the same.
+Integral nodes evaluate by adaptive Gauss-Kronrod quadrature
+(:func:`~lagrangeforge.quadrature.integrate_adaptive`), one call per
+integral node per walk: every unmasked point gets its own panels, from the
+node's base to that point's upper limit.  Each level of bisection
+evaluates the integrand once at the nodes of all open panels, with numpy
+ufuncs (``_integrand_field``); their domain rules are the scalar ones,
+written as masks, and a masked node makes its point's integral undefined.
+A point's value never depends on the other points, so the scalar
+:func:`evaluate` of an integral, the same call over one point, agrees with
+the fields bit for bit.  The jet of an integral node evaluates
+its cached symbolic derivatives from
+:func:`~lagrangeforge.expressions.differentiate`, which applies the
+fundamental theorem of calculus in the integration variable and
+differentiates under the integral sign in the others.  Compiled callables
+are called one point at a time by the ODE integrator; their integrals start
+from the nearest anchor in a per-node cache.
 """
 from __future__ import annotations
 
@@ -186,16 +192,16 @@ def evaluate(expr: Expr, binding: Binding) -> float:
         return _pow_value(evaluate(expr.base, binding),
                           evaluate(expr.exponent, binding))
     if kind is Antideriv:
-        return _antideriv_value(expr, binding)
+        return _antideriv_point(expr, binding)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
 # --- closure compilation ----------------------------------------------------
 #
-# Quadrature calls the integrand thousands of times; walking the tree with a
-# dict binding per call is needlessly slow.  compile_callable builds nested
-# closures over positional arguments once, then each call is plain float
-# arithmetic.
+# The ODE integrator calls its right-hand side thousands of times; walking the
+# tree with a dict binding per call is needlessly slow.  compile_callable
+# builds nested closures over positional arguments once, then each call is
+# plain float arithmetic.
 
 def compile_callable(
     expr: Expr,
@@ -203,6 +209,9 @@ def compile_callable(
     env: Mapping[str, float] | None = None,
 ) -> Callable[..., float]:
     """Compile ``expr`` to a positional-argument callable.
+
+    Its integrals start from the nearest anchor that earlier calls left in
+    the antiderivative cache, so each call integrates only over a short gap.
 
     ``varnames`` become positional parameters; every other free variable must
     appear in ``env`` and is frozen as a constant.
@@ -262,9 +271,80 @@ def _compile(expr, names, env):
 
 # --- antiderivative nodes ---------------------------------------------------
 
+def _integrate(integrand: Expr, var: str, lo, hi: np.ndarray,
+               env: Mapping) -> np.ndarray:
+    """``integrand`` over ``var`` from ``lo`` to each entry of ``hi``.
+
+    ``env`` maps the integrand's other free variables to arrays over the
+    entries of ``hi``.  One :func:`integrate_adaptive` call; NaN where the
+    integrand is undefined at a node of that entry's panels.
+    """
+    def at_nodes(z):
+        owner = z.owner.ravel()
+        columns = {name: column[owner] for name, column in env.items()}
+        columns[var] = np.asarray(z).ravel()
+        values, bad = _integrand_field(integrand, columns)
+        return np.where(bad, math.nan, values).reshape(z.shape)
+
+    return integrate_adaptive(at_nodes, lo, hi)
+
+
+def _antideriv_field(node: Antideriv, sweep) -> np.ndarray:
+    """An integral node at every unmasked point of ``sweep``, in one call."""
+    n = len(sweep.bad)
+    names = sorted(free_vars(node.integrand) - {node.var})
+    if any(name not in sweep.columns for name in (node.var, *names)):
+        sweep.bad[:] = True
+        return math.nan
+    good = np.flatnonzero(~sweep.bad)
+    out = np.full(n, math.nan)
+    if good.size:
+        env = {name: _full(sweep.columns[name], n)[good] for name in names}
+        values = _integrate(node.integrand, node.var, node.base,
+                            _full(sweep.columns[node.var], n)[good], env)
+        sweep.bad[good] |= np.isnan(values)
+        out[good] = values
+    return out
+
+
+def _point_env(integrand: Expr, var: str, binding: Binding) -> dict:
+    """The integrand's other free variables at ``binding``, in name order."""
+    env = {}
+    for name in sorted(free_vars(integrand)):
+        if name != var:
+            if name not in binding:
+                raise EvalDomainError(f"unbound variable {name!r}")
+            env[name] = float(binding[name])
+    return env
+
+
+def _integral_at(integrand: Expr, var: str, lo: float, hi: float,
+                 env: Mapping) -> float:
+    """One integral through the batched path; raises where it is undefined."""
+    value = _integrate(integrand, var, lo, np.array([hi]),
+                       {name: np.array([v]) for name, v in env.items()})[0]
+    if math.isnan(value):
+        raise EvalDomainError(f"integrand undefined between {lo!r} and {hi!r}")
+    return float(value)
+
+
+def _antideriv_point(node: Antideriv, binding: Binding) -> float:
+    """:func:`evaluate` of an integral node: the field rule's call, one point."""
+    if node.var not in binding:
+        raise EvalDomainError(f"unbound variable {node.var!r}")
+    return _integral_at(node.integrand, node.var, node.base,
+                        float(binding[node.var]),
+                        _point_env(node.integrand, node.var, binding))
+
+
 _CACHE_LOCK = threading.Lock()
 # key -> (sorted upper limits, values at those limits); the base anchor with
-# value 0 is always present.
+# value 0 is always present.  Only compiled callables (compile_callable, the
+# ODE right-hand side) use it: they ask for one point per call, so a short gap
+# from an anchor is cheaper than a panel from the base.  Every other path
+# integrates from the base, so its values do not depend on earlier requests.
+# The benchmark reports the cache's size (bench/worker.py), so the cache
+# stays until that report goes.
 _ANTIDERIV_CACHE: dict = {}
 # a new upper limit becomes an anchor only if no anchor lies this close; the
 # values returned are exact quadratures either way
@@ -277,18 +357,12 @@ def clear_antideriv_cache() -> None:
 
 
 def _antideriv_value(node: Antideriv, binding: Binding) -> float:
+    """A compiled callable's integral: from the nearest cached anchor."""
     if node.var not in binding:
         raise EvalDomainError(f"unbound variable {node.var!r}")
     upper = float(binding[node.var])
-
-    env = {}
-    for name in sorted(free_vars(node.integrand)):
-        if name == node.var:
-            continue
-        if name not in binding:
-            raise EvalDomainError(f"unbound variable {name!r}")
-        env[name] = float(binding[name])
-    key = (node, tuple(sorted(env.items())))
+    env = _point_env(node.integrand, node.var, binding)
+    key = (node, tuple(env.items()))
 
     with _CACHE_LOCK:
         entry = _ANTIDERIV_CACHE.get(key)
@@ -303,8 +377,7 @@ def _antideriv_value(node: Antideriv, binding: Binding) -> float:
 
     if upper == x0:
         return v0
-    f = _compile(node.integrand, (node.var,), env)
-    value = v0 + integrate_adaptive(f, x0, upper)
+    value = v0 + _integral_at(node.integrand, node.var, x0, upper, env)
 
     with _CACHE_LOCK:
         xs, vals = _ANTIDERIV_CACHE[key]
@@ -324,10 +397,8 @@ def definite_integral(
     binding: Binding | None = None,
 ) -> float:
     """Integrate ``expr`` in ``var`` over [lo, hi], other variables frozen."""
-    env = dict(binding) if binding else {}
-    env.pop(var, None)
-    f = compile_callable(expr, (var,), env)
-    return integrate_adaptive(f, float(lo), float(hi))
+    env = _point_env(expr, var, binding or {})
+    return _integral_at(expr, var, float(lo), float(hi), env)
 
 
 # --- second-order jets ------------------------------------------------------
@@ -551,8 +622,6 @@ def _antideriv_slots(node: Antideriv) -> tuple:
 
 
 def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
-    # the slots are evaluated in Jet2's order, which fixes the sequence in
-    # which anchors enter the cache
     return Jet2(*[evaluate(d, binding) for d in _antideriv_slots(node)])
 
 
@@ -565,19 +634,19 @@ def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
 # after it is set, a point's values are never read, so numpy may compute
 # anything there (its warnings are silenced for the walk).  Nodes are visited
 # in the scalar order (left before right, base before exponent), and the
-# per-point work below skips masked points, so every anchor-cache key sees
-# the requests that the scalar walks make, in the same order.
+# per-point rules and integrals skip masked points, so they do work exactly
+# where the scalar walks do.  A vectorised sweep (the integrands) applies the
+# numpy rules below instead of the per-point ones.
 
 class _Sweep:
-    __slots__ = ("columns", "bad", "rows", "scalars")
+    __slots__ = ("columns", "bad", "vectorised")
 
-    def __init__(self, columns: Mapping, bad):
+    def __init__(self, columns: Mapping, bad, vectorised: bool = False):
         self.columns = columns
-        self.rows = [n for n, c in columns.items() if isinstance(c, np.ndarray)]
-        self.scalars = {n: float(c) for n, c in columns.items()
-                        if not isinstance(c, np.ndarray)}
+        self.vectorised = vectorised
         if bad is None:
-            bad = np.zeros(len(columns[self.rows[0]]), dtype=bool)
+            bad = np.zeros(len(next(c for c in columns.values()
+                                    if isinstance(c, np.ndarray))), dtype=bool)
         self.bad = np.array(bad, dtype=bool)
 
     def per_point(self, width: int, rule, *operands) -> np.ndarray:
@@ -590,7 +659,6 @@ class _Sweep:
         args = [(op[good] if isinstance(op, np.ndarray)
                  else np.full(len(good), op)).tolist() for op in operands]
         kept, results = [], []
-        # one call per point, once: an integral's rule fills the anchor cache
         for i, point in zip(good.tolist(), zip(*args)):
             try:
                 results.append(rule(*point))
@@ -603,11 +671,47 @@ class _Sweep:
             out[:, kept] = np.array(results, dtype=float).reshape(len(results), width).T
         return out
 
-    def binding(self, values: Sequence[float]) -> dict:
-        """The scalar binding of one point from its per-point column values."""
-        binding = dict(self.scalars)
-        binding.update(zip(self.rows, values))
-        return binding
+
+# --- vectorised value rules: the scalar domain checks as masks ---------------
+
+def _exp_ufunc(u, sweep):
+    e = np.exp(u)
+    # math.exp raises only where a finite argument overflows
+    sweep.bad |= np.isinf(e) & np.isfinite(u)
+    return e
+
+
+def _ln_ufunc(u, sweep):
+    sweep.bad |= u <= 0.0
+    return np.log(u)
+
+
+def _sqrt_ufunc(u, sweep):
+    sweep.bad |= u < 0.0
+    return np.sqrt(u)
+
+
+def _sin_ufunc(u, sweep):
+    sweep.bad |= np.isinf(u)
+    return np.sin(u)
+
+
+def _cos_ufunc(u, sweep):
+    sweep.bad |= np.isinf(u)
+    return np.cos(u)
+
+
+def _pow_ufunc(base, exponent, sweep):
+    integral = np.isfinite(exponent) & (exponent == np.floor(exponent))
+    sweep.bad |= ((base < 0.0) & ~integral) | ((base == 0.0) & (exponent < 0.0))
+    p = np.power(base, exponent)
+    # Python's float power raises where finite operands overflow
+    sweep.bad |= np.isinf(p) & np.isfinite(base) & np.isfinite(exponent)
+    return p
+
+
+_UFUNC_VALUE = {Exp: _exp_ufunc, Ln: _ln_ufunc, Sqrt: _sqrt_ufunc,
+                Abs: lambda u, sweep: np.abs(u), Sin: _sin_ufunc, Cos: _cos_ufunc}
 
 
 def _full(value, n: int) -> np.ndarray:
@@ -626,7 +730,21 @@ def evaluate_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
     :class:`EvalDomainError` (or where it was already True), and ``values``
     equals :func:`evaluate` bit for bit everywhere else.
     """
-    sweep = _Sweep(columns, bad)
+    return _values(expr, _Sweep(columns, bad))
+
+
+def _integrand_field(expr: Expr, columns: Mapping) -> tuple:
+    """:func:`evaluate_field` with numpy's ufuncs for the per-point rules.
+
+    The mask is :func:`evaluate`'s domain rules, exactly; the values differ
+    from :func:`evaluate` in the last bits where numpy and the C library
+    round ``exp``, ``log``, powers, ``sin`` and ``cos`` differently.
+    Quadrature integrands run through it, a few thousand nodes at a time.
+    """
+    return _values(expr, _Sweep(columns, None, vectorised=True))
+
+
+def _values(expr: Expr, sweep: _Sweep) -> tuple:
     with np.errstate(all="ignore"):
         values = _value_walk(expr, sweep)
     return _full(values, len(sweep.bad)), sweep.bad
@@ -673,15 +791,18 @@ def _value_walk(expr, sweep):
         return -_value_walk(expr.operand, sweep)
     rule = _UNARY_VALUE.get(kind)
     if rule is not None:
-        return sweep.per_point(1, rule, _value_walk(expr.operand, sweep))[0]
+        operand = _value_walk(expr.operand, sweep)
+        if sweep.vectorised:
+            return _UFUNC_VALUE[kind](operand, sweep)
+        return sweep.per_point(1, rule, operand)[0]
     if kind is Pow:
         base = _value_walk(expr.base, sweep)
         exponent = _value_walk(expr.exponent, sweep)
+        if sweep.vectorised:
+            return _pow_ufunc(base, exponent, sweep)
         return sweep.per_point(1, _pow_value, base, exponent)[0]
     if kind is Antideriv:
-        return sweep.per_point(
-            1, lambda *p: _antideriv_value(expr, sweep.binding(p)),
-            *(sweep.columns[n] for n in sweep.rows))[0]
+        return _antideriv_field(expr, sweep)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
@@ -745,8 +866,5 @@ def _jet_walk(expr, sweep):
     if kind is Neg:
         return -_jet_walk(expr.operand, sweep)
     if kind is Antideriv:
-        slots = _antideriv_slots(expr)
-        return Jet2(*sweep.per_point(
-            10, lambda *p: [evaluate(d, sweep.binding(p)) for d in slots],
-            *(sweep.columns[n] for n in sweep.rows)))
+        return Jet2(*[_value_walk(d, sweep) for d in _antideriv_slots(expr)])
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")

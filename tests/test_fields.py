@@ -5,6 +5,7 @@
 everywhere else; the verifier built on them must report the residuals that
 ``euler_lagrange_residual`` computes one point at a time.
 """
+import math
 import random
 import warnings
 
@@ -40,6 +41,7 @@ from lagrangeforge import (
     build_reciprocal_linear,
     build_standard,
     clear_antideriv_cache,
+    compile_callable,
     euler_lagrange_residual,
     eval_jet2,
     evaluate,
@@ -55,7 +57,7 @@ from lagrangeforge.lagrangian import acceleration_field
 
 K = 0.7   # the value of the parameter k
 
-# a single integral leaf, so each anchor-cache key is asked by one node
+# a single integral leaf, added to the random trees
 INTEGRAL = Antideriv(parse_expression("cos(x)*exp(-(t^2))"), "t", 0.0)
 
 EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-170, 1e-120, 1e300]
@@ -151,29 +153,6 @@ def test_incoming_mask_is_kept_and_not_mutated():
     assert values[0] == 0.0
 
 
-def test_integrals_see_the_scalar_requests_in_order(monkeypatch):
-    # sqrt(t) is undefined for t < 0, so requests fail between good ones
-    expr = Add(Mul(Var("v"), Var("v")), Antideriv(parse_expression("sqrt(t)*x"), "t", 0.0))
-    pts = [(1.0, 0.5, 0.5), (1.0, 0.0, -0.3), (2.0, 0.4, 0.7), (1.0, 1.0, -0.1),
-           (1.0, 1.5, 0.9), (2.0, 0.1, 0.7000001)]
-    requests = []
-    value = evaluation._antideriv_value
-
-    def spy(node, binding):
-        requests.append((node, tuple(sorted(binding.items()))))
-        return value(node, binding)
-
-    monkeypatch.setattr(evaluation, "_antideriv_value", spy)
-    for field, walk in ((evaluate_field, evaluate), (jet_field, eval_jet2)):
-        clear_antideriv_cache()
-        field(expr, columns(pts))
-        swept, requests[:] = list(requests), []
-        clear_antideriv_cache()
-        scalar(walk, expr, pts)
-        assert requests == swept
-        requests.clear()
-
-
 def _recorded_verifications(monkeypatch, build):
     """The (L, ode, box, tol) of every sweep that ``build()`` asks for."""
     calls = []
@@ -231,3 +210,226 @@ def test_no_numpy_warnings_across_domain_edges():
         assert report.samples_skipped > 0 and report.samples_used > 0
         assert None in acceleration_field(L, box.sample_points())
         invariant_drift(L.expr, ode, box)
+
+
+# --- integrals depend on their own point only --------------------------------
+
+# sqrt(t) is undefined for t < 0, so some points are masked between good ones
+SINGLE = Add(Mul(Var("v"), Var("v")),
+             Antideriv(parse_expression("sqrt(t)*x"), "t", 0.0))
+# sharing the dummy name t chains the inner upper limit to the outer
+# integration point
+NESTED = Antideriv(
+    Mul(Cos(Mul(Var("x"), Var("t"))),
+        Antideriv(Mul(Var("v"), Exp(Neg(Mul(Var("t"), Var("t"))))), "t", 0.0)),
+    "t", 0.0)
+PTS = [(1.0, 0.5, 0.5), (1.0, 0.0, -0.3), (2.0, 0.4, 0.7), (1.0, 1.0, -0.1),
+       (1.0, 1.5, 0.9), (2.0, 0.1, 0.7000001), (-0.5, 2.0, 1.3)]
+
+
+def _report_facts(report):
+    return repr(report), [None if r is None else r.hex() for _, r in report.residuals]
+
+
+def _same_points(got, got_bad, want, want_bad, index):
+    """``got`` at point i is ``want`` at point ``index[i]``, bit for bit."""
+    assert got_bad.tolist() == want_bad[index].tolist()
+    for i, j in enumerate(index):
+        if not got_bad[i]:
+            assert hexes(got, i) == hexes(want, j)
+
+
+def test_integrals_depend_only_on_their_point(monkeypatch):
+    # a report is the same whether L is verified first or after an
+    # unrelated integral-bearing build and a compiled integral, which fills
+    # the anchor cache
+    options = BuilderOptions(verify=True, verify_tol=1e-5)
+    calls = list(_recorded_verifications(monkeypatch,
+                                         lambda: BUILDS["standard"](options)))
+    clear_antideriv_cache()
+    first = [_report_facts(verify_lagrangian(*call)) for call in calls]
+    build_standard(StandardCoeffs(parse_expression("0.3*x"), Const(0.2),
+                                  parse_expression("x + 0.1*x^2")), options)
+    integral = compile_callable(INTEGRAL, ("x", "t"))
+    for u in (0.1, 0.9, 1.7):
+        integral(0.3, u)
+    assert [_report_facts(verify_lagrangian(*call)) for call in calls] == first
+
+    rng = random.Random(5)
+    shuffled = list(range(len(PTS)))
+    rng.shuffle(shuffled)
+    for expr in (SINGLE, NESTED):
+        jet, bad = jet_field(expr, columns(PTS))
+        values, values_bad = evaluate_field(expr, columns(PTS))
+        assert bad.any() == (expr is SINGLE)
+        # reversed or permuted points give the permuted result
+        for index in (list(range(len(PTS)))[::-1], shuffled):
+            _same_points(*jet_field(expr, columns([PTS[j] for j in index])),
+                         jet, bad, np.array(index))
+        # and one point alone gives that point's result
+        for j, pt in enumerate(PTS):
+            _same_points(*jet_field(expr, columns([pt])), jet, bad, np.array([j]))
+            one, one_bad = evaluate_field(expr, columns([pt]))
+            assert one_bad[0] == values_bad[j]
+            if not one_bad[0]:
+                assert one[0].hex() == values[j].hex()
+
+
+# --- the integrands' walk ----------------------------------------------------
+#
+# Integrands run through evaluation._integrand_field, which applies numpy's
+# ufuncs where evaluate calls the C library.  Its mask must be evaluate's
+# domain rules exactly.  Its values may differ in the last bits: glibc's exp,
+# log, pow, sin and cos are within 1 ulp of the exact result and numpy's
+# SIMD float64 versions within 4, so two of them differ by less than 8 ulp
+# of the result.  bounded() carries that difference through the tree as an
+# absolute bound (first-order, with a 1% margin), and a domain check whose
+# operand lies within the bound of its edge is not judged.
+
+EPS = 2.0 ** -52
+TINY = 8 * 2.0 ** -1074     # a few subnormal ulps
+HUGE = 1.7976931348623157e308
+LOG_HUGE = math.log(HUGE)
+FN_ULPS = 8 * EPS
+
+
+class Unsure(Exception):
+    """A domain check that the walks' last-bit differences could flip."""
+
+
+def _unsure(u, du, *edges):
+    if du == 0.0:
+        return
+    if not (math.isfinite(u) and math.isfinite(du)) or abs(u) + du >= HUGE:
+        raise Unsure
+    if any(abs(u - edge) <= du for edge in edges):
+        raise Unsure
+
+
+def _scaled(a, d):
+    return 0.0 if d == 0.0 else abs(a) * d
+
+
+def _rounded(value, spread):
+    """A rounded result whose exact inputs differ by ``spread``."""
+    if spread == 0.0:
+        return 0.0
+    if math.isnan(spread):
+        return math.inf
+    return spread + EPS * (2.0 * abs(value) + spread) + TINY
+
+
+def _function(value, spread):
+    """An elementary function: its inputs' spread plus the libraries' own."""
+    if math.isnan(spread):
+        return math.inf
+    return 1.01 * spread + FN_ULPS * (abs(value) + spread) + TINY
+
+
+def _expm1(a):
+    return math.inf if a > 700.0 else math.expm1(a)
+
+
+def bounded(expr, point):
+    """``(evaluate(expr, point), d)``, where d bounds |integrand walk - evaluate|.
+
+    Raises EvalDomainError where evaluate does, and Unsure where a domain
+    check is within d of its edge.
+    """
+    kind = type(expr)
+    if kind in (Const, Var, Antideriv):
+        # an integral is the same batched quadrature in both walks
+        return evaluate(expr, point), 0.0
+    if kind in (Neg, Abs):
+        u, du = bounded(expr.operand, point)
+        return (-u if kind is Neg else abs(u)), du
+    if kind in (Add, Sub, Mul, Div):
+        left, dl = bounded(expr.left, point)
+        right, dr = bounded(expr.right, point)
+        if kind is Div:
+            _unsure(right, dr, 0.0)
+            value = evaluation._div_value(left, right)
+            if dl == dr == 0.0:
+                return value, 0.0
+            spread = (dl + _scaled(value, dr) * (1 + 4 * EPS)) / (abs(right) - dr)
+        elif kind is Mul:
+            value = left * right
+            spread = _scaled(left, dr) + _scaled(right, dl) + dl * dr
+        else:
+            value = left + right if kind is Add else left - right
+            spread = dl + dr
+        return value, _rounded(value, spread)
+    if kind is Pow:
+        base, db = bounded(expr.base, point)
+        exponent, de = bounded(expr.exponent, point)
+        _unsure(base, db, 0.0)
+        _unsure(exponent, de)
+        if base < 0.0 and de and abs(exponent - round(exponent)) <= de:
+            raise Unsure
+        if base == 0.0:
+            _unsure(exponent, de, 0.0)
+        spread_log = math.inf
+        if base != 0.0 and math.isfinite(base) and math.isfinite(exponent):
+            lam = -math.log1p(-db / abs(base)) if db else 0.0
+            log_base = math.log(abs(base))
+            spread_log = _scaled(exponent, lam) + _scaled(abs(log_base) + lam, de)
+            log_value = exponent * log_base
+            # whether the power overflows
+            if abs(log_value - LOG_HUGE) <= 1.01 * spread_log + 1e-9 * max(1.0, abs(log_value)):
+                raise Unsure
+        value = evaluation._pow_value(base, exponent)
+        if db == de == 0.0:
+            return value, _function(value, 0.0)
+        return value, _function(value, abs(value) * _expm1(1.01 * spread_log))
+    u, du = bounded(expr.operand, point)
+    if kind is Exp:
+        _unsure(u, du, LOG_HUGE)
+        value = evaluation._exp_value(u)
+        return value, _function(value, _scaled(value, _expm1(du)))
+    if kind is Ln:
+        _unsure(u, du, 0.0)
+        value = evaluation._ln_value(u)
+        return value, _function(value, -math.log1p(-du / u) if du else 0.0)
+    if kind is Sqrt:
+        # correctly rounded in both walks
+        _unsure(u, du, 0.0)
+        value = evaluation._sqrt_value(u)
+        return value, _rounded(value, du / math.sqrt(u) if du else 0.0)
+    _unsure(u, du)
+    value = evaluation._UNARY_VALUE[kind](u)   # sin, cos
+    return value, _function(value, min(du, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs, points)
+def test_integrand_walk_masks_the_scalar_domain_errors(expr, pts):
+    values, bad = evaluation._integrand_field(expr, columns(pts))
+    for i, (x, v, t) in enumerate(pts):
+        try:
+            want, spread = bounded(expr, {"x": x, "v": v, "t": t, "k": K})
+        except EvalDomainError:
+            assert bad[i]
+            continue
+        except Unsure:
+            continue
+        assert not bad[i]
+        got = float(values[i])
+        if spread == 0.0:
+            assert got.hex() == want.hex()
+        elif math.isfinite(want) and math.isfinite(spread):
+            assert abs(got - want) <= spread
+
+
+@pytest.mark.parametrize("text, x_bad, x_good", [
+    ("ln(x)", 0.0, 0.5), ("ln(x)", -1.0, 0.5), ("sqrt(x)", -1e-300, 0.0),
+    ("1/(x - 1)", 1.0, 0.5), ("exp(x)", 710.0, 709.0), ("x^400", 10.0, 5.0),
+    ("x^0.5", -2.0, 2.0), ("x^(-1)", 0.0, -2.0), ("x^1e20", -2.0, -0.5),
+    ("sin(x*1e300*1e300)", 1.0, 0.0), ("cos(x*1e300*1e300)", -1.0, 0.0),
+])
+def test_integrand_walk_masks_each_domain_edge(text, x_bad, x_good):
+    expr = parse_expression(text)
+    with pytest.raises(EvalDomainError):
+        evaluate(expr, {"x": x_bad})
+    values, bad = evaluation._integrand_field(expr, {"x": np.array([x_bad, x_good])})
+    assert bad.tolist() == [True, False]
+    assert values[1] == pytest.approx(evaluate(expr, {"x": x_good}), rel=1e-15)

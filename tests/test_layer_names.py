@@ -19,3 +19,43 @@ def test_the_integrator_is_imported_where_integrals_evaluate():
 
 def test_the_verifier_is_the_package_export():
     assert lagrangeforge.verify_lagrangian is lagrangian.verify_lagrangian
+
+
+def test_the_benchmark_sees_integrand_calls(monkeypatch):
+    # the benchmark counts quadrature work by handing integrate_adaptive a
+    # one-argument wrapper of its integrand, where evaluation imported it
+    # (bench/worker.py, install_layers); integral-bearing builds must call
+    # the wrapper, closed-form ones must not
+    from lagrangeforge import (
+        BuilderOptions,
+        Const,
+        Lagrangian,
+        StandardCoeffs,
+        Var,
+        build_reciprocal_linear,
+        build_standard,
+        parse_expression,
+    )
+
+    calls = []
+    original = evaluation.integrate_adaptive
+
+    def count_integrand(*args, **kwargs):
+        integrand = args[0]
+
+        def counted(z):
+            calls.append(z.size)
+            return integrand(z)
+
+        return original(counted, *args[1:], **kwargs)
+
+    monkeypatch.setattr(evaluation, "integrate_adaptive", count_integrand)
+    options = BuilderOptions(verify=True, verify_tol=1e-5)
+    L = build_standard(StandardCoeffs(parse_expression("0.2*x"), Const(0.1), Var("x")),
+                       options)
+    assert isinstance(L, Lagrangian)
+    assert len(calls) >= 1
+    calls.clear()
+    build_reciprocal_linear(parse_expression("0.3 - 0.2*t"),
+                            parse_expression("-0.4 + 0.1*t"), (0.1, 2.0), options)
+    assert calls == []

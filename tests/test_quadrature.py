@@ -1,22 +1,36 @@
-"""Adaptive quadrature accuracy, failure modes and integral-node caching."""
+"""Batched adaptive quadrature: accuracy, batches, failure modes and integral nodes."""
 
 import math
 
+import numpy as np
 import pytest
 
 from lagrangeforge import (
     Antideriv,
     Const,
+    EvalDomainError,
     Mul,
     Pow,
     QuadratureDepthError,
+    QuadratureError,
     Var,
-    clear_antideriv_cache,
     definite_integral,
     evaluate,
+    evaluate_field,
     integrate_adaptive,
     parse_expression,
 )
+
+
+def recording(f):
+    """``f`` with a log of the owners of every node it is handed, call by call."""
+    calls = []
+
+    def wrapped(z):
+        calls.append(np.unique(z.owner).tolist())
+        return f(z)
+
+    return wrapped, calls
 
 
 class TestPanelAccuracy:
@@ -28,27 +42,90 @@ class TestPanelAccuracy:
             assert got == pytest.approx(exact, abs=1e-12, rel=1e-12)
 
     def test_exponential(self):
-        got = integrate_adaptive(math.exp, 0.0, 1.0)
+        got = integrate_adaptive(np.exp, 0.0, 1.0)
+        assert isinstance(got, float)
         assert got == pytest.approx(math.e - 1.0, rel=1e-12)
 
     def test_oscillatory(self):
-        got = integrate_adaptive(lambda s: math.sin(10.0 * s), 0.0, math.pi)
+        got = integrate_adaptive(lambda s: np.sin(10.0 * s), 0.0, math.pi)
         exact = (1.0 - math.cos(10.0 * math.pi)) / 10.0
         assert got == pytest.approx(exact, abs=1e-10)
 
     def test_orientation(self):
-        fwd = integrate_adaptive(math.exp, 0.0, 1.0)
-        rev = integrate_adaptive(math.exp, 1.0, 0.0)
+        fwd = integrate_adaptive(np.exp, 0.0, 1.0)
+        rev = integrate_adaptive(np.exp, 1.0, 0.0)
         assert rev == pytest.approx(-fwd, rel=1e-14)
 
     def test_zero_width(self):
-        assert integrate_adaptive(math.exp, 2.0, 2.0) == 0.0
+        assert integrate_adaptive(np.exp, 2.0, 2.0) == 0.0
 
     def test_sharp_peak_refined(self):
         # narrow Lorentzian: forces adaptive splitting
         got = integrate_adaptive(lambda s: 1e-4 / (s * s + 1e-8), -1.0, 1.0)
         exact = 2.0 * math.atan(1e4)
         assert got == pytest.approx(exact, rel=1e-9)
+
+    def test_constant_integrand(self):
+        assert integrate_adaptive(lambda s: 2.0, 1.0, 4.0) == pytest.approx(6.0, rel=1e-15)
+
+
+def lorentzian(widths):
+    """w/(s^2 + w^2), with each integral's own width w; its integral over
+    [-1, 1] is 2 atan(1/w)."""
+    widths = np.asarray(widths, dtype=float)
+
+    def f(z):
+        w = widths[z.owner]
+        return w / (z * z + w * w)
+
+    return f
+
+
+class TestBatches:
+    def test_mixed_orientation(self):
+        hi = np.array([1.0, -1.0, 2.0, -0.5, 0.25])
+        got = integrate_adaptive(np.exp, 0.0, hi)
+        assert got.shape == hi.shape
+        for u, value in zip(hi, got):
+            assert value == pytest.approx(math.expm1(u), rel=1e-12)
+            assert value.hex() == integrate_adaptive(np.exp, 0.0, u).hex()
+
+    def test_array_lower_limits_broadcast(self):
+        got = integrate_adaptive(np.exp, np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
+        assert got.shape == (2, 2)
+        want = [[math.e - 1.0, math.exp(2.0) - 1.0], [0.0, math.exp(2.0) - math.e]]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_zero_width_entries_get_no_panels(self):
+        f, calls = recording(np.exp)
+        got = integrate_adaptive(f, 1.0, np.array([1.0, 3.0, 1.0, 0.0]))
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert got[1] == pytest.approx(math.exp(3.0) - math.e, rel=1e-12)
+        assert got[3] == pytest.approx(1.0 - math.e, rel=1e-12)
+        assert calls == [[1, 3]]
+
+    def test_one_sharp_peak_among_smooth_points(self):
+        # one panel meets the budget for w >= 3; w = 1e-4 bisects 15 times
+        widths = [3.0, 5.0, 1e-4, 4.0]
+        f, calls = recording(lorentzian(widths))
+        got = integrate_adaptive(f, -1.0, np.ones(len(widths)))
+        # only the sharp entry is bisected: every call after the first
+        # holds its panels alone
+        assert calls[0] == [0, 1, 2, 3] and len(calls) > 5
+        assert all(owners == [2] for owners in calls[1:])
+        for i, w in enumerate(widths):
+            assert got[i] == pytest.approx(2.0 * math.atan(1.0 / w), rel=1e-9)
+            alone = integrate_adaptive(lorentzian([w]), -1.0, np.ones(1))
+            assert got[i].hex() == alone[0].hex()
+
+    def test_nan_marks_an_undefined_entry(self):
+        # undefined above s = 0.5: entries reaching past it are NaN, the
+        # others integrate normally
+        f = lambda s: np.where(s > 0.5, np.nan, 1.0)   # noqa: E731
+        got = integrate_adaptive(f, 0.0, np.array([0.25, 1.0, -1.0]))
+        assert got[0] == pytest.approx(0.25, rel=1e-15)
+        assert math.isnan(got[1])
+        assert got[2] == pytest.approx(-1.0, rel=1e-15)
 
 
 class TestFailureModes:
@@ -59,11 +136,35 @@ class TestFailureModes:
         assert 0.0 <= lo < hi <= 1e-9
         assert err.value.error_estimate > 0.0
 
+    def test_infinite_integrand_raises(self):
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate_adaptive(lambda s: np.where(s > 0.0, np.inf, 1.0), -1.0, 1.0)
+
+    def test_roundoff_bound_panel_is_not_bisected(self):
+        # 1e5 sin(s) over [-1, 1]: the Kronrod and Gauss sums agree, so the
+        # error estimate is the roundoff floor 50 eps * 1e5 * 0.92 ~ 1e-9,
+        # above the 1e-10 budget; bisection would keep that ratio to depth 50
+        f, calls = recording(lambda s: 1e5 * np.sin(s))
+        with pytest.raises(QuadratureDepthError) as err:
+            integrate_adaptive(f, -1.0, 1.0)
+        assert err.value.worst_interval == (-1.0, 1.0)
+        assert len(calls) == 1
+
+    def test_huge_integral_has_a_finite_error_estimate(self):
+        # the Gauss/Kronrod difference of the first panels is about 1e214;
+        # (200 delta)^1.5 overflows, which must not abort the integral
+        want = math.expm1(500.0) / 500.0    # 2.807e214
+        got = integrate_adaptive(lambda s: np.exp(500.0 * s), 0.0, 1.0)
+        assert got == pytest.approx(want, rel=1e-10)
+        node = Antideriv(parse_expression("exp(500*x)"), "x", 0.0)
+        assert evaluate(node, {"x": 1.0}) == pytest.approx(want, rel=1e-10)
+        values, bad = evaluate_field(node, {"x": np.array([1.0, 0.5])})
+        assert not bad.any()
+        assert values[0] == pytest.approx(want, rel=1e-10)
+        assert values[1] == pytest.approx(math.expm1(250.0) / 500.0, rel=1e-10)
+
 
 class TestIntegralNodes:
-    def setup_method(self):
-        clear_antideriv_cache()
-
     def test_exp_antiderivative(self):
         e = Antideriv(parse_expression("exp(s)", params=("s",)), "s", 0.0)
         assert evaluate(e, {"s": 1.0}) == pytest.approx(
@@ -84,8 +185,7 @@ class TestIntegralNodes:
         assert evaluate(one, {"s": -2.0}) == pytest.approx(-2.0, rel=1e-12)
 
     def test_nearby_upper_limits_stay_exact(self):
-        # cache anchors must not quantize results: nearby points still agree
-        # with the closed form to full precision
+        # nearby points agree with the closed form to full precision
         e = Antideriv(parse_expression("exp(s)", params=("s",)), "s", 0.0)
         for k in range(30):
             u = 1.0 + k * 1e-8
@@ -104,17 +204,30 @@ class TestIntegralNodes:
         from lagrangeforge import Exp
 
         e = Antideriv(Exp(Antideriv(Mul(Const(2.0), Var("r")), "r", 0.0)), "r", 0.0)
-        want = integrate_adaptive(lambda s: math.exp(s * s), 0.0, 1.2)
+        want = integrate_adaptive(lambda s: np.exp(s * s), 0.0, 1.2)
         got = evaluate(e, {"r": 1.2})
         assert got == pytest.approx(want, rel=1e-9)
+
+    def test_undefined_integrand_is_a_domain_error(self):
+        e = Antideriv(parse_expression("sqrt(s)", params=("s",)), "s", 0.0)
+        assert evaluate(e, {"s": 4.0}) == pytest.approx(16.0 / 3.0, rel=1e-10)
+        with pytest.raises(EvalDomainError):
+            evaluate(e, {"s": -1.0})
+        with pytest.raises(EvalDomainError, match="unbound variable 'x'"):
+            evaluate(Antideriv(Mul(Var("x"), Var("s")), "s", 0.0), {"s": 1.0})
 
     def test_definite_integral_helper(self):
         e = parse_expression("x*s^2", params=("s",))
         got = definite_integral(e, "s", 0.0, 2.0, {"x": 3.0})
         assert got == pytest.approx(8.0, rel=1e-12)
+        with pytest.raises(EvalDomainError, match="unbound variable 'x'"):
+            definite_integral(e, "s", 0.0, 2.0)
+        with pytest.raises(EvalDomainError):
+            definite_integral(parse_expression("ln(x)"), "x", -1.0, 1.0)
 
     def test_depth_error_propagates(self):
         e = Antideriv(Pow(Var("s"), Const(-1.0)), "s", 0.0)
-        with pytest.raises(Exception) as err:
+        with pytest.raises(QuadratureDepthError):
             evaluate(e, {"s": 1.0})
-        assert isinstance(err.value, QuadratureDepthError) or "zero" in str(err.value)
+        with pytest.raises(QuadratureDepthError):
+            evaluate_field(e, {"s": np.array([0.5, 1.0])})
