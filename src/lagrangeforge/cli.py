@@ -10,10 +10,11 @@ compare    build several members and emit a pairwise-gap matrix CSV
 demo       run a bundled preset end to end
 
 Artifacts land in --out: ``report*.json`` (deterministic for a fixed spec
-and seed), ``run_meta.json`` (timing, kept separate so reports stay
-bit-reproducible), and per-command CSVs.  Reports embed the normalized
-spec, so ``--spec report.json`` re-runs the same problem.  Exit codes:
-0 success, 2 verification failure, 3 family inapplicable, 4 invalid input.
+and seed), ``run_meta.json`` (timings and versions, kept separate so
+reports stay bit-reproducible), and per-command CSVs.  Reports embed the
+normalized spec, so ``--spec report.json`` re-runs the same problem.  Exit
+codes: 0 success, 2 verification failure, 3 family inapplicable, 4 invalid
+input.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import csv
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -33,6 +35,7 @@ from typing import Callable, NamedTuple
 import jsonschema
 import numpy as np
 
+from . import __version__
 from .constructors import (
     BuilderOptions,
     StandardCoeffs,
@@ -1009,8 +1012,8 @@ def run_tasks(spec: dict, out_dir: Path, tasks: list,
               tol: float | None = None, seed: int | None = None) -> int:
     """Run each ``(command, report name)`` in order; the worst exit code.
 
-    One ``run_meta.json`` records every task's command, report and
-    elapsed seconds.
+    One ``run_meta.json`` records the package, Python and numpy versions
+    once, and every task's command, report and elapsed seconds.
     """
     worst, records = EXIT_OK, []
     for command, report_name in tasks:
@@ -1020,7 +1023,11 @@ def run_tasks(spec: dict, out_dir: Path, tasks: list,
         records.append({"command": command, "report": report_name,
                         "elapsed_seconds": time.perf_counter() - started})
         worst = max(worst, code)
-    _write_json(out_dir / "run_meta.json", {"tasks": records})
+    environment = {"package_version": __version__,
+                   "python_version": platform.python_version(),
+                   "numpy_version": np.__version__}
+    _write_json(out_dir / "run_meta.json",
+                {"environment": environment, "tasks": records})
     return worst
 
 

@@ -637,13 +637,27 @@ def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
 # per-point rules and integrals skip masked points, so they do work exactly
 # where the scalar walks do.  A vectorised sweep (the integrands) applies the
 # numpy rules below instead of the per-point ones.
+#
+# A sweep walks each distinct subtree once: it keeps every node's value and
+# jet, keyed by the node, and returns the kept result when an equal node
+# comes again (trees built from Horner polynomials repeat a few subtrees
+# hundreds of times).  That is exact.  Equal nodes evaluate identically,
+# since Const and Antideriv normalise -0.0 and admit only finite numbers.
+# And the mask only grows: the kept result is right at every point unmasked
+# when it was computed, which includes every point still unmasked at a
+# later visit, and the points it masked are masked already, so the visit
+# would add nothing.  Kept arrays are shared, so no rule changes an operand
+# in place.  The memo lives as long as its sweep; the scalar walks keep none.
 
 class _Sweep:
-    __slots__ = ("columns", "bad", "vectorised")
+    __slots__ = ("columns", "bad", "vectorised", "values", "jets")
 
     def __init__(self, columns: Mapping, bad, vectorised: bool = False):
         self.columns = columns
         self.vectorised = vectorised
+        # each distinct node's value and jet, once walked (see above)
+        self.values: dict = {}
+        self.jets: dict = {}
         if bad is None:
             bad = np.zeros(len(next(c for c in columns.values()
                                     if isinstance(c, np.ndarray))), dtype=bool)
@@ -767,6 +781,13 @@ def evaluate_points(expr: Expr, columns: Mapping) -> list:
 
 
 def _value_walk(expr, sweep):
+    value = sweep.values.get(expr)
+    if value is None:
+        value = sweep.values[expr] = _value_node(expr, sweep)
+    return value
+
+
+def _value_node(expr, sweep):
     kind = type(expr)
     if kind is Const:
         return expr.value
@@ -828,6 +849,13 @@ def _slots(jet: Jet2) -> tuple:
 
 
 def _jet_walk(expr, sweep):
+    jet = sweep.jets.get(expr)
+    if jet is None:
+        jet = sweep.jets[expr] = _jet_node(expr, sweep)
+    return jet
+
+
+def _jet_node(expr, sweep):
     kind = type(expr)
     if kind is Const:
         return Jet2(expr.value)

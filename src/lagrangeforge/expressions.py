@@ -244,6 +244,8 @@ class Antideriv(Expr):
         base = float(self.base)
         if not math.isfinite(base):
             raise ExpressionError("integration base must be finite")
+        if base == 0.0:
+            base = 0.0  # normalize -0.0, as Const does: equal nodes agree
         object.__setattr__(self, "base", base)
         if antideriv_depth(self.integrand) >= MAX_ANTIDERIV_DEPTH:
             raise ExpressionError(
@@ -622,9 +624,26 @@ def _fold_binary(op, left: float, right: float) -> Expr | None:
 def simplify(expr: Expr) -> Expr:
     """Bottom-up local simplification: constant folding plus identity and
     annihilator rules (e + 0 -> e, 1 * e -> e, 0 * e -> 0, e^1 -> e, ...).
-    """
-    expr = _rebuild(expr, simplify)
 
+    Each node object of ``expr`` is simplified once per call, so a subtree
+    that ``expr`` holds at many places is simplified once and its result
+    shared.  The memo is keyed by identity, which is exact (the rules are a
+    function of the node) and safe: ``expr`` keeps every key's object alive
+    for the whole call.  It lasts for one call only.
+    """
+    done: dict = {}
+
+    def once(e: Expr) -> Expr:
+        out = done.get(id(e))
+        if out is None:
+            out = done[id(e)] = _simplify_node(_rebuild(e, once))
+        return out
+
+    return once(expr)
+
+
+def _simplify_node(expr: Expr) -> Expr:
+    """The local rules at one node whose operands are already simplified."""
     if isinstance(expr, Add):
         l, r = expr.left, expr.right
         if _is_const(l, 0.0):

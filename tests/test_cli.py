@@ -6,6 +6,7 @@ artifacts are all observable without spawning subprocesses.
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from lagrangeforge import cli
@@ -53,6 +54,7 @@ DAMPED = {
 FREE_RHS = {"version": 1, "equation": {"rhs": "0"}}
 
 DOMAIN_KEYS = {"x", "v", "t", "grid", "n_random", "seed"}
+ENVIRONMENT_KEYS = {"package_version", "python_version", "numpy_version"}
 
 
 class TestSpecValidation:
@@ -438,7 +440,11 @@ class TestDeterminism:
         [task] = meta["tasks"]
         assert (task["command"], task["report"]) == ("build", "report.json")
         assert "elapsed_seconds" in task
-        assert "elapsed_seconds" not in json.dumps(report)
+        assert set(meta["environment"]) == ENVIRONMENT_KEYS
+        assert meta["environment"]["numpy_version"] == np.__version__
+        text = json.dumps(report)
+        for key in ("elapsed_seconds", "environment", *ENVIRONMENT_KEYS):
+            assert key not in text
 
     def test_seed_override_changes_normalized_spec(self, tmp_path):
         spec = write_spec(tmp_path, DAMPED)
@@ -487,6 +493,9 @@ class TestDemo:
         assert [(t["command"], t["report"]) for t in meta["tasks"]] == \
             [(task, f"report_{task}.json") for task in tasks]
         assert all(t["elapsed_seconds"] >= 0.0 for t in meta["tasks"])
+        # the versions are recorded once per invocation, not per task
+        assert set(meta) == {"environment", "tasks"}
+        assert set(meta["environment"]) == ENVIRONMENT_KEYS
 
     def test_unknown_preset_lists_names(self, tmp_path, capsys):
         code = main(["demo", "not-a-preset", "--out", str(tmp_path / "o")])

@@ -8,6 +8,7 @@ everywhere else; the verifier built on them must report the residuals that
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ from lagrangeforge import (
     parse_expression,
     verify_lagrangian,
 )
-from lagrangeforge import evaluation
+from lagrangeforge import evaluation, expressions
 from lagrangeforge.constructors import common
 from lagrangeforge.lagrangian import acceleration_field
 
@@ -105,9 +106,8 @@ def hexes(jet, i=None):
     return [float(s if i is None else s[i]).hex() for s in slots]
 
 
-@settings(max_examples=300, deadline=None)
-@given(exprs, points)
-def test_fields_match_the_scalar_walks(expr, pts):
+def assert_fields_match(expr, pts):
+    """The field walks mask where the scalar walks raise and agree elsewhere."""
     clear_antideriv_cache()
     values, bad = evaluate_field(expr, columns(pts))
     clear_antideriv_cache()
@@ -125,6 +125,121 @@ def test_fields_match_the_scalar_walks(expr, pts):
     for i, w in enumerate(want):
         if w is not None:
             assert hexes(jet, i) == hexes(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs, points)
+def test_fields_match_the_scalar_walks(expr, pts):
+    assert_fields_match(expr, pts)
+
+
+# --- a sweep walks each distinct subtree once ---------------------------------
+#
+# The sweeps keep each distinct node's result, keyed by the node, and return
+# it when the node comes again.  That is exact because equal nodes evaluate
+# identically and the mask only grows: a masking sibling walked between two
+# occurrences of a subtree masks points whose values are never read again.
+
+MASKING = [Ln(Var("x")), Div(Const(1.0), Var("x")), Sqrt(Var("v")),
+           Ln(Sub(Var("t"), Const(0.5)))]
+BINARY = [Add, Sub, Mul, Div, Pow]
+
+
+def rebuilt(e):
+    """An equal copy of ``e`` that shares no node with it."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    return expressions._rebuild(e, rebuilt)
+
+
+@st.composite
+def shared_trees(draw):
+    """One random subtree at two places, a masking sibling between them;
+    the second place holds the same object or an equal rebuilt copy."""
+    sub = draw(exprs)
+    again = sub if draw(st.booleans()) else rebuilt(sub)
+    assert again == sub
+    outer, inner, last = (draw(st.sampled_from(BINARY)) for _ in range(3))
+    return outer(inner(sub, draw(st.sampled_from(MASKING))),
+                 last(again, draw(trees)))
+
+
+def _frozen(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_trees(), points)
+def test_shared_subtrees_match_the_scalar_walks(expr, pts):
+    assert_fields_match(expr, pts)
+
+    # no sweep changes an array in place: not the columns passed in, and
+    # not what an earlier sweep returned
+    cols = columns(pts)
+    given_cols = _frozen(cols[q] for q in "xvt")
+    values, bad = evaluate_field(expr, cols)
+    jet, jet_bad = jet_field(expr, cols)
+    returned = [values, bad, jet_bad, *(getattr(jet, s) for s in Jet2.__slots__)]
+    before = _frozen(returned)
+    evaluate_field(expr, cols)
+    jet_field(expr, cols, np.arange(len(pts)) % 2 == 1)
+    assert _frozen(cols[q] for q in "xvt") == given_cols
+    assert _frozen(returned) == before
+
+
+def test_an_integral_base_of_minus_zero_is_normalised():
+    minus = parse_expression("integral(t, -0, cos(x*t) + sqrt(t))")
+    plus = Antideriv(minus.integrand, "t", 0.0)
+    assert minus == plus and hash(minus) == hash(plus)
+    assert math.copysign(1.0, minus.base) == 1.0
+    # both spellings in one tree, around points at both signed zeros
+    expr = Add(Mul(minus, Var("x")), Sub(Var("v"), plus))
+    assert_fields_match(expr, [(1.0, 0.5, 0.0), (1.0, 0.5, -0.0), (0.5, 1.0, 0.7),
+                               (-1.0, 2.0, -0.3), (2.0, 0.3, 1e-300)])
+
+
+def _nodes(e):
+    """Every node of ``e``, once per place it occurs."""
+    yield e
+    for child in expressions._children(e):
+        yield from _nodes(child)
+
+
+def _counting(monkeypatch, module, name):
+    """Count the first argument of each call of ``module.name``."""
+    seen = Counter()
+    real = getattr(module, name)
+
+    def counted(node, *args):
+        seen[node] += 1
+        return real(node, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_each_distinct_subtree_is_walked_once(monkeypatch):
+    # w is a Horner polynomial in tau, so L repeats the tau and Horner
+    # chains many times over; a lost memo multiplies the work and fails here
+    L = BUILDS["reciprocal-linear"](BuilderOptions(verify=True, verify_tol=1e-5))
+    nodes = list(_nodes(L.expr))
+    inner = {n for n in nodes if not isinstance(n, (Const, Var))}
+    assert len(nodes) > 10 * len(inner)
+    cols = columns([(0.5 + 0.1 * i, 0.2 + 0.3 * i, 0.1 + 0.2 * i) for i in range(8)])
+    for walker, name in ((jet_field, "_jet_node"), (evaluate_field, "_value_node")):
+        seen = _counting(monkeypatch, evaluation, name)
+        walker(L.expr, cols)
+        assert {n: c for n, c in seen.items()
+                if not isinstance(n, (Const, Var))} == dict.fromkeys(inner, 1)
+
+    # simplify works once per distinct input object
+    seen = _counting(monkeypatch, expressions, "_simplify_node")
+    expressions.simplify(L.expr)
+    distinct = {id(n) for n in nodes}
+    assert len(nodes) > 5 * len(distinct)
+    assert sum(seen.values()) == len(distinct)
 
 
 @pytest.mark.parametrize("text", ["exp(x)", "ln(x)", "sin(x)", "cos(x)",
