@@ -95,6 +95,7 @@ from .lagrangian import (
     Lagrangian,
     OdeSpec,
     acceleration_field,
+    grid_points,
     max_acceleration_gap,
     verify_lagrangian,
 )
@@ -342,18 +343,12 @@ _STRUCT_TOL = 1e-9
 _PROBE_VS = (0.3, 0.9, 1.7)
 
 
-def _grid(lo: float, hi: float, n: int) -> list:
-    if n == 1:
-        return [0.5 * (lo + hi)]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
 class _Points:
     """Probe points, x by v by t, and the field of ``f`` on them."""
 
     def __init__(self, f, dom: dict, vs: tuple):
-        cells = [(x, v, t) for x in _grid(dom["x"][0], dom["x"][1], 5)
-                 for v in vs for t in _grid(dom["t"][0], dom["t"][1], 5)]
+        cells = [(x, v, t) for x in grid_points(dom["x"][0], dom["x"][1], 5)
+                 for v in vs for t in grid_points(dom["t"][0], dom["t"][1], 5)]
         self.columns = {name: np.array(column, dtype=float)
                         for name, column in zip("xvt", zip(*cells))}
         self.f_values, self.f_bad = evaluate_field(f, self.columns)

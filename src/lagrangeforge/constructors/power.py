@@ -29,7 +29,7 @@ from ..expressions import (
     simplify,
     substitute,
 )
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec
+from ..lagrangian import DomainBox, Lagrangian, OdeSpec, grid_points
 from ..normal_form import normal_form
 from ._symbolic import antiderivative_in
 from .common import (
@@ -69,8 +69,8 @@ def monomial_admissibility_defect(a: Expr, b: Expr, mu: float,
     if normal_form(defect) == ():
         return 0.0
     nx, nt = max(box.grid[0], 2), max(box.grid[2], 2)
-    xs = [box.x[0] + (box.x[1] - box.x[0]) * i / (nx - 1) for i in range(nx)]
-    ts = [box.t[0] + (box.t[1] - box.t[0]) * j / (nt - 1) for j in range(nt)]
+    xs = grid_points(*box.x, nx)
+    ts = grid_points(*box.t, nt)
     columns = {"x": np.repeat(xs, nt), "t": np.tile(ts, nx)}
     return max([0.0] + [abs(z) for z in evaluate_points(defect, columns)])
 

@@ -35,7 +35,7 @@ from ..expressions import (
     differentiate,
     simplify,
 )
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec
+from ..lagrangian import DomainBox, Lagrangian, OdeSpec, grid_points
 from ._symbolic import antiderivative_in
 from .common import (
     BuilderOptions,
@@ -139,7 +139,7 @@ def build_radical_equal(a: Expr, b: Expr, nu: float, S0: float = 1.0,
         grid=(4, 4, 4), n_random=32, seed=47,
     )
     lo, hi = box.t
-    ts = np.array([lo + (hi - lo) * i / 200.0 for i in range(201)])
+    ts = np.array(grid_points(lo, hi, 201))
     s_min = min(abs(s) for s in evaluate_points(S, {"t": ts}))
     if s_min < 1e-8:
         raise ZeroCrossingError(

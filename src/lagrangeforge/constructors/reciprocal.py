@@ -43,7 +43,13 @@ from ..expressions import (
     simplify,
 )
 from ..dynamics import IntegratorConfig, integrate_ode
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec, SingularStratum
+from ..lagrangian import (
+    DomainBox,
+    Lagrangian,
+    OdeSpec,
+    SingularStratum,
+    grid_points,
+)
 from ..normal_form import normal_form
 from ._symbolic import antiderivative_in
 from .common import (
@@ -147,8 +153,7 @@ def constraint_defect(a: Expr, b: Expr, c: Expr,
     )
     if normal_form(cleared) == ():
         return 0.0
-    lo, hi = x_interval
-    xs = np.array([lo + (hi - lo) * i / (n - 1) for i in range(n)])
+    xs = np.array(grid_points(*x_interval, n))
     return max([0.0] + [abs(z) for z in evaluate_points(defect, {"x": xs})])
 
 
@@ -312,7 +317,7 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
     W, fit_err = _fit_time_function(_ode_time_samples(aux_rhs, lo, w_init),
                                     lo, hi)
 
-    ts = np.array([lo + (hi - lo) * i / 200.0 for i in range(201)])
+    ts = np.array(grid_points(lo, hi, 201))
     w_min = min(abs(w) for w in evaluate_points(W, {"t": ts}))
     if w_min < 1e-8:
         raise ZeroCrossingError(

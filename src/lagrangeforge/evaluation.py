@@ -44,20 +44,17 @@ ufuncs (``_integrand_field``); their domain rules are the scalar ones,
 written as masks, and a masked node makes its point's integral undefined.
 A point's value never depends on the other points, so the scalar
 :func:`evaluate` of an integral, the same call over one point, agrees with
-the fields bit for bit.  The jet of an integral node evaluates
+the fields bit for bit; so does a compiled callable, which makes that same
+one-point call.  The jet of an integral node evaluates
 its cached symbolic derivatives from
 :func:`~lagrangeforge.expressions.differentiate`, which applies the
 fundamental theorem of calculus in the integration variable and
-differentiates under the integral sign in the others.  Compiled callables
-are called one point at a time by the ODE integrator; their integrals start
-from the nearest anchor in a per-node cache.
+differentiates under the integral sign in the others.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import operator
-import threading
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -95,7 +92,6 @@ __all__ = [
     "evaluate_points",
     "eval_jet2",
     "jet_field",
-    "clear_antideriv_cache",
 ]
 
 Binding = Mapping[str, float]
@@ -210,8 +206,9 @@ def compile_callable(
 ) -> Callable[..., float]:
     """Compile ``expr`` to a positional-argument callable.
 
-    Its integrals start from the nearest anchor that earlier calls left in
-    the antiderivative cache, so each call integrates only over a short gap.
+    Each call integrates its integrals from their bases, as :func:`evaluate`
+    does, so a call's value equals :func:`evaluate`'s bit for bit and never
+    depends on earlier calls.
 
     ``varnames`` become positional parameters; every other free variable must
     appear in ``env`` and is frozen as a constant.
@@ -240,7 +237,7 @@ def _compile(expr, names, env):
             binding = dict(env)
             for i, n in enumerate(names):
                 binding[n] = a[i]
-            return _antideriv_value(expr, binding)
+            return _antideriv_point(expr, binding)
 
         return _anti
     # Negation and +, -, * have no domain rule and stay inline: a call
@@ -337,56 +334,11 @@ def _antideriv_point(node: Antideriv, binding: Binding) -> float:
                         _point_env(node.integrand, node.var, binding))
 
 
-_CACHE_LOCK = threading.Lock()
-# key -> (sorted upper limits, values at those limits); the base anchor with
-# value 0 is always present.  Only compiled callables (compile_callable, the
-# ODE right-hand side) use it: they ask for one point per call, so a short gap
-# from an anchor is cheaper than a panel from the base.  Every other path
-# integrates from the base, so its values do not depend on earlier requests.
-# The benchmark reports the cache's size (bench/worker.py), so the cache
-# stays until that report goes.
+# Nothing in the package reads or writes this dict.  The benchmark's traced
+# run (bench/worker.py::_cache_sizes, under --trace 1) reads its size, and
+# bench/ changes apart from the package, so the name stays, empty, until
+# that read goes.
 _ANTIDERIV_CACHE: dict = {}
-# a new upper limit becomes an anchor only if no anchor lies this close; the
-# values returned are exact quadratures either way
-_ANCHOR_SPACING = 1e-6
-
-
-def clear_antideriv_cache() -> None:
-    with _CACHE_LOCK:
-        _ANTIDERIV_CACHE.clear()
-
-
-def _antideriv_value(node: Antideriv, binding: Binding) -> float:
-    """A compiled callable's integral: from the nearest cached anchor."""
-    if node.var not in binding:
-        raise EvalDomainError(f"unbound variable {node.var!r}")
-    upper = float(binding[node.var])
-    env = _point_env(node.integrand, node.var, binding)
-    key = (node, tuple(env.items()))
-
-    with _CACHE_LOCK:
-        entry = _ANTIDERIV_CACHE.get(key)
-        if entry is None:
-            entry = ([node.base], [0.0])
-            _ANTIDERIV_CACHE[key] = entry
-        xs, vals = entry
-        i = bisect.bisect_left(xs, upper)
-        candidates = [j for j in (i - 1, i) if 0 <= j < len(xs)]
-        j = min(candidates, key=lambda j: abs(xs[j] - upper))
-        x0, v0 = xs[j], vals[j]
-
-    if upper == x0:
-        return v0
-    value = v0 + _integral_at(node.integrand, node.var, x0, upper, env)
-
-    with _CACHE_LOCK:
-        xs, vals = _ANTIDERIV_CACHE[key]
-        i = bisect.bisect_left(xs, upper)
-        near = [j for j in (i - 1, i) if 0 <= j < len(xs)]
-        if all(abs(xs[j] - upper) > _ANCHOR_SPACING for j in near):
-            xs.insert(i, upper)
-            vals.insert(i, value)
-    return value
 
 
 def definite_integral(

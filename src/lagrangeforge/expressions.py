@@ -123,7 +123,8 @@ def _node(cls: type) -> type:
     the dataclass's structural hash, computed once per instance and stored.
 
     Without the memo every hash of a tree walks the whole tree, and the
-    anchor cache and the ``lru_cache``s hash their keys at every request.
+    ``lru_cache``s and the field walks' per-sweep memo hash their keys at
+    every request.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     cls._structural_hash = cls.__hash__

@@ -133,6 +133,18 @@ class SingularStratum:
             raise ValueError("stratum radius must be non-negative")
 
 
+def grid_points(lo: float, hi: float, n: int) -> list:
+    """``n`` evenly spaced points from ``lo`` to ``hi``; the midpoint if n is 1.
+
+    Each point is ``lo + (hi - lo) * i / (n - 1)``, which the structural
+    scans and probes share; :meth:`DomainBox.sample_points` steps by
+    ``(hi - lo) / (n - 1)`` instead, which rounds differently.
+    """
+    if n == 1:
+        return [0.5 * (lo + hi)]
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
 def _axis_points(lo: float, hi: float, n: int) -> list:
     if n == 1:
         return [0.5 * (lo + hi)]
@@ -144,9 +156,8 @@ def _axis_points(lo: float, hi: float, n: int) -> list:
 class DomainBox:
     """Sampling plan over a box in (x, v, t): tensor grid plus random fill.
 
-    Samples are returned sorted by (t, x, v) so repeated antiderivative
-    evaluations hit nearby cached anchors, and ties in residual maxima
-    resolve deterministically.
+    Samples are returned sorted by (t, x, v), which fixes the row order of
+    ``residuals.csv`` and how ties in residual maxima resolve.
     """
 
     x: tuple = (-1.0, 1.0)

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from lagrangeforge import cli
-from lagrangeforge.evaluation import clear_antideriv_cache
 from lagrangeforge.expressions import parse_expression
 
 from test_cli import FAMILY_BLOCKS
@@ -26,8 +25,6 @@ GOLDEN = json.loads(
 def _classify(spec: dict) -> tuple:
     normalized = cli.normalize_spec(spec)
     f = cli._target(normalized)
-    # integral values depend on the anchors earlier requests left behind
-    clear_antideriv_cache()
     return f, cli.classify_equation(f, normalized["domain"])
 
 

@@ -29,6 +29,7 @@ from lagrangeforge import (
     UnknownIdentifierError,
     Var,
     canonical,
+    compile_callable,
     differentiate,
     differentiate_with_notes,
     evaluate,
@@ -39,7 +40,6 @@ from lagrangeforge import (
     substitute,
 )
 
-from lagrangeforge.evaluation import _antideriv_value
 from lagrangeforge.expressions import _diff_cached, _memo_hash
 
 X, V, T = Var("x"), Var("v"), Var("t")
@@ -309,8 +309,7 @@ class TestStructure:
         assert evaluate(e, {"x": -3.0}) == 3.0
 
 
-# one tree holding every node type; the integral's base keeps its anchor-cache
-# key apart from every other test's
+# one tree holding every node type
 ALL_NODES = ("exp(2*x) + ln(v) - abs(t) * sqrt(x) / sin(v)^cos(t) + -x"
              " + integral(s, 0.375, s*x)")
 
@@ -401,11 +400,11 @@ class TestNodeHash:
     def test_antideriv_requests_rehash_nothing(self, monkeypatch):
         calls = _count_structural_hashes(monkeypatch)
         node = parse_expression("integral(s, 0.375, s*x)", params=("s",))
-        assert _antideriv_value(node, {"s": 0.5, "x": 2.0}) == pytest.approx(
-            0.5 ** 2 - 0.375 ** 2)
+        integral = compile_callable(node, ("s",), {"x": 2.0})
+        assert integral(0.5) == pytest.approx(0.5 ** 2 - 0.375 ** 2)
         calls.clear()
         for s in (0.5, 0.75, 1.0, 0.75):
-            _antideriv_value(node, {"s": s, "x": 2.0})
+            integral(s)
         assert calls == []
 
     def test_memo_stays_out_of_fields_repr_eq_and_pickle(self):

@@ -41,7 +41,6 @@ from lagrangeforge import (
     build_composed_invariant,
     build_reciprocal_linear,
     build_standard,
-    clear_antideriv_cache,
     compile_callable,
     euler_lagrange_residual,
     eval_jet2,
@@ -108,18 +107,14 @@ def hexes(jet, i=None):
 
 def assert_fields_match(expr, pts):
     """The field walks mask where the scalar walks raise and agree elsewhere."""
-    clear_antideriv_cache()
     values, bad = evaluate_field(expr, columns(pts))
-    clear_antideriv_cache()
     want = scalar(evaluate, expr, pts)
     assert bad.tolist() == [w is None for w in want]
     for i, w in enumerate(want):
         if w is not None:
             assert float(values[i]).hex() == w.hex()
 
-    clear_antideriv_cache()
     jet, bad = jet_field(expr, columns(pts))
-    clear_antideriv_cache()
     want = scalar(eval_jet2, expr, pts)
     assert bad.tolist() == [w is None for w in want]
     for i, w in enumerate(want):
@@ -300,11 +295,7 @@ def test_report_residuals_are_the_pointwise_residuals(monkeypatch, family):
     options = BuilderOptions(verify=True, verify_tol=1e-5)
     calls = _recorded_verifications(monkeypatch, lambda: BUILDS[family](options))
     for L, ode, box, tol in calls:
-        # both sweeps start from an empty anchor cache, so integrals see the
-        # same requests in the same order
-        clear_antideriv_cache()
         report = verify_lagrangian(L, ode, box, tol)
-        clear_antideriv_cache()
         assert len(report.residuals) == report.samples_used + report.samples_skipped
         for (x, v, t), residual in report.residuals:
             try:
@@ -355,19 +346,26 @@ def _same_points(got, got_bad, want, want_bad, index):
 
 
 def test_integrals_depend_only_on_their_point(monkeypatch):
+    # a compiled integral is evaluate's one-point call: the same bits on a
+    # fresh callable and after calls at other points
+    us = (0.1, 0.9, 1.7)
+    want = [evaluate(INTEGRAL, {"x": 0.3, "t": u}).hex() for u in us]
+    integral = compile_callable(INTEGRAL, ("x", "t"))
+    assert [integral(0.3, u).hex() for u in us] == want
+    for u in (0.05, 0.85, 0.9000001, 1.65, 2.5):
+        integral(0.3, u)
+    assert [integral(0.3, u).hex() for u in us] == want
+
     # a report is the same whether L is verified first or after an
-    # unrelated integral-bearing build and a compiled integral, which fills
-    # the anchor cache
+    # unrelated integral-bearing build and compiled integral calls
     options = BuilderOptions(verify=True, verify_tol=1e-5)
     calls = list(_recorded_verifications(monkeypatch,
                                          lambda: BUILDS["standard"](options)))
-    clear_antideriv_cache()
     first = [_report_facts(verify_lagrangian(*call)) for call in calls]
     build_standard(StandardCoeffs(parse_expression("0.3*x"), Const(0.2),
                                   parse_expression("x + 0.1*x^2")), options)
-    integral = compile_callable(INTEGRAL, ("x", "t"))
-    for u in (0.1, 0.9, 1.7):
-        integral(0.3, u)
+    for u in us:
+        integral(0.7, u)
     assert [_report_facts(verify_lagrangian(*call)) for call in calls] == first
 
     rng = random.Random(5)

@@ -59,3 +59,16 @@ def test_the_benchmark_sees_integrand_calls(monkeypatch):
     build_reciprocal_linear(parse_expression("0.3 - 0.2*t"),
                             parse_expression("-0.4 + 0.1*t"), (0.1, 2.0), options)
     assert calls == []
+
+
+def test_the_benchmark_reads_an_empty_antiderivative_cache():
+    # bench/worker.py::_cache_sizes reads evaluation._ANTIDERIV_CACHE in a
+    # traced run; compiled integrals no longer fill it, so it stays empty
+    # even after an ODE whose right-hand side carries an integral
+    from lagrangeforge import Add, Antideriv, OdeSpec, integrate_ode, parse_expression
+
+    assert isinstance(evaluation._ANTIDERIV_CACHE, dict)
+    rhs = Add(parse_expression("-x - 0.1*v"),
+              Antideriv(parse_expression("exp(-(t^2))"), "t", 0.0))
+    assert integrate_ode(OdeSpec(rhs), 1.0, 0.0, 0.0, 1.0).n_steps > 0
+    assert evaluation._ANTIDERIV_CACHE == {}

@@ -2,8 +2,8 @@
 
 Each scan runs one ``evaluate_field`` walk over its points.  The references
 below evaluate the same expression point by point with ``evaluate``, on the
-same points in the same order, and reduce the same way.  Both sides start
-from a cleared antiderivative cache, so integrals see the same anchors.
+same points in the same order, and reduce the same way.  Integrals on
+both sides run from their bases, so neither depends on what ran before.
 Where the loop raises ``EvalDomainError``, the scan must raise it too.
 """
 import pytest
@@ -17,7 +17,7 @@ from lagrangeforge.constructors import (
 from lagrangeforge.constructors.standard import admissibility_defect
 from lagrangeforge.dynamics import integrate_ode, monitor_quantity
 from lagrangeforge.errors import EvalDomainError
-from lagrangeforge.evaluation import clear_antideriv_cache, evaluate
+from lagrangeforge.evaluation import evaluate
 from lagrangeforge.expressions import (
     Const,
     Div,
@@ -34,8 +34,7 @@ P = parse_expression
 
 
 def outcome(fn, *args):
-    """``fn(*args)`` on a cleared cache, or EvalDomainError if it raised that."""
-    clear_antideriv_cache()
+    """``fn(*args)``, or EvalDomainError if it raised that."""
     try:
         return fn(*args)
     except EvalDomainError:
