@@ -61,8 +61,11 @@ ExprLike = Union["Expr", float, int]
 class Expr:
     """Base class for all expression nodes."""
 
-    # the node's structural hash, stored on first use (see ``_node``)
-    __slots__ = ("_hash",)
+    # ``_hash``: the node's structural hash, stored on first use (see
+    # ``_node``).  ``_simplified``: set by ``simplify`` on a node it found to
+    # be its own simplification; a marked node is returned as it is, so
+    # ``simplify(node) is node`` for every marked node.
+    __slots__ = ("_hash", "_simplified")
 
     def __add__(self, other: ExprLike) -> "Expr":
         return Add(self, as_expr(other))
@@ -589,16 +592,29 @@ def canonical(expr: Expr) -> Expr:
 
 
 def _rebuild(expr: Expr, f) -> Expr:
+    """``expr`` with ``f`` applied to each child; ``expr`` itself when ``f``
+    returns every child unchanged, so unchanged subtrees keep their identity
+    and their stored hash."""
     if isinstance(expr, (Const, Var)):
         return expr
     if isinstance(expr, (Add, Sub, Mul, Div)):
-        return type(expr)(f(expr.left), f(expr.right))
+        left, right = f(expr.left), f(expr.right)
+        if left is expr.left and right is expr.right:
+            return expr
+        return type(expr)(left, right)
     if isinstance(expr, Pow):
-        return Pow(f(expr.base), f(expr.exponent))
+        base, exponent = f(expr.base), f(expr.exponent)
+        if base is expr.base and exponent is expr.exponent:
+            return expr
+        return Pow(base, exponent)
     if isinstance(expr, (Neg, Exp, Ln, Abs, Sqrt, Sin, Cos)):
-        return type(expr)(f(expr.operand))
+        operand = f(expr.operand)
+        return expr if operand is expr.operand else type(expr)(operand)
     if isinstance(expr, Antideriv):
-        return Antideriv(f(expr.integrand), expr.var, expr.base)
+        integrand = f(expr.integrand)
+        if integrand is expr.integrand:
+            return expr
+        return Antideriv(integrand, expr.var, expr.base)
     raise ExpressionError(f"cannot rebuild {type(expr).__name__}")
 
 
@@ -631,13 +647,27 @@ def simplify(expr: Expr) -> Expr:
     shared.  The memo is keyed by identity, which is exact (the rules are a
     function of the node) and safe: ``expr`` keeps every key's object alive
     for the whole call.  It lasts for one call only.
+
+    Across calls, a node that is its own simplification is marked and
+    returned at once by every later call, so a subtree that has been
+    simplified is never walked again.  A node is marked only when the rules
+    return it unchanged over children that are themselves unchanged, so by
+    induction ``simplify(node) is node`` for every marked node, and the mark
+    never changes a result.  ``simplify`` is not idempotent in general
+    (``-1 * -x`` gives ``-(-x)``, and only a second call gives ``x``); a
+    node that a rule produced is not marked until a later call finds it
+    unchanged.
     """
     done: dict = {}
 
     def once(e: Expr) -> Expr:
+        if getattr(e, "_simplified", False):
+            return e
         out = done.get(id(e))
         if out is None:
             out = done[id(e)] = _simplify_node(_rebuild(e, once))
+            if out is e:
+                object.__setattr__(e, "_simplified", True)
         return out
 
     return once(expr)

@@ -1,5 +1,6 @@
 """Parser, formatter, differentiation and substitution behavior."""
 
+import copy
 import dataclasses
 import gc
 import math
@@ -275,6 +276,51 @@ class TestSimplify:
         # 0^-1 stays symbolic instead of raising during simplify
         e = Pow(Const(0.0), Const(-1.0))
         assert simplify(e) == e
+
+    def test_unchanged_subtrees_keep_their_identity(self):
+        e = parse_expression("exp(x*v) + integral(s, 0.5, s*x) * (1 + x)",
+                             params=("s",))
+        assert simplify(e) is e and canonical(e) is e
+        changed = simplify(Add(e.left, Mul(Const(1.0), e.right)))
+        assert changed.left is e.left and changed.right is e.right
+
+    def test_simplify_is_not_idempotent_and_the_mark_keeps_that(self):
+        # -1 * -x gives -(-x); only a second call folds the double negation.
+        # A mark on a node before its children are simplified, or on a
+        # node a rule produced, would return these trees unchanged
+        for text, first in (("-1 * -x", Neg(Neg(X))),
+                            ("x + -1 * -x", Add(X, Neg(Neg(X))))):
+            e = parse_expression(text)
+            for _ in range(2):
+                once = simplify(e)
+                assert once == first and repr(once) == repr(first)
+                assert simplify(once) == simplify(first) != first
+        assert simplify(simplify(parse_expression("-1 * -x"))) == X
+
+
+def _marked(expr):
+    return [n for n in _nodes(expr) if getattr(n, "_simplified", False)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions())
+def test_simplify_marks_only_fixed_points(drawn):
+    # in the second tree the result is a rule's product, -(-e), which a
+    # second call simplifies further
+    for expr in (drawn, Mul(Const(-1.0), Neg(copy.deepcopy(drawn)))):
+        fresh = simplify(copy.deepcopy(expr))
+        fresh_twice = simplify(simplify(copy.deepcopy(expr)))
+        assert _marked(copy.deepcopy(expr)) == []
+        simplify(expr)
+        marked = simplify(expr)
+        assert marked == fresh and repr(marked) == repr(fresh)
+        twice = simplify(marked)
+        assert twice == fresh_twice and repr(twice) == repr(fresh_twice)
+        nodes = _marked(expr) + _marked(marked) + _marked(twice)
+        assert nodes
+        for node in nodes:
+            assert simplify(node) is node
+            assert simplify(copy.deepcopy(node)) == node
 
 
 class TestStructure:

@@ -5,6 +5,7 @@
 everywhere else; the verifier built on them must report the residuals that
 ``euler_lagrange_residual`` computes one point at a time.
 """
+import copy
 import math
 import random
 import warnings
@@ -229,12 +230,20 @@ def test_each_distinct_subtree_is_walked_once(monkeypatch):
         assert {n: c for n, c in seen.items()
                 if not isinstance(n, (Const, Var))} == dict.fromkeys(inner, 1)
 
-    # simplify works once per distinct input object
+    # simplify works once per distinct input object.  The builder's L.expr
+    # is already simplified and marked, so count on an unmarked copy that
+    # keeps its sharing
+    fresh = copy.deepcopy(L.expr)
+    assert fresh == L.expr
     seen = _counting(monkeypatch, expressions, "_simplify_node")
-    expressions.simplify(L.expr)
-    distinct = {id(n) for n in nodes}
+    out = expressions.simplify(fresh)
+    distinct = {id(n) for n in _nodes(fresh)}
     assert len(nodes) > 5 * len(distinct)
     assert sum(seen.values()) == len(distinct)
+    # and never walks again what it has simplified
+    seen.clear()
+    expressions.simplify(out)
+    assert sum(seen.values()) == 0
 
 
 @pytest.mark.parametrize("text", ["exp(x)", "ln(x)", "sin(x)", "cos(x)",
