@@ -262,23 +262,26 @@ def _fit_time_function(samples_fn, lo: float, hi: float,
 
 
 def _ode_time_samples(rhs: Expr, lo: float, init: tuple):
-    """Sampler solving w'' = rhs(w, w', t) cumulatively to requested times."""
+    """Sampler solving w'' = rhs(w, w', t) to the requested times in turn.
+
+    Every call starts again from ``init`` at ``lo``, so each rung of the
+    fit ladder integrates its own points from the start; all calls share
+    one :class:`OdeSpec`, and so one compiled right-hand side.
+    """
     ode = OdeSpec(rhs)
     config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
-    state = {"t": lo, "w": init[0], "dw": init[1]}
-
     def samples(ts):
+        t, (w, dw) = lo, init
         out = []
         for t_target in ts:
-            if t_target < state["t"] - 1e-12:
+            if t_target < t - 1e-12:
                 raise ValueError("time samples must be non-decreasing")
-            if t_target > state["t"]:
-                traj = integrate_ode(ode, state["w"], state["dw"],
-                                     state["t"], t_target, config)
-                state["w"], state["dw"] = traj.final_state
-                state["t"] = t_target
-            out.append(state["w"])
+            if t_target > t:
+                traj = integrate_ode(ode, w, dw, t, t_target, config)
+                w, dw = traj.final_state
+                t = t_target
+            out.append(w)
         return out
 
     return samples

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .evaluation import compile_callable, evaluate_points
 from .expressions import Expr, as_expr, free_vars
-from .lagrangian import OdeSpec
+from .lagrangian import _COMPILED_RHS, OdeSpec
 
 __all__ = [
     "IntegratorConfig",
@@ -100,7 +100,17 @@ class Trajectory:
 
 
 def _rhs_callable(ode: OdeSpec) -> Callable:
-    return compile_callable(ode.rhs, ("x", "v", "t"), dict(ode.params))
+    """``ode``'s compiled right-hand side, made once per spec object.
+
+    It is kept on the spec, outside its fields: it lives as long as the
+    spec, and ``==``, ``repr`` and pickling ignore it (see
+    :meth:`OdeSpec.__getstate__`).
+    """
+    rhs = ode.__dict__.get(_COMPILED_RHS)
+    if rhs is None:
+        rhs = compile_callable(ode.rhs, ("x", "v", "t"), dict(ode.params))
+        object.__setattr__(ode, _COMPILED_RHS, rhs)
+    return rhs
 
 
 def _guard(x: float, v: float, t: float, limit: float) -> None:
@@ -128,6 +138,17 @@ _DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
 _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
 
+# The same coefficients by name, for the unrolled step below
+_, _C2, _C3, _C4, _C5, _C6, _C7 = _DP_C
+(_A21,) = _DP_A[1]
+_A31, _A32 = _DP_A[2]
+_A41, _A42, _A43 = _DP_A[3]
+_A51, _A52, _A53, _A54 = _DP_A[4]
+_A61, _A62, _A63, _A64, _A65 = _DP_A[5]
+_A71, _A72, _A73, _A74, _A75, _A76 = _DP_A[6]
+_B51, _B52, _B53, _B54, _B55, _B56, _B57 = _DP_B5
+_B41, _B42, _B43, _B44, _B45, _B46, _B47 = _DP_B4
+
 
 def _integrate_dp45(f, x0, v0, t0, t1, cfg):
     direction = 1.0 if t1 >= t0 else -1.0
@@ -154,22 +175,45 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
         if abs(h) <= 1e-14 * (1.0 + abs(t)):
             raise StepUnderflowError(t)
 
-        ks = [k1]
+        # Stage i's slope is (p_i, q_i) = (v_i, f(x_i, v_i, t_i)).  Each
+        # weighted sum starts from 0.0 and adds its terms left to right,
+        # zero coefficients included, as sum() over a table row does;
+        # tests/data/trajectory_golden.json pins the resulting bits.
+        p1, q1 = k1
         try:
-            for stage in range(1, 7):
-                xs = x + h * sum(_DP_A[stage][j] * ks[j][0] for j in range(stage))
-                vs = v + h * sum(_DP_A[stage][j] * ks[j][1] for j in range(stage))
-                ts = t + _DP_C[stage] * h
-                ks.append((vs, f(xs, vs, ts)))
+            p2 = v + h * (0.0 + _A21 * q1)
+            q2 = f(x + h * (0.0 + _A21 * p1), p2, t + _C2 * h)
+            p3 = v + h * (0.0 + _A31 * q1 + _A32 * q2)
+            q3 = f(x + h * (0.0 + _A31 * p1 + _A32 * p2), p3, t + _C3 * h)
+            p4 = v + h * (0.0 + _A41 * q1 + _A42 * q2 + _A43 * q3)
+            q4 = f(x + h * (0.0 + _A41 * p1 + _A42 * p2 + _A43 * p3), p4,
+                   t + _C4 * h)
+            p5 = v + h * (0.0 + _A51 * q1 + _A52 * q2 + _A53 * q3
+                          + _A54 * q4)
+            q5 = f(x + h * (0.0 + _A51 * p1 + _A52 * p2 + _A53 * p3
+                            + _A54 * p4), p5, t + _C5 * h)
+            p6 = v + h * (0.0 + _A61 * q1 + _A62 * q2 + _A63 * q3
+                          + _A64 * q4 + _A65 * q5)
+            q6 = f(x + h * (0.0 + _A61 * p1 + _A62 * p2 + _A63 * p3
+                            + _A64 * p4 + _A65 * p5), p6, t + _C6 * h)
+            p7 = v + h * (0.0 + _A71 * q1 + _A72 * q2 + _A73 * q3
+                          + _A74 * q4 + _A75 * q5 + _A76 * q6)
+            q7 = f(x + h * (0.0 + _A71 * p1 + _A72 * p2 + _A73 * p3
+                            + _A74 * p4 + _A75 * p5 + _A76 * p6), p7,
+                   t + _C7 * h)
         except EvalDomainError as err:
             raise IntegrationError(
                 f"dynamics evaluation failed near t = {t!r}: {err}"
             ) from err
 
-        x5 = x + h * sum(_DP_B5[j] * ks[j][0] for j in range(7))
-        v5 = v + h * sum(_DP_B5[j] * ks[j][1] for j in range(7))
-        x4 = x + h * sum(_DP_B4[j] * ks[j][0] for j in range(7))
-        v4 = v + h * sum(_DP_B4[j] * ks[j][1] for j in range(7))
+        x5 = x + h * (0.0 + _B51 * p1 + _B52 * p2 + _B53 * p3 + _B54 * p4
+                      + _B55 * p5 + _B56 * p6 + _B57 * p7)
+        v5 = v + h * (0.0 + _B51 * q1 + _B52 * q2 + _B53 * q3 + _B54 * q4
+                      + _B55 * q5 + _B56 * q6 + _B57 * q7)
+        x4 = x + h * (0.0 + _B41 * p1 + _B42 * p2 + _B43 * p3 + _B44 * p4
+                      + _B45 * p5 + _B46 * p6 + _B47 * p7)
+        v4 = v + h * (0.0 + _B41 * q1 + _B42 * q2 + _B43 * q3 + _B44 * q4
+                      + _B45 * q5 + _B46 * q6 + _B47 * q7)
 
         if not (math.isfinite(x5) and math.isfinite(v5)):
             _guard(x5, v5, t + h, cfg.overflow_guard)
@@ -183,7 +227,7 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
             t = t + h
             x, v = x5, v5
             _guard(x, v, t, cfg.overflow_guard)
-            k1 = ks[6]  # FSAL: last stage sits at (t + h, y5)
+            k1 = (p7, q7)  # FSAL: last stage sits at (t + h, y5)
             times.append(t)
             states.append((x, v))
             derivs.append(k1)

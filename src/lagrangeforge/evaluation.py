@@ -5,19 +5,22 @@ The rules for each node type are written once, in tables keyed by node type:
 * A *value rule* maps operand values to the node's value and owns the node's
   domain check (``_div_value``, ``_pow_value``, ``_exp_value``, ``_ln_value``,
   ``_sqrt_value``, ``_sin_value``, ``_cos_value``; negation and ``abs`` are
-  defined everywhere).
+  defined everywhere).  The array sweeps hold each check once more, as an
+  exact mask over operand arrays (``_DOMAIN``).
 * A *derivative rule* maps a function node's operand value to
   ``(f, f', f'')``, built on the node's value rule; a jet applies it through
-  :meth:`Jet2.chain`.  Jets add only the checks that values do not need:
-  ``sqrt`` and ``abs`` are not differentiable at zero, a variable exponent
-  needs a positive base, and a derivative whose denominator rounds to zero
-  (``1/u`` divides by ``u**3``, ``ln`` by ``u**2``) is out of domain.
+  :meth:`Jet2.chain`.  Each is written once for a float and for an array
+  over the sweep's points.  Jets add only the checks that values do not
+  need: ``sqrt`` and ``abs`` are not differentiable at zero, a variable
+  exponent needs a positive base, and a derivative whose denominator
+  rounds to zero (``1/u`` divides by ``u**3``, ``ln`` by ``u**2``) is out
+  of domain.
 
 Five entry points read the tables:
 
 * :func:`evaluate` walks the tree and returns a float.
-* :func:`compile_callable` builds nested closures once, for ODE right-hand
-  sides that are called thousands of times.
+* :func:`compile_callable` generates one straight-line Python function per
+  tree, for ODE right-hand sides that are called thousands of times.
 * :func:`eval_jet2` returns a :class:`Jet2` carrying the value together with
   the gradient and Hessian with respect to the state variables ``x, v, t``.
   Derivatives are propagated structurally (no finite differences), so they
@@ -28,20 +31,22 @@ Five entry points read the tables:
   raise.  Elsewhere their results equal the scalar ones bit for bit.
   :func:`evaluate_points` is :func:`evaluate_field` for scans that need
   every point: it raises where the mask is set.
-  ``+ - * /`` and negation run in numpy, which rounds them exactly as
-  Python floats do.  Every other rule (``exp``, ``ln``, powers, ``sin``,
-  ``cos``, ``sqrt``, ``abs``) runs point by point on Python floats:
-  numpy's ``exp``, ``log``, ``power``, ``sin`` and ``cos`` differ from the
-  C library's in the last bit on a few percent of inputs, and the scalar
-  walks remain the reference.
+  ``+ - * /``, negation, ``sqrt`` and ``abs`` run in numpy, which rounds
+  them exactly as Python floats do.  ``exp``, ``ln``, ``sin``, ``cos`` and
+  powers map the C library's function, the one the scalar rule calls, over
+  the unmasked points: numpy's ``exp``, ``log``, ``power``, ``sin`` and
+  ``cos`` differ from the C library's in the last bit on a few percent of
+  inputs, and the scalar walks remain the reference.  Where a map
+  overflows, that node runs point by point through its scalar rule; so
+  does the jet of a power whose exponent varies over the points.
 
 Integral nodes evaluate by adaptive Gauss-Kronrod quadrature
 (:func:`~lagrangeforge.quadrature.integrate_adaptive`), one call per
 integral node per walk: every unmasked point gets its own panels, from the
 node's base to that point's upper limit.  Each level of bisection
-evaluates the integrand once at the nodes of all open panels, with numpy
-ufuncs (``_integrand_field``); their domain rules are the scalar ones,
-written as masks, and a masked node makes its point's integral undefined.
+evaluates the integrand once at the nodes of all open panels, with numpy's
+functions (``_integrand_field``) under the exact sweeps' domain masks; a
+masked node makes its point's integral undefined.
 A point's value never depends on the other points, so the scalar
 :func:`evaluate` of an integral, the same call over one point, agrees with
 the fields bit for bit; so does a compiled callable, which makes that same
@@ -165,6 +170,8 @@ _BINARY_VALUE = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
                  Div: _div_value}
 _UNARY_VALUE = {Neg: operator.neg, Exp: _exp_value, Ln: _ln_value,
                 Sqrt: _sqrt_value, Abs: abs, Sin: _sin_value, Cos: _cos_value}
+# Every function node's value rule, powers included
+_VALUE_RULE = {**_UNARY_VALUE, Pow: _pow_value}
 
 
 def evaluate(expr: Expr, binding: Binding) -> float:
@@ -192,12 +199,18 @@ def evaluate(expr: Expr, binding: Binding) -> float:
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
-# --- closure compilation ----------------------------------------------------
+# --- compiled callables -------------------------------------------------------
 #
 # The ODE integrator calls its right-hand side thousands of times; walking the
 # tree with a dict binding per call is needlessly slow.  compile_callable
-# builds nested closures over positional arguments once, then each call is
-# plain float arithmetic.
+# generates one straight-line Python function per tree instead: each distinct
+# subtree becomes one local, computed once, in the order in which the scalar
+# walk first reaches it, so a call raises where evaluate raises and returns
+# its bits.  Equal subtrees evaluate identically (see the sweeps below), so
+# computing one once is exact.  The source holds only generated names:
+# arguments are a0, a1, ..., locals t0, t1, ..., and constants, frozen
+# parameters, value rules and integrals are entries of the function's
+# namespace, so no user text reaches the compiler.
 
 def compile_callable(
     expr: Expr,
@@ -221,49 +234,68 @@ def compile_callable(
     return _compile(expr, names, frozen)
 
 
-def _compile(expr, names, env):
-    kind = type(expr)
-    if kind is Const:
-        c = expr.value
-        return lambda *a: c
-    if kind is Var:
-        if expr.name in names:
-            i = names.index(expr.name)
-            return lambda *a: a[i]
-        c = float(env[expr.name])
-        return lambda *a: c
-    if kind is Antideriv:
-        def _anti(*a):
-            binding = dict(env)
-            for i, n in enumerate(names):
-                binding[n] = a[i]
-            return _antideriv_point(expr, binding)
+_INLINE = {Add: "+", Sub: "-", Mul: "*"}
 
-        return _anti
-    # Negation and +, -, * have no domain rule and stay inline: a call
-    # through their operator rule costs the integrator at every stage.
-    rule = _UNARY_VALUE.get(kind)
-    if rule is not None:
-        fo = _compile(expr.operand, names, env)
-        if kind is Neg:
-            return lambda *a: -fo(*a)
-        return lambda *a: rule(fo(*a))
-    if kind is Pow:
-        rule, left, right = _pow_value, expr.base, expr.exponent
-    else:
-        rule = _BINARY_VALUE.get(kind)
-        if rule is None:
-            raise TypeError(f"cannot compile node of type {type(expr).__name__}")
-        left, right = expr.left, expr.right
-    fl = _compile(left, names, env)
-    fr = _compile(right, names, env)
-    if kind is Add:
-        return lambda *a: fl(*a) + fr(*a)
-    if kind is Sub:
-        return lambda *a: fl(*a) - fr(*a)
-    if kind is Mul:
-        return lambda *a: fl(*a) * fr(*a)
-    return lambda *a: rule(fl(*a), fr(*a))
+
+def _compile(expr, names, env):
+    args = [f"a{i}" for i in range(len(names))]
+    namespace = {rule.__name__: rule for rule in (*_VALUE_RULE.values(),
+                                                  _div_value)}
+    lines = []
+    held = {}   # each distinct node walked so far -> the name holding its value
+
+    def constant(value) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def emit(node) -> str:
+        name = held.get(node)
+        if name is not None:
+            return name
+        kind = type(node)
+        if kind is Const:
+            name = constant(node.value)
+        elif kind is Var:
+            name = (args[names.index(node.name)] if node.name in names
+                    else constant(float(env[node.name])))
+        else:
+            if kind is Antideriv:
+                text = f"{constant(_integral_call(node, names, env))}({', '.join(args)})"
+            elif kind is Pow:
+                base = emit(node.base)
+                text = f"_pow_value({base}, {emit(node.exponent)})"
+            elif kind is Neg:
+                text = f"-{emit(node.operand)}"
+            elif kind in _UNARY_VALUE:
+                text = f"{_UNARY_VALUE[kind].__name__}({emit(node.operand)})"
+            elif kind in _BINARY_VALUE:
+                left = emit(node.left)
+                right = emit(node.right)
+                text = (f"{left} {_INLINE[kind]} {right}" if kind in _INLINE
+                        else f"_div_value({left}, {right})")
+            else:
+                raise TypeError(f"cannot compile node of type {kind.__name__}")
+            name = f"t{len(lines)}"
+            lines.append(f"    {name} = {text}\n")
+        held[node] = name
+        return name
+
+    result = emit(expr)
+    source = (f"def compiled({', '.join(args)}):\n" + "".join(lines)
+              + f"    return {result}\n")
+    exec(compile(source, "<compile_callable>", "exec"), namespace)
+    return namespace["compiled"]
+
+
+def _integral_call(node: Antideriv, names, env):
+    """An integral node as a function of the compiled callable's arguments."""
+    def integral(*a):
+        binding = dict(env)
+        binding.update(zip(names, a))
+        return _antideriv_point(node, binding)
+
+    return integral
 
 
 # --- antiderivative nodes ---------------------------------------------------
@@ -454,43 +486,66 @@ class Jet2:
 
 
 # --- derivative rules: (f, f', f'') at the operand value ---------------------
+#
+# Each rule is written once, for one point and for a sweep alike: ``u`` is a
+# float or an array over the sweep's points, and ``on`` is the walk.
+# ``on.value(kind, *operands)`` applies a node type's value rule, and
+# ``on.fail(where, error, message, *args)`` raises ``error`` if ``where``
+# holds at a point (``_POINT``) or masks the points where it holds (a sweep).
 
-def _exp_rule(u: float) -> tuple:
-    e = _exp_value(u)
+class _Point:
+    """The scalar walks' side of the derivative rules."""
+
+    @staticmethod
+    def value(kind, *operands):
+        return _VALUE_RULE[kind](*operands)
+
+    @staticmethod
+    def fail(where, error, message, *args):
+        if where:
+            raise error(message.format(*args))
+
+
+_POINT = _Point()
+
+
+def _exp_rule(u, on) -> tuple:
+    e = on.value(Exp, u)
     return e, e, e
 
 
-def _ln_rule(u: float) -> tuple:
-    f = _ln_value(u)
+def _ln_rule(u, on) -> tuple:
+    f = on.value(Ln, u)
     uu = u * u
-    if uu == 0.0:
-        raise EvalDomainError(f"second derivative of log at {u!r} overflows")
+    on.fail(uu == 0.0, EvalDomainError,
+            "second derivative of log at {!r} overflows", u)
     return f, 1.0 / u, -1.0 / uu
 
 
-def _sqrt_rule(u: float) -> tuple:
-    if u == 0.0:
-        raise NonDifferentiableError("square root is not differentiable at zero")
-    s = _sqrt_value(u)
+def _sqrt_rule(u, on) -> tuple:
+    on.fail(u == 0.0, NonDifferentiableError,
+            "square root is not differentiable at zero")
+    s = on.value(Sqrt, u)
     su = s * u
-    if su == 0.0:
-        raise EvalDomainError(f"second derivative of sqrt at {u!r} overflows")
+    on.fail(su == 0.0, EvalDomainError,
+            "second derivative of sqrt at {!r} overflows", u)
     return s, 0.5 / s, -0.25 / su
 
 
-def _abs_rule(u: float) -> tuple:
-    if u == 0.0:
-        raise NonDifferentiableError("absolute value is not differentiable at zero")
-    return abs(u), (1.0 if u > 0.0 else -1.0), 0.0
+def _abs_rule(u, on) -> tuple:
+    on.fail(u == 0.0, NonDifferentiableError,
+            "absolute value is not differentiable at zero")
+    # the sign: 1.0 above zero, -1.0 elsewhere (NaN too), on floats and arrays
+    return abs(u), (u > 0.0) * 2.0 - 1.0, 0.0
 
 
-def _sin_rule(u: float) -> tuple:
-    s, c = _sin_value(u), _cos_value(u)
+def _sin_rule(u, on) -> tuple:
+    s, c = on.value(Sin, u), on.value(Cos, u)
     return s, c, -s
 
 
-def _cos_rule(u: float) -> tuple:
-    s, c = _sin_value(u), _cos_value(u)
+def _cos_rule(u, on) -> tuple:
+    s, c = on.value(Sin, u), on.value(Cos, u)
     return c, -s, -c
 
 
@@ -504,24 +559,24 @@ def _is_constant_jet(j: Jet2) -> bool:
             and j.hvv == 0.0 and j.hvt == 0.0 and j.htt == 0.0)
 
 
-def _pow_rule(u: float, n: float) -> tuple:
-    """(f, f', f'') of u**n for a constant exponent n."""
+def _pow_rule(u, n: float, on) -> tuple:
+    """(f, f', f'') of u**n for a constant exponent n, a Python float."""
     # skip undefined derivative terms whose coefficients vanish, so x**2 is
     # fine at x = 0
-    f0 = _pow_value(u, n)
-    f1 = 0.0 if n == 0.0 else n * _pow_value(u, n - 1.0)
-    f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * _pow_value(u, n - 2.0)
+    f0 = on.value(Pow, u, n)
+    f1 = 0.0 if n == 0.0 else n * on.value(Pow, u, n - 1.0)
+    f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * on.value(Pow, u, n - 2.0)
     return f0, f1, f2
 
 
 def _jet_pow(base: Jet2, exponent: Jet2) -> Jet2:
     if _is_constant_jet(exponent):
-        return base.chain(*_pow_rule(base.f, exponent.f))
+        return base.chain(*_pow_rule(base.f, exponent.f, _POINT))
     # variable exponent: u**w = exp(w * ln u), requires u > 0
     if base.f <= 0.0:
         raise EvalDomainError(f"non-positive base {base.f!r} with variable exponent")
-    arg = exponent * base.chain(*_ln_rule(base.f))
-    return arg.chain(*_exp_rule(arg.f))
+    arg = exponent * base.chain(*_ln_rule(base.f, _POINT))
+    return arg.chain(*_exp_rule(arg.f, _POINT))
 
 
 _JET_BINARY = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__,
@@ -549,7 +604,7 @@ def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
     rule = _DERIVATIVE_RULES.get(kind)
     if rule is not None:
         u = eval_jet2(expr.operand, binding)
-        return u.chain(*rule(u.f))
+        return u.chain(*rule(u.f, _POINT))
     if kind is Pow:
         return _jet_pow(eval_jet2(expr.base, binding),
                         eval_jet2(expr.exponent, binding))
@@ -586,9 +641,17 @@ def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
 # after it is set, a point's values are never read, so numpy may compute
 # anything there (its warnings are silenced for the walk).  Nodes are visited
 # in the scalar order (left before right, base before exponent), and the
-# per-point rules and integrals skip masked points, so they do work exactly
-# where the scalar walks do.  A vectorised sweep (the integrands) applies the
-# numpy rules below instead of the per-point ones.
+# C-library calls and integrals skip masked points, so they do work exactly
+# where the scalar walks do.
+#
+# A function node's value rule runs in two steps (_Sweep.value): its domain
+# check as a mask over the operands (_DOMAIN; comparisons and isinf are
+# exact), then the value at the unmasked points.  Exp and powers can still
+# overflow there: where a mapped C-library call raises OverflowError, the
+# node is redone point by point with its scalar rule, which masks exactly
+# the overflowing points.  The integrands' sweep (``vectorised``) takes
+# numpy's functions for the values and reads overflow off as an infinite
+# result of finite operands.
 #
 # A sweep walks each distinct subtree once: it keeps every node's value and
 # jet, keyed by the node, and returns the kept result when an equal node
@@ -600,6 +663,22 @@ def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
 # later visit, and the points it masked are masked already, so the visit
 # would add nothing.  Kept arrays are shared, so no rule changes an operand
 # in place.  The memo lives as long as its sweep; the scalar walks keep none.
+
+def _pow_domain(base, exponent):
+    integral = np.isfinite(exponent) & (exponent == np.floor(exponent))
+    return ((base < 0.0) & ~integral) | ((base == 0.0) & (exponent < 0.0))
+
+
+# Where each value rule's domain check raises, over operand arrays
+_DOMAIN = {Ln: lambda u: u <= 0.0, Sqrt: lambda u: u < 0.0,
+           Sin: np.isinf, Cos: np.isinf, Pow: _pow_domain}
+# The C library's function that each value rule calls, for the exact sweeps
+_LIBM = {Exp: math.exp, Ln: math.log, Sin: math.sin, Cos: math.cos,
+         Pow: operator.pow}
+# numpy's counterparts: exact for sqrt and abs, last-bit close for the rest
+_UFUNC = {Exp: np.exp, Ln: np.log, Sqrt: np.sqrt, Abs: np.abs, Sin: np.sin,
+          Cos: np.cos, Pow: np.power}
+
 
 class _Sweep:
     __slots__ = ("columns", "bad", "vectorised", "values", "jets")
@@ -614,6 +693,40 @@ class _Sweep:
             bad = np.zeros(len(next(c for c in columns.values()
                                     if isinstance(c, np.ndarray))), dtype=bool)
         self.bad = np.array(bad, dtype=bool)
+
+    def value(self, kind, *operands) -> np.ndarray:
+        """``kind``'s value rule at every point; masks where the scalar rule raises."""
+        domain = _DOMAIN.get(kind)
+        if domain is not None:
+            self.bad |= domain(*operands)
+        libm = _LIBM.get(kind)
+        if libm is None:
+            return _UFUNC[kind](*operands)
+        if self.vectorised:
+            value = _UFUNC[kind](*operands)
+            if kind in (Exp, Pow):
+                # the C library raises where finite operands overflow
+                overflow = np.isinf(value)
+                for op in operands:
+                    overflow = overflow & np.isfinite(op)
+                self.bad |= overflow
+            return value
+        good = ~self.bad
+        count = int(np.count_nonzero(good))
+        args = [op[good].tolist() if isinstance(op, np.ndarray)
+                else [float(op)] * count for op in operands]
+        out = np.full(len(good), math.nan)
+        try:
+            out[good] = np.fromiter(map(libm, *args), float, count)
+        except OverflowError:
+            # exp or a power overflowed at some point: the scalar rule, point
+            # by point, masks exactly the points where it raises
+            return self.per_point(1, _VALUE_RULE[kind], *operands)[0]
+        return out
+
+    def fail(self, where, error, message, *args) -> None:
+        """:meth:`_Point.fail` for a sweep: mask where ``where`` holds."""
+        self.bad |= where
 
     def per_point(self, width: int, rule, *operands) -> np.ndarray:
         """``rule`` at every unmasked point, on Python floats; masks where it raises.
@@ -638,48 +751,6 @@ class _Sweep:
         return out
 
 
-# --- vectorised value rules: the scalar domain checks as masks ---------------
-
-def _exp_ufunc(u, sweep):
-    e = np.exp(u)
-    # math.exp raises only where a finite argument overflows
-    sweep.bad |= np.isinf(e) & np.isfinite(u)
-    return e
-
-
-def _ln_ufunc(u, sweep):
-    sweep.bad |= u <= 0.0
-    return np.log(u)
-
-
-def _sqrt_ufunc(u, sweep):
-    sweep.bad |= u < 0.0
-    return np.sqrt(u)
-
-
-def _sin_ufunc(u, sweep):
-    sweep.bad |= np.isinf(u)
-    return np.sin(u)
-
-
-def _cos_ufunc(u, sweep):
-    sweep.bad |= np.isinf(u)
-    return np.cos(u)
-
-
-def _pow_ufunc(base, exponent, sweep):
-    integral = np.isfinite(exponent) & (exponent == np.floor(exponent))
-    sweep.bad |= ((base < 0.0) & ~integral) | ((base == 0.0) & (exponent < 0.0))
-    p = np.power(base, exponent)
-    # Python's float power raises where finite operands overflow
-    sweep.bad |= np.isinf(p) & np.isfinite(base) & np.isfinite(exponent)
-    return p
-
-
-_UFUNC_VALUE = {Exp: _exp_ufunc, Ln: _ln_ufunc, Sqrt: _sqrt_ufunc,
-                Abs: lambda u, sweep: np.abs(u), Sin: _sin_ufunc, Cos: _cos_ufunc}
-
-
 def _full(value, n: int) -> np.ndarray:
     if isinstance(value, np.ndarray):
         return value
@@ -700,11 +771,12 @@ def evaluate_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
 
 
 def _integrand_field(expr: Expr, columns: Mapping) -> tuple:
-    """:func:`evaluate_field` with numpy's ufuncs for the per-point rules.
+    """:func:`evaluate_field` with numpy's functions for the values.
 
-    The mask is :func:`evaluate`'s domain rules, exactly; the values differ
-    from :func:`evaluate` in the last bits where numpy and the C library
-    round ``exp``, ``log``, powers, ``sin`` and ``cos`` differently.
+    The mask is :func:`evaluate`'s domain rules, exactly, the same masks as
+    :func:`evaluate_field`'s; the values differ from :func:`evaluate` in the
+    last bits where numpy and the C library round ``exp``, ``log``, powers,
+    ``sin`` and ``cos`` differently.
     Quadrature integrands run through it, a few thousand nodes at a time.
     """
     return _values(expr, _Sweep(columns, None, vectorised=True))
@@ -762,18 +834,11 @@ def _value_node(expr, sweep):
         return value if isinstance(value, np.ndarray) else float(value)
     if kind is Neg:
         return -_value_walk(expr.operand, sweep)
-    rule = _UNARY_VALUE.get(kind)
-    if rule is not None:
-        operand = _value_walk(expr.operand, sweep)
-        if sweep.vectorised:
-            return _UFUNC_VALUE[kind](operand, sweep)
-        return sweep.per_point(1, rule, operand)[0]
+    if kind in _UNARY_VALUE:
+        return sweep.value(kind, _value_walk(expr.operand, sweep))
     if kind is Pow:
         base = _value_walk(expr.base, sweep)
-        exponent = _value_walk(expr.exponent, sweep)
-        if sweep.vectorised:
-            return _pow_ufunc(base, exponent, sweep)
-        return sweep.per_point(1, _pow_value, base, exponent)[0]
+        return sweep.value(Pow, base, _value_walk(expr.exponent, sweep))
     if kind is Antideriv:
         return _antideriv_field(expr, sweep)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
@@ -831,14 +896,15 @@ def _jet_node(expr, sweep):
     rule = _DERIVATIVE_RULES.get(kind)
     if rule is not None:
         u = _jet_walk(expr.operand, sweep)
-        return u.chain(*sweep.per_point(3, rule, u.f))
+        return u.chain(*rule(_full(u.f, len(sweep.bad)), sweep))
     if kind is Pow:
         base = _jet_walk(expr.base, sweep)
         exponent = _jet_walk(expr.exponent, sweep)
         exp_slots = _slots(exponent)
         if not any(isinstance(s, np.ndarray) for s in exp_slots) \
                 and _is_constant_jet(exponent):
-            return base.chain(*sweep.per_point(3, _pow_rule, base.f, exponent.f))
+            return base.chain(*_pow_rule(_full(base.f, len(sweep.bad)),
+                                         float(exponent.f), sweep))
         # an exponent that varies over the points: the scalar rule per point
         return Jet2(*sweep.per_point(
             10, lambda *p: _slots(_jet_pow(Jet2(*p[:10]), Jet2(*p[10:]))),

@@ -61,6 +61,10 @@ def _freeze_params(params) -> tuple:
     return tuple(sorted((str(k), float(v)) for k, v in dict(params).items()))
 
 
+# The attribute under which dynamics keeps an OdeSpec's compiled right-hand side
+_COMPILED_RHS = "_compiled_rhs"
+
+
 @dataclass(frozen=True)
 class OdeSpec:
     """Second-order dynamics ``x'' = rhs(x, x', t)`` with frozen parameters."""
@@ -88,6 +92,11 @@ class OdeSpec:
         binding = self.param_dict
         binding.update({"x": x, "v": v, "t": t})
         return evaluate(self.rhs, binding)
+
+    def __getstate__(self):
+        # the integrator's compiled right-hand side is kept on the spec
+        # (dynamics._rhs_callable); it is not part of the value
+        return {k: v for k, v in self.__dict__.items() if k != _COMPILED_RHS}
 
 
 @dataclass(frozen=True)

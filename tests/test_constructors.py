@@ -53,6 +53,7 @@ from lagrangeforge.constructors import (
     radical_forward_rhs,
     reciprocal_forward_rhs,
 )
+from lagrangeforge.constructors import reciprocal
 from lagrangeforge.expressions import Const, Exp, Mul, Pow, Var, simplify
 
 NO_VERIFY = BuilderOptions(verify=False)
@@ -183,6 +184,26 @@ class TestTimeDependentLinear:
         with pytest.raises(ZeroCrossingError):
             build_reciprocal_linear(Const(0.0), Const(1.0), (0.0, 1.0),
                                     w_init=(0.0, 1.0))
+
+    def test_fit_ladder_climbs_past_its_first_rung(self):
+        # cos(t) over [0, 6] needs more than 12 Chebyshev nodes; each rung
+        # samples from t = 0 again, so the later rungs run and reach the
+        # tolerance
+        samples = reciprocal._ode_time_samples(parse_expression("-1.0*x"),
+                                               0.0, (1.0, 0.0))
+        _, first = reciprocal._fit_time_function(samples, 0.0, 6.0, ladder=(12,))
+        assert first > 5e-8
+        _, err = reciprocal._fit_time_function(samples, 0.0, 6.0)
+        assert err <= 5e-8
+        assert samples([0.0, 3.0]) == samples([0.0, 3.0])
+
+    def test_fit_past_the_first_rung_raises_a_package_error(self):
+        # before each rung sampled from t = 0 again, rung 16 raised a bare
+        # ValueError ("time samples must be non-decreasing")
+        b = parse_expression("0.3*sin(9*t)")
+        c = parse_expression("4 + 2*cos(7*t)")
+        with pytest.raises(ConstructionVerificationError):
+            build_reciprocal_linear(b, c, (0.0, 3.0))
 
     def test_variant_construction_fails_verification(self):
         Lp = build_reciprocal_linear_variant(Const(0.0),

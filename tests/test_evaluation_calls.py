@@ -3,7 +3,8 @@
 Scans over many points go through ``evaluate_field`` (or ``jet_field``) and
 its mask.  Outside ``evaluation.py`` only the single-point methods below may
 call ``evaluate``, ``eval_jet2`` or ``compile_callable``; the integrator's
-right-hand side keeps its compiled closure, which is faster per call.
+right-hand side calls its compiled function, generated straight-line code
+that is faster per call, made once per ``OdeSpec``.
 """
 import ast
 from pathlib import Path

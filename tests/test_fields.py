@@ -263,6 +263,108 @@ def test_functions_match_libm_on_many_points(text):
         assert hexes(jet, i) == hexes(eval_jet2(expr, point))
 
 
+# --- the mapped C-library calls and their overflow fallback ---------------------
+#
+# The exact sweeps compute exp, log, sin, cos and powers by mapping the C
+# library's function over the unmasked points.  Only exp and powers can
+# raise there (OverflowError); then the node is redone point by point with
+# the scalar rule, so the mask is the scalar raise set.
+
+EXP_EDGE = 709.782712893384        # the largest x with a finite exp(x)
+POW10_EDGE = 308.25471555991675    # log10 of the largest float, near it
+
+
+def _neighbours(x, k=3):
+    out = [x]
+    for _ in range(k):
+        out = [math.nextafter(out[0], -math.inf), *out,
+               math.nextafter(out[-1], math.inf)]
+    return out
+
+
+def _matches_scalar(expr, cols):
+    """Both field walks against the scalar walks, by float.hex; the masks."""
+    n = len(next(c for c in cols.values() if isinstance(c, np.ndarray)))
+    values, bad = evaluate_field(expr, cols)
+    jet, jet_bad = jet_field(expr, cols)
+    for i in range(n):
+        point = {name: (c[i].item() if isinstance(c, np.ndarray) else c)
+                 for name, c in cols.items()}
+        for walk, mask, check in (
+                (evaluate, bad, lambda w: float(values[i]).hex() == w.hex()),
+                (eval_jet2, jet_bad, lambda w: hexes(jet, i) == hexes(w))):
+            try:
+                want = walk(expr, point)
+            except EvalDomainError:
+                assert mask[i]
+            else:
+                assert not mask[i] and check(want)
+    return bad.tolist(), jet_bad.tolist()
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The rules that _Sweep.per_point ran, one entry per call."""
+    seen = []
+    real = evaluation._Sweep.per_point
+
+    def spy(self, width, rule, *operands):
+        seen.append(rule)
+        return real(self, width, rule, *operands)
+
+    monkeypatch.setattr(evaluation._Sweep, "per_point", spy)
+    return seen
+
+
+def test_exp_overflow_edge_is_the_scalar_one(fallbacks):
+    xs = _neighbours(EXP_EDGE)
+    bad, jet_bad = _matches_scalar(Exp(Var("x")), {"x": np.array(xs)})
+    assert bad == jet_bad == [x > EXP_EDGE for x in xs]
+    assert fallbacks == [evaluation._exp_value] * 2
+
+
+def test_power_of_ten_overflow_edge_is_the_scalar_one(fallbacks):
+    xs = _neighbours(POW10_EDGE)
+    bad, jet_bad = _matches_scalar(Pow(Const(10.0), Var("x")), {"x": np.array(xs)})
+    assert bad == jet_bad
+    assert 0 < sum(bad) < len(xs) and bad == sorted(bad)
+    # the value walk falls back; the variable-exponent jet is per point anyway
+    assert evaluation._pow_value in fallbacks
+
+
+def test_integral_exponent_overflow_of_a_negative_base(fallbacks):
+    expr = Pow(Var("x"), Const(1e20))
+    with pytest.raises(EvalDomainError, match="overflow"):
+        evaluate(expr, {"x": -2.0})
+    bad, jet_bad = _matches_scalar(expr, {"x": np.array([-2.0, 1.0, -1.0, 0.5])})
+    assert bad == jet_bad == [True, False, False, False]
+    assert set(fallbacks) == {evaluation._pow_value}
+
+
+def test_only_the_overflowing_points_are_masked(fallbacks):
+    xs = np.array([1.0, 710.0, -3.0, 800.0, 709.0, math.inf, -math.inf, math.nan])
+    bad, jet_bad = _matches_scalar(Exp(Var("x")), {"x": xs})
+    assert bad == jet_bad == [False, True, False, True, False, False, False, False]
+    assert fallbacks == [evaluation._exp_value] * 2
+
+
+def test_no_fallback_without_overflow(fallbacks):
+    xs = np.array([0.5, 2.0, 709.0, -700.0])
+    for text in ("exp(x)", "ln(x)", "sin(x)", "cos(x)", "x^2.5", "x^-3",
+                 "sqrt(x)", "abs(x)"):
+        _matches_scalar(parse_expression(text), {"x": xs})
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("k", [1.5, 710.0, -2.0, 0.0])
+def test_constant_operands_are_python_floats(k, fallbacks):
+    # k is a parameter: a Python float operand beside the x column
+    cols = {"x": np.array([-2.0, 0.0, 0.5, 3.0]), "k": k}
+    for text in ("exp(k)", "exp(k*x)", "x^k", "k^x", "ln(k)", "sin(k)",
+                 "sqrt(k)", "k^1e20"):
+        _matches_scalar(parse_expression(text, params=("k",)), cols)
+
+
 def test_incoming_mask_is_kept_and_not_mutated():
     cols = columns([(1.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (2.0, 1.0, 0.0)])
     given_bad = np.array([False, False, True])
