@@ -96,6 +96,7 @@ from .lagrangian import (
     OdeSpec,
     acceleration_field,
     grid_points,
+    largest,
     max_acceleration_gap,
     verify_lagrangian,
 )
@@ -356,13 +357,10 @@ class _Points:
     def max_rel(self, expr):
         """max |expr| / (1 + |f|) over usable points; None if none usable."""
         values, bad = evaluate_field(expr, self.columns)
-        worst = None
-        for val, f, out in zip(values.tolist(), self.f_values.tolist(),
-                               (bad | self.f_bad).tolist()):
-            if not out:
-                rel = abs(val) / (1.0 + abs(f))
-                worst = rel if worst is None else max(worst, rel)
-        return worst
+        with np.errstate(all="ignore"):
+            rel = np.abs(values) / (1.0 + np.abs(self.f_values))
+        worst = largest(rel, ~(bad | self.f_bad))
+        return None if worst is None else worst[0]
 
     def values(self, *exprs) -> list:
         """Each expression's values at the points where all are defined."""
@@ -416,7 +414,7 @@ class _Probe:
 
 
 def _spread(values: list):
-    return max(values) - min(values) if values else None
+    return float(np.max(values) - np.min(values)) if values else None
 
 
 def _verdict(defects: list, tol: float, holds: str, fails: str,
@@ -424,7 +422,7 @@ def _verdict(defects: list, tol: float, holds: str, fails: str,
     """Applicable when every defect was measured and the largest is small."""
     if any(d is None for d in defects):
         return False, None, failed
-    res = max(defects)
+    res = largest(defects)[0]
     ok = res <= tol
     return ok, res, holds if ok else fails
 
@@ -461,12 +459,12 @@ def _classify_standard(p, a, b, c):
 def _classify_autonomous(p, a, b, c):
     """Autonomous reciprocal: x-only coefficients, cubic-restoring constraint."""
     t_checks = [p.xt.max_rel(differentiate(z, "t")) for z in (a, b, c)]
-    t_dep = max((d for d in t_checks if d is not None), default=0.0)
+    t_dep = float(np.max([d for d in t_checks if d is not None], initial=0.0))
     [b_vals] = p.xt.values(b)
-    b_min = min((abs(z) for z in b_vals), default=0.0)
-    if t_dep > _STRUCT_TOL:
+    b_min = float(np.min(np.abs(b_vals))) if b_vals else 0.0
+    if not t_dep <= _STRUCT_TOL:
         return False, t_dep, "coefficients depend on t"
-    if b_min <= 1e-6:
+    if not b_min > 1e-6:
         return False, b_min, "linear damping coefficient vanishes on the domain"
     try:
         res = constraint_defect(a, b, c, x_interval=tuple(p.dom["x"]))
@@ -508,11 +506,11 @@ def _classify_monomial(p, a, b, c):
     c_norm = p.xt.max_rel(c)
     # one mask for both, so each b_x is paired with a_t at the same point
     bx, at = p.xt.values(differentiate(b, "x"), differentiate(a, "t"))
-    if c_norm is None or c_norm > _STRUCT_TOL:
+    if c_norm is None or not c_norm <= _STRUCT_TOL:
         return False, c_norm, ("velocity-free term present; supply the "
                                "exponent and build directly")
-    if max(map(abs, bx), default=0.0) <= _STRUCT_TOL \
-            and max(map(abs, at), default=0.0) <= _STRUCT_TOL:
+    if np.max(np.abs(bx), initial=0.0) <= _STRUCT_TOL \
+            and np.max(np.abs(at), initial=0.0) <= _STRUCT_TOL:
         return True, 0.0, "condition holds for every exponent"
     mus = [bxi / (bxi - ati) for bxi, ati in zip(bx, at)
            if abs(bxi - ati) > 1e-12]
@@ -530,13 +528,13 @@ def _classify_power(p):
     t_dep = p.t_dep
     [nu_hats] = p.points.values(simplify(_V * p.f_v / p.f)) \
         if t_dep is not None else [[]]
-    if t_dep is None or t_dep > _STRUCT_TOL:
+    if t_dep is None or not t_dep <= _STRUCT_TOL:
         return False, t_dep, "rhs depends on t"
     if not nu_hats:
         return False, None, "structure probe failed (rhs vanishes?)"
     spread = _spread(nu_hats)
     nu = sum(nu_hats) / len(nu_hats)
-    if spread > 1e-6:
+    if not spread <= 1e-6:
         return False, spread, "not a pure velocity power"
     if min(abs(nu - 1.0), abs(nu - 2.0)) <= 1e-9:
         return False, spread, f"measured exponent {nu:.3g} is excluded"
@@ -555,7 +553,7 @@ def _classify_split(p):
 
 def _classify_drag_ladder(p):
     """Drag ladder: f = -(a(t) v + b(t) v^{nu+1})."""
-    if p.x_dep is None or p.x_dep > _STRUCT_TOL:
+    if p.x_dep is None or not p.x_dep <= _STRUCT_TOL:
         return False, p.x_dep, "rhs depends on x"
     try:
         a_lin = simplify(Neg(substitute(p.f_v, "v", Const(0.0))))
@@ -887,7 +885,7 @@ def cmd_compare(spec: dict, out_dir: Path):
         points = _Points(built[0].ode.rhs, spec["domain"], _PROBE_VS)
         for other in built[1:]:
             gap = points.max_rel(simplify(other.ode.rhs - built[0].ode.rhs))
-            if gap is None or gap > 1e-8:
+            if gap is None or not gap <= 1e-8:
                 raise InapplicableFamilyError(
                     "compare members target different dynamics: "
                     f"{built[0].ode.rhs} vs {other.ode.rhs}")
@@ -920,7 +918,8 @@ def cmd_compare(spec: dict, out_dir: Path):
     rows = [[names[i]] + [repr(matrix[i][j]) for j in range(len(names))]
             for i in range(len(names))]
     _write_csv(out_dir / "matrix.csv", ["member"] + names, rows)
-    max_gap = max(gaps) if gaps else 0.0
+    worst = largest(gaps)
+    max_gap = 0.0 if worst is None else worst[0]
     payload = {
         "rhs": str(ode.rhs),
         "members": [_member_payload(n, L) for n, L in members.items()],

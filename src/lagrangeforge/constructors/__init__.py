@@ -6,7 +6,7 @@ for its target dynamics (verification can be disabled through
 controls that construct plausible but wrong Lagrangians; they skip
 verification so the universal checker can be shown catching them.
 """
-from .common import BuilderOptions, DEFAULT_OPTIONS, coefficient
+from .common import BuilderOptions, DEFAULT_OPTIONS
 from .composed import (
     MultiSuite,
     build_composed_invariant,
@@ -78,7 +78,6 @@ __all__ = [
     "build_reciprocal_nu2_variant",
     "build_standard",
     "c_from_ab",
-    "coefficient",
     "constraint_defect",
     "generalized_kinetic_rhs",
     "log_velocity_lagrangian",

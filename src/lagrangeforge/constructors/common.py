@@ -1,24 +1,30 @@
-"""Shared configuration, sampling strata and post-construction verification
-for builders."""
+"""Shared configuration, structural scans, sampling strata and
+post-construction verification for builders."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
+
+import numpy as np
 
 from ..errors import ConstructionVerificationError
-from ..expressions import Expr, as_expr, free_vars, parse_expression
+from ..evaluation import evaluate_points
+from ..expressions import Expr, free_vars
 from ..lagrangian import (
     DomainBox,
     Lagrangian,
     OdeSpec,
     SingularStratum,
+    grid_points,
     verify_lagrangian,
 )
+from ..normal_form import normal_form
 
 __all__ = [
     "BuilderOptions",
     "DEFAULT_OPTIONS",
-    "coefficient",
+    "max_abs_defect",
+    "min_abs_in_time",
     "post_verify",
     "relative_stratum",
     "require_free_of",
@@ -45,19 +51,30 @@ class BuilderOptions:
 DEFAULT_OPTIONS = BuilderOptions()
 
 
-def coefficient(value, params: Mapping[str, float] | None = None,
-                extra_names: tuple = ()) -> Expr:
-    """Coerce a coefficient given as number, text or expression."""
-    if isinstance(value, str):
-        names = tuple(dict(params or {})) + tuple(extra_names)
-        return parse_expression(value, params=names)
-    return as_expr(value)
+def max_abs_defect(defect: Expr, columns: Callable[[], Mapping],
+                   zero_test: Expr | None = None) -> float:
+    """Max |defect| over the points ``columns()`` builds, NaN if one is NaN.
+
+    0.0 without sampling when the normal form of ``zero_test`` (by default
+    the defect) is empty; raises :class:`EvalDomainError` where the defect
+    is undefined.
+    """
+    if normal_form(defect if zero_test is None else zero_test) == ():
+        return 0.0
+    return np.max(np.abs(evaluate_points(defect, columns())),
+                  initial=0.0).item()
+
+
+def min_abs_in_time(expr: Expr, lo: float, hi: float) -> float:
+    """Min |expr(t)| over 201 evenly spaced times in [lo, hi], NaN if one is."""
+    ts = np.array(grid_points(lo, hi, 201))
+    return np.min(np.abs(evaluate_points(expr, {"t": ts}))).item()
 
 
 def post_verify(L: Lagrangian, ode: OdeSpec, default_box: DomainBox,
-                options: BuilderOptions, mandatory: bool = False) -> Lagrangian:
+                options: BuilderOptions) -> Lagrangian:
     """Run the residual sweep a builder promises, raising on failure."""
-    if not options.verify and not mandatory:
+    if not options.verify:
         return L
     box = options.verify_box or default_box
     report = verify_lagrangian(L, ode, box, tol=options.verify_tol)

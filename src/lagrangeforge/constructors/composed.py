@@ -83,8 +83,8 @@ def build_exponential_family(a: Expr, b: Expr,
 
 
 def build_composed_invariant(invariant: Expr, outer: Expr, ode: OdeSpec,
-                             options: BuilderOptions = DEFAULT_OPTIONS,
-                             drift_tol: float = 1e-8) -> Lagrangian:
+                             options: BuilderOptions = DEFAULT_OPTIONS
+                             ) -> Lagrangian:
     """L = F(u) for a first integral u of the given dynamics.
 
     The conserved quantity is checked on the sweep box before composing;
@@ -96,15 +96,15 @@ def build_composed_invariant(invariant: Expr, outer: Expr, ode: OdeSpec,
         x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=61,
     )
-    assert_invariant(invariant, ode, box, tol=drift_tol)
+    assert_invariant(invariant, ode, box)
     L = simplify(substitute(outer, "v", invariant))
     lagr = Lagrangian(L, family="composed-invariant")
     return post_verify(lagr, ode, box, options)
 
 
 def compose_invariant(quantity, ode: OdeSpec, outer: Expr,
-                      options: BuilderOptions = DEFAULT_OPTIONS,
-                      drift_tol: float = 1e-8) -> Lagrangian:
+                      options: BuilderOptions = DEFAULT_OPTIONS
+                      ) -> Lagrangian:
     """Apply an outer profile to a conserved quantity of the dynamics.
 
     Same construction as :func:`build_composed_invariant` but accepting the
@@ -112,7 +112,7 @@ def compose_invariant(quantity, ode: OdeSpec, outer: Expr,
     Lagrangian whose value is the first integral.
     """
     inner = quantity.expr if isinstance(quantity, Lagrangian) else quantity
-    return build_composed_invariant(inner, outer, ode, options, drift_tol)
+    return build_composed_invariant(inner, outer, ode, options)
 
 
 def log_velocity_lagrangian(k: float,

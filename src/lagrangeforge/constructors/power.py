@@ -30,11 +30,11 @@ from ..expressions import (
     substitute,
 )
 from ..lagrangian import DomainBox, Lagrangian, OdeSpec, grid_points
-from ..normal_form import normal_form
 from ._symbolic import antiderivative_in
 from .common import (
     BuilderOptions,
     DEFAULT_OPTIONS,
+    max_abs_defect,
     post_verify,
     relative_stratum,
     require_free_of,
@@ -66,13 +66,10 @@ def monomial_admissibility_defect(a: Expr, b: Expr, mu: float,
         Const(mu - 1.0) * differentiate(b, "x")
         - Const(mu) * differentiate(a, "t")
     )
-    if normal_form(defect) == ():
-        return 0.0
     nx, nt = max(box.grid[0], 2), max(box.grid[2], 2)
-    xs = grid_points(*box.x, nx)
-    ts = grid_points(*box.t, nt)
-    columns = {"x": np.repeat(xs, nt), "t": np.tile(ts, nx)}
-    return max([0.0] + [abs(z) for z in evaluate_points(defect, columns)])
+    return max_abs_defect(defect, lambda: {
+        "x": np.repeat(grid_points(*box.x, nx), nt),
+        "t": np.tile(grid_points(*box.t, nt), nx)})
 
 
 def monomial_rhs(a: Expr, b: Expr, c: Expr, mu: float) -> Expr:
@@ -91,8 +88,7 @@ def power_damping_rhs(a: Expr, c: Expr, nu: float) -> Expr:
 
 
 def _monomial_lagrangian(a: Expr, b: Expr, c: Expr, mu: float,
-                         options: BuilderOptions,
-                         admissibility_tol: float = 1e-9) -> Lagrangian:
+                         options: BuilderOptions) -> Lagrangian:
     """Unverified L = F x'^mu - G; callers verify against their own rhs."""
     mu = float(mu)
     if mu in (0.0, 1.0):
@@ -101,7 +97,7 @@ def _monomial_lagrangian(a: Expr, b: Expr, c: Expr, mu: float,
         require_free_of(expr, ("v",), f"coefficient {name}")
     defect = monomial_admissibility_defect(a, b, mu,
                                            options.verify_box or _DEFAULT_BOX)
-    if defect > admissibility_tol:
+    if not defect <= 1e-9:
         raise InadmissibleCoefficientsError(
             "coefficients violate (mu-1) db/dx = mu da/dt", defect
         )
@@ -124,10 +120,9 @@ def _monomial_lagrangian(a: Expr, b: Expr, c: Expr, mu: float,
 
 
 def build_monomial(a: Expr, b: Expr, c: Expr, mu: float,
-                   options: BuilderOptions = DEFAULT_OPTIONS,
-                   admissibility_tol: float = 1e-9) -> Lagrangian:
+                   options: BuilderOptions = DEFAULT_OPTIONS) -> Lagrangian:
     """L = F x'^mu - G for x'' + a x'^2 + b x' + c x'^(2-mu) = 0."""
-    lagr = _monomial_lagrangian(a, b, c, mu, options, admissibility_tol)
+    lagr = _monomial_lagrangian(a, b, c, mu, options)
     return post_verify(lagr, OdeSpec(monomial_rhs(a, b, c, mu)),
                        _DEFAULT_BOX, options)
 
@@ -159,13 +154,13 @@ def generalized_kinetic_rhs(f: Expr, R: Expr) -> Expr:
 
 def build_generalized_kinetic(f: Expr, R: Expr,
                               psi: Expr | None = None,
-                              options: BuilderOptions = DEFAULT_OPTIONS,
-                              v_anchor: float = 1.0) -> Lagrangian:
+                              options: BuilderOptions = DEFAULT_OPTIONS
+                              ) -> Lagrangian:
     """L = Psi(x') + G(x, t) for x'' = f(x, t) R(x').
 
     Psi is a double antiderivative of 1/R in the velocity; a closed form is
     used when one is recognized, otherwise nested numeric antiderivatives
-    anchored at ``v_anchor``.  Callers who know Psi in closed form may pass
+    anchored at v = 1.  Callers who know Psi in closed form may pass
     it in ``psi``; it is cross-checked against R before use.
     """
     require_free_of(f, ("v",), "force factor f")
@@ -176,18 +171,18 @@ def build_generalized_kinetic(f: Expr, R: Expr,
         check = simplify(Mul(psi_vv, R))
         vs = (0.4, 0.9, 1.7)
         for vv, got in zip(vs, evaluate_points(check, {"v": np.array(vs)})):
-            if abs(got - 1.0) > 1e-9:
+            if not abs(got - 1.0) <= 1e-9:
                 raise ValueError(
                     "psi'' R != 1 (got %.3e at v=%.1f)" % (got, vv)
                 )
         Psi = psi
     else:
-        slope = antiderivative_in(simplify(Div(Const(1.0), R)), "v", v_anchor)
-        Psi = antiderivative_in(simplify(slope), "v", v_anchor)
+        slope = antiderivative_in(simplify(Div(Const(1.0), R)), "v", 1.0)
+        Psi = antiderivative_in(simplify(slope), "v", 1.0)
     G = antiderivative_in(f, "x", options.x0)
     L = simplify(Psi + G)
     lagr = Lagrangian(L, family="kinetic-potential",
-                      gauge=f"anchors v={v_anchor}, x0={options.x0}")
+                      gauge=f"anchors v=1.0, x0={options.x0}")
     box = DomainBox(
         x=(-1.0, 1.0), v=(0.3, 2.2), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=41,

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from ..errors import BadExponentError, ZeroCrossingError
-from ..evaluation import evaluate_points
 from ..expressions import (
     Const,
     Div,
@@ -35,11 +32,12 @@ from ..expressions import (
     differentiate,
     simplify,
 )
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec, grid_points
+from ..lagrangian import DomainBox, Lagrangian, OdeSpec
 from ._symbolic import antiderivative_in
 from .common import (
     BuilderOptions,
     DEFAULT_OPTIONS,
+    min_abs_in_time,
     post_verify,
     relative_stratum,
     require_free_of,
@@ -138,10 +136,8 @@ def build_radical_equal(a: Expr, b: Expr, nu: float, S0: float = 1.0,
         x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.5),
         grid=(4, 4, 4), n_random=32, seed=47,
     )
-    lo, hi = box.t
-    ts = np.array(grid_points(lo, hi, 201))
-    s_min = min(abs(s) for s in evaluate_points(S, {"t": ts}))
-    if s_min < 1e-8:
+    s_min = min_abs_in_time(S, *box.t)
+    if not s_min >= 1e-8:
         raise ZeroCrossingError(
             "scale function S vanishes inside the verification window; "
             "shift S0 or the time interval", s_min,

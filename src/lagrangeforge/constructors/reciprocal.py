@@ -30,7 +30,6 @@ from ..errors import (
     InadmissibleCoefficientsError,
     ZeroCrossingError,
 )
-from ..evaluation import evaluate_points
 from ..expressions import (
     Const,
     Div,
@@ -50,11 +49,12 @@ from ..lagrangian import (
     SingularStratum,
     grid_points,
 )
-from ..normal_form import normal_form
 from ._symbolic import antiderivative_in
 from .common import (
     BuilderOptions,
     DEFAULT_OPTIONS,
+    max_abs_defect,
+    min_abs_in_time,
     post_verify,
     relative_stratum,
     require_free_of,
@@ -151,10 +151,8 @@ def constraint_defect(a: Expr, b: Expr, c: Expr,
         + (a * b - differentiate(b, "x")) * c
         - Const(2.0 / 9.0) * Pow(b, Const(3.0))
     )
-    if normal_form(cleared) == ():
-        return 0.0
-    xs = np.array(grid_points(*x_interval, n))
-    return max([0.0] + [abs(z) for z in evaluate_points(defect, {"x": xs})])
+    return max_abs_defect(
+        defect, lambda: {"x": np.array(grid_points(*x_interval, n))}, cleared)
 
 
 def c_from_ab(a: Expr, b: Expr, lam: float = 0.0, x0: float = 0.0) -> Expr:
@@ -183,8 +181,8 @@ def a_from_bc(b: Expr, c: Expr) -> Expr:
 
 
 def build_reciprocal_autonomous(a: Expr, b: Expr, c: Expr,
-                                options: BuilderOptions = DEFAULT_OPTIONS,
-                                constraint_tol: float = 1e-8) -> Lagrangian:
+                                options: BuilderOptions = DEFAULT_OPTIONS
+                                ) -> Lagrangian:
     """L = 1 / (F x' + G) for x'' + a x'^2 + b x' + c = 0, x-only coefficients."""
     for name, expr in (("a", a), ("b", b), ("c", c)):
         require_free_of(expr, ("v", "t"), f"coefficient {name}")
@@ -192,7 +190,7 @@ def build_reciprocal_autonomous(a: Expr, b: Expr, c: Expr,
     if options.verify_box is not None:
         x_lo, x_hi = options.verify_box.x
     defect = constraint_defect(a, b, c, (x_lo, x_hi))
-    if defect > constraint_tol:
+    if not defect <= 1e-8:
         raise InadmissibleCoefficientsError(
             f"coefficient constraint violated by {defect:.3e}", defect
         )
@@ -320,9 +318,8 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
     W, fit_err = _fit_time_function(_ode_time_samples(aux_rhs, lo, w_init),
                                     lo, hi)
 
-    ts = np.array(grid_points(lo, hi, 201))
-    w_min = min(abs(w) for w in evaluate_points(W, {"t": ts}))
-    if w_min < 1e-8:
+    w_min = min_abs_in_time(W, lo, hi)
+    if not w_min >= 1e-8:
         raise ZeroCrossingError(
             "auxiliary oscillation crosses zero inside the interval; "
             "choose different initial data or a shorter interval",
@@ -345,9 +342,8 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
         strata=(relative_stratum(simplify(denom)),),
     )
     opts = replace(options, verify=True,
-                   verify_tol=max(options.verify_tol, 1e-5), verify_box=box)
-    return post_verify(lagr, OdeSpec(reciprocal_linear_rhs(b, c)), box, opts,
-                       mandatory=True)
+                   verify_tol=max(options.verify_tol, 1e-5))
+    return post_verify(lagr, OdeSpec(reciprocal_linear_rhs(b, c)), box, opts)
 
 
 def build_reciprocal_linear_variant(b: Expr, c: Expr, t_span: tuple,

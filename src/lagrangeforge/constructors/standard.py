@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import InadmissibleCoefficientsError
-from ..evaluation import evaluate_points
 from ..expressions import (
     Const,
     Exp,
@@ -26,10 +23,15 @@ from ..expressions import (
     simplify,
     substitute,
 )
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec
-from ..normal_form import normal_form
+from ..lagrangian import DomainBox, Lagrangian, OdeSpec, _state_columns
 from ._symbolic import antiderivative_in
-from .common import BuilderOptions, DEFAULT_OPTIONS, post_verify, require_free_of
+from .common import (
+    BuilderOptions,
+    DEFAULT_OPTIONS,
+    max_abs_defect,
+    post_verify,
+    require_free_of,
+)
 
 __all__ = [
     "StandardCoeffs",
@@ -72,13 +74,10 @@ def admissibility_defect(coeffs: StandardCoeffs,
         differentiate(coeffs.b, "x"),
         Const(2.0) * differentiate(coeffs.a, "t"),
     ))
-    if normal_form(defect) == ():
-        return 0.0
-    box = box or DomainBox(grid=(7, 1, 7), n_random=20)
     extra = dict(params or {})
-    xs, vs, ts = zip(*box.sample_points(extra))
-    columns = {**extra, "x": np.array(xs), "v": np.array(vs), "t": np.array(ts)}
-    return max([0.0] + [abs(z) for z in evaluate_points(defect, columns)])
+    box = box or DomainBox(grid=(7, 1, 7), n_random=20)
+    return max_abs_defect(defect, lambda: {
+        **extra, **_state_columns(box.sample_points(extra))})
 
 
 def _kinetic_factor(coeffs: StandardCoeffs, x0: float, t0: float) -> Expr:
@@ -90,11 +89,10 @@ def _kinetic_factor(coeffs: StandardCoeffs, x0: float, t0: float) -> Expr:
 
 
 def build_standard(coeffs: StandardCoeffs,
-                   options: BuilderOptions = DEFAULT_OPTIONS,
-                   admissibility_tol: float = 1e-9) -> Lagrangian:
+                   options: BuilderOptions = DEFAULT_OPTIONS) -> Lagrangian:
     """Construct L = P v^2 / 2 + R for admissible quadratic-drag dynamics."""
     defect = admissibility_defect(coeffs, options.verify_box)
-    if defect > admissibility_tol:
+    if not defect <= 1e-9:
         raise InadmissibleCoefficientsError(
             f"closure condition b_x = 2 a_t violated by {defect:.3e}", defect
         )
@@ -111,10 +109,9 @@ def build_standard(coeffs: StandardCoeffs,
 
 
 def standard_hamiltonian(coeffs: StandardCoeffs,
-                         options: BuilderOptions = DEFAULT_OPTIONS,
-                         momentum_name: str = "p") -> Expr:
+                         options: BuilderOptions = DEFAULT_OPTIONS) -> Expr:
     """H(x, p, t) = p^2 / (2 P) - R matching :func:`build_standard`."""
     P = _kinetic_factor(coeffs, options.x0, options.t0)
     R = simplify(-antiderivative_in(simplify(coeffs.c * P), "x", options.x0))
-    p = Var(momentum_name)
+    p = Var("p")
     return simplify(Pow(p, Const(2.0)) / (Const(2.0) * P) - R)

@@ -477,12 +477,7 @@ class Jet2:
         )
 
     def __truediv__(self, other):
-        w0 = other.f
-        w2 = w0 * w0
-        w3 = w2 * w0
-        if w3 == 0.0:
-            raise EvalDomainError(f"division by {w0!r}: its cube is zero")
-        return self * other.chain(1.0 / w0, -1.0 / w2, 2.0 / w3)
+        return self * other.chain(*_recip_rule(other.f, _POINT))
 
 
 # --- derivative rules: (f, f', f'') at the operand value ---------------------
@@ -547,6 +542,15 @@ def _sin_rule(u, on) -> tuple:
 def _cos_rule(u, on) -> tuple:
     s, c = on.value(Sin, u), on.value(Cos, u)
     return c, -s, -c
+
+
+def _recip_rule(u, on) -> tuple:
+    """(f, f', f'') of 1/u; undefined where u cubed is zero."""
+    u2 = u * u
+    u3 = u2 * u
+    on.fail(u3 == 0.0, EvalDomainError,
+            "division by {!r}: its cube is zero", u)
+    return 1.0 / u, -1.0 / u2, 2.0 / u3
 
 
 _DERIVATIVE_RULES = {Exp: _exp_rule, Ln: _ln_rule, Sqrt: _sqrt_rule,
@@ -881,12 +885,9 @@ def _jet_node(expr, sweep):
         right = _jet_walk(expr.right, sweep)
         if kind is not Div:
             return _JET_BINARY[kind](left, right)
-        # Jet2.__truediv__ with its domain check turned into a mask
-        w0 = np.asarray(right.f)
-        w2 = w0 * w0
-        w3 = w2 * w0
-        sweep.bad |= w3 == 0.0
-        return left * right.chain(1.0 / w0, -1.0 / w2, 2.0 / w3)
+        # a constant denominator stays a scalar, as a numpy one, so that a
+        # zero is masked rather than raised
+        return left * right.chain(*_recip_rule(np.asarray(right.f), sweep))
     if kind is Var:
         jet = Jet2(_value_walk(expr, sweep))
         slot = _VAR_SLOT.get(expr.name)

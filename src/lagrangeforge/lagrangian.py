@@ -40,6 +40,7 @@ __all__ = [
     "implied_acceleration",
     "invariant_drift",
     "invert_momentum",
+    "largest",
     "legendre_momentum",
     "max_acceleration_gap",
     "pairwise_acceleration_gap",
@@ -49,6 +50,20 @@ __all__ = [
 
 # minimum |d2L/dv2| for the implied acceleration to be well defined
 EPS_REG = 1e-9
+
+
+def largest(values, keep=None) -> tuple | None:
+    """The largest kept value and the first index holding it; None if none.
+
+    ``keep`` is an optional boolean mask.  NaN counts as the largest value,
+    so the first kept NaN is returned and fails any ``<= tol`` test.
+    """
+    index = np.arange(len(values)) if keep is None else np.flatnonzero(keep)
+    if not index.size:
+        return None
+    kept = np.asarray(values, dtype=float)[index]
+    i = int(np.argmax(kept))
+    return kept[i].item(), int(index[i])
 
 
 def _freeze_params(params) -> tuple:
@@ -263,6 +278,9 @@ def euler_lagrange_residual(L: Lagrangian, ode: OdeSpec,
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """What :func:`verify_lagrangian` measured; ``max_residual`` and
+    ``regularity_min`` are NaN when some usable point's value is."""
+
     passed: bool
     max_residual: float
     argmax: tuple
@@ -289,8 +307,10 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
 
     Points where evaluation leaves the domain of definition are skipped and
     counted; degenerate points (|L_vv| < EPS_REG) fail the report outright.
-    The residual at each usable point is |a_implied - f| / (1 + |f|); the
-    report keeps every point's residual, None where skipped or degenerate.
+    The residual at each usable point is |a_implied - f| / (1 + |f|), and
+    the report keeps every point's residual, None where skipped or
+    degenerate.  A NaN residual is the largest: it fails the report and
+    the first one in sample order is its argmax.
     """
     binding_extra = dict(ode.params)
     binding_extra.update(L.param_dict)
@@ -303,58 +323,42 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     with np.errstate(all="ignore"):
         field_residuals = np.abs(accels - rhs) / (1.0 + np.abs(rhs))
 
-    max_residual = -1.0
-    argmax = None
-    used = 0
-    skipped = 0
-    regularity_min = math.inf
-    notes = []
-    degenerate = False
-    residuals = []
-
-    for point, out, lvv, residual in zip(points, bad.tolist(), jet.hvv.tolist(),
-                                         field_residuals.tolist()):
-        if out:
-            skipped += 1
-            residuals.append((point, None))
-            continue
-        if abs(lvv) < regularity_min:
-            regularity_min = abs(lvv)
-        if abs(lvv) < EPS_REG:
-            if not degenerate:
-                notes.append(
-                    f"degenerate at (x, v, t) = {point}: "
-                    f"|L_vv| = {abs(lvv):.3e} < {EPS_REG:.1e}"
-                )
-            degenerate = True
-            used += 1
-            residuals.append((point, None))
-            continue
-        used += 1
-        residuals.append((point, residual))
-        if residual > max_residual:
-            max_residual = residual
-            argmax = point
+    good = ~bad
+    used = int(np.count_nonzero(good))
     if used == 0:
         raise EmptyDomainError(
             "every sample point fell outside the domain of definition"
         )
+    skipped = len(points) - used
+    regularity = np.abs(jet.hvv)
+    degenerate = good & (regularity < EPS_REG)
+    scored = good & ~degenerate
+    notes = []
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        notes.append(
+            f"degenerate at (x, v, t) = {points[i]}: "
+            f"|L_vv| = {regularity[i].item():.3e} < {EPS_REG:.1e}"
+        )
     if skipped:
         notes.append(f"skipped {skipped} out-of-domain samples")
-    passed = (not degenerate) and max_residual <= tol and argmax is not None
-    if argmax is None:
-        argmax = (math.nan, math.nan, math.nan)
-        max_residual = math.inf
+    worst = largest(field_residuals, scored)
+    if worst is None:
+        max_residual, argmax = math.inf, (math.nan, math.nan, math.nan)
+    else:
+        max_residual, argmax = worst[0], points[worst[1]]
     return VerificationReport(
-        passed=passed,
+        passed=worst is not None and not degenerate.any()
+        and max_residual <= tol,
         max_residual=max_residual,
         argmax=argmax,
         samples_used=used,
         samples_skipped=skipped,
-        regularity_min=regularity_min,
+        regularity_min=regularity[good].min().item(),
         tolerance=tol,
         notes=tuple(notes),
-        residuals=tuple(residuals),
+        residuals=tuple(zip(points, np.where(scored, field_residuals,
+                                             None).tolist())),
     )
 
 
@@ -373,21 +377,17 @@ def max_acceleration_gap(fields: Sequence[list]) -> float:
     """Largest normalized spread between acceleration fields on one point set.
 
     Skips points where some field is None; requires at least one point where
-    every field is defined.
+    every field is defined.  A NaN at such a point makes the result NaN.
     """
-    worst = -1.0
-    usable = 0
-    for accels in zip(*fields):
-        if None in accels:
-            continue
-        usable += 1
-        lo, hi = min(accels), max(accels)
-        gap = (hi - lo) / (1.0 + max(abs(lo), abs(hi)))
-        if gap > worst:
-            worst = gap
-    if usable == 0:
+    cells = np.array(fields, dtype=object)
+    keep = np.not_equal(cells, None).all(axis=0)
+    accels = np.where(keep, cells, 0.0).astype(float)
+    lo, hi = accels.min(axis=0), accels.max(axis=0)
+    worst = largest((hi - lo) / (1.0 + np.maximum(np.abs(lo), np.abs(hi))),
+                    keep)
+    if worst is None:
         raise EmptyDomainError("no common usable sample points")
-    return worst
+    return worst[0]
 
 
 def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian],
@@ -486,41 +486,30 @@ def invert_momentum(L: Lagrangian, p: float, x: float, t: float,
 
 # --- invariants ---------------------------------------------------------------
 
-def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox,
-                    extra_params: Mapping[str, float] | None = None) -> float:
+def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox) -> float:
     """Max normalized |dI/dt| along the dynamics over the box.
 
     dI/dt = I_x v + I_v f + I_t with f the prescribed acceleration; the rate
-    is normalized by 1 + |I|.
+    is normalized by 1 + |I|.  Points outside the domain are skipped; a NaN
+    rate at a usable point makes the result NaN.
     """
-    extra = dict(ode.params)
-    if extra_params:
-        extra.update(extra_params)
-    state = _state_columns(box.sample_points(extra))
-    columns = {**extra, **state}
+    state = _state_columns(box.sample_points(ode.param_dict))
+    columns = {**ode.param_dict, **state}
     f, bad = evaluate_field(ode.rhs, columns)
     jet, bad = jet_field(quantity, columns, bad)
     with np.errstate(all="ignore"):
         rates = (np.abs(jet.gx * state["v"] + jet.gv * f + jet.gt)
                  / (1.0 + np.abs(jet.f)))
-    worst = -1.0
-    usable = 0
-    for out, rate in zip(bad.tolist(), rates.tolist()):
-        if out:
-            continue
-        usable += 1
-        if rate > worst:
-            worst = rate
-    if usable == 0:
+    worst = largest(rates, ~bad)
+    if worst is None:
         raise EmptyDomainError("no usable sample points for the invariant")
-    return worst
+    return worst[0]
 
 
 def assert_invariant(quantity: Expr, ode: OdeSpec, box: DomainBox,
-                     tol: float = 1e-8,
-                     extra_params: Mapping[str, float] | None = None) -> float:
-    rate = invariant_drift(quantity, ode, box, extra_params)
-    if rate > tol:
+                     tol: float = 1e-8) -> float:
+    rate = invariant_drift(quantity, ode, box)
+    if not rate <= tol:
         raise NotInvariantError(
             f"quantity drifts at normalized rate {rate:.3e} > {tol:.1e}", rate
         )

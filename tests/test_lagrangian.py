@@ -31,8 +31,18 @@ from lagrangeforge import (
 )
 from lagrangeforge.constructors.common import relative_stratum
 from lagrangeforge.expressions import Add, Const, Var, simplify
+from lagrangeforge.lagrangian import largest, max_acceleration_gap
 
 POINTS = [(-0.7, 0.4, 0.0), (0.3, -1.1, 0.8), (1.2, 0.9, 1.5), (0.0, 2.0, 0.3)]
+
+# A term that is 0 where exp(700 t)^2 is finite and NaN (inf - inf) from
+# t = 0.507 on, plus x * 2 max(t - 0.6, 0), whose x-derivative is a true
+# acceleration for t > 0.6 that the NaN hides.  Summed into L or into a
+# conserved quantity, it must fail the check rather than be skipped.
+E, F = "exp(700*t)", "exp(700*t + 1e-300)"
+NAN_HOLE = f"(x*({E}*{E}) - x*({E}*{F})) + x*((t - 0.6) + abs(t - 0.6))"
+NAN_BOX = DomainBox(x=(-1.0, 1.0), v=(0.2, 2.0), t=(0.0, 1.0),
+                    grid=(4, 4, 4), n_random=32, seed=1)
 
 
 def damped_oscillator(gamma=0.3, omega_sq=2.25):
@@ -176,6 +186,19 @@ class TestVerifyLagrangian:
         assert 0 < len(kept) < len(everything)
         assert replace(box, strata=(stratum,)).sample_points() == kept
 
+    def test_a_nan_residual_fails_at_the_first_nan(self):
+        L = Lagrangian(parse_expression("0.5*v^2 + " + NAN_HOLE))
+        report = verify_lagrangian(L, OdeSpec(parse_expression("0*x")),
+                                   NAN_BOX)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        nans = [p for p, r in report.residuals
+                if r is not None and math.isnan(r)]
+        assert len(nans) == 46
+        assert report.argmax == nans[0]
+        assert report.samples_used == 96 and report.samples_skipped == 0
+        assert math.isnan(report.regularity_min)
+
     def test_everything_excluded_raises(self):
         box = DomainBox(grid=(2, 2, 2), n_random=4,
                         strata=(SingularStratum(Const(0.0), 1.0),))
@@ -303,6 +326,13 @@ class TestInvariants:
                                 tol=1e-10)
         assert rate <= 1e-10
 
+    def test_a_nan_drift_is_not_invariant(self):
+        u = parse_expression("v*exp(0.5*x) + " + NAN_HOLE)
+        ode = OdeSpec(parse_expression("-0.5*v^2"))
+        assert math.isnan(invariant_drift(u, ode, NAN_BOX))
+        with pytest.raises(NotInvariantError):
+            assert_invariant(u, ode, NAN_BOX)
+
 
 class TestPairwiseGap:
     def test_identical_members_agree(self):
@@ -322,6 +352,43 @@ class TestPairwiseGap:
         assert pairwise_acceleration_gap(
             [Lagrangian(parse_expression("0.5*v^2"))], box
         ) == 0.0
+
+
+    @pytest.mark.parametrize("fields", [
+        [[1.0, 2.0, math.nan], [1.0, 2.5, 1.0]],
+        [[1.0, math.nan, 2.0], [1.0, 1.0, 2.5]],
+        [[None, math.nan, 2.0], [1.0, 1.0, None]],
+    ])
+    def test_a_nan_gap_is_nan(self, fields):
+        assert math.isnan(max_acceleration_gap(fields))
+
+    def test_points_where_a_field_is_undefined_are_skipped(self):
+        assert max_acceleration_gap([[None, 1.0, 3.0], [0.0, 1.0, 1.0]]) \
+            == 0.5
+        with pytest.raises(EmptyDomainError):
+            max_acceleration_gap([[None, 1.0], [1.0, None]])
+
+
+class TestLargest:
+    def test_ties_give_the_first_index(self):
+        assert largest([1.0, 3.0, 2.0, 3.0]) == (3.0, 1)
+
+    def test_the_first_nan_wins(self):
+        assert repr(largest([1.0, math.nan, 5.0, math.nan])) == "(nan, 1)"
+        assert repr(largest([math.inf, 2.0, math.nan])) == "(nan, 2)"
+
+    def test_the_mask_keeps_indices_of_the_whole_array(self):
+        values = [9.0, math.nan, 2.0, 4.0, 4.0]
+        keep = [False, False, True, True, True]
+        assert largest(values, keep) == (4.0, 3)
+
+    def test_nothing_kept_gives_none(self):
+        assert largest([]) is None
+        assert largest([1.0, 2.0], [False, False]) is None
+
+    def test_the_value_is_a_python_float(self):
+        value, index = largest([0.5, 0.25])
+        assert type(value) is float and type(index) is int
 
 
 class TestOdeSpec:

@@ -6,14 +6,18 @@ same points in the same order, and reduce the same way.  Integrals on
 both sides run from their bases, so neither depends on what ran before.
 Where the loop raises ``EvalDomainError``, the scan must raise it too.
 """
+import math
+
 import pytest
 
+from lagrangeforge import cli
 from lagrangeforge.constructors import (
     StandardCoeffs,
     c_from_ab,
     constraint_defect,
     monomial_admissibility_defect,
 )
+from lagrangeforge.constructors.common import min_abs_in_time
 from lagrangeforge.constructors.standard import admissibility_defect
 from lagrangeforge.dynamics import integrate_ode, monitor_quantity
 from lagrangeforge.errors import EvalDomainError
@@ -147,6 +151,29 @@ HARMONIC_TRAJ = integrate_ode(OdeSpec(P("-x")), 0.3, 0.4, 0.0, 3.0)
 def test_monitor_quantity(quantity):
     want = outcome(monitor_loop, HARMONIC_TRAJ, quantity)
     assert outcome(monitor_quantity, HARMONIC_TRAJ, quantity) == want
+
+
+# zero where exp(400 t)^2 is finite, NaN (inf - inf) from t = 0.887 on
+E = "exp(400*t)"
+NAN_TERM = P(f"abs({E})*{E} - {E}*{E}")
+
+
+def test_a_nan_scan_is_nan():
+    # the scans reduce with NaN as the extreme value, so no tolerance test
+    # passes them; a Python max over the points would skip the NaNs
+    half_x2 = P("0.5*x^2")
+    coeffs = StandardCoeffs(Const(0.0), simplify(half_x2 * NAN_TERM),
+                            Const(0.0))
+    assert math.isnan(admissibility_defect(coeffs))
+    assert math.isnan(monomial_admissibility_defect(
+        Const(0.0), simplify(half_x2 * NAN_TERM), 3.0))
+    x_nan = P("abs(exp(400*x))*exp(400*x) - exp(400*x)*exp(400*x)")
+    assert math.isnan(constraint_defect(Const(0.0), Const(1.0),
+                                        simplify(P("x") + x_nan), (0.2, 1.2)))
+    assert math.isnan(min_abs_in_time(simplify(Const(1.0) + NAN_TERM),
+                                      0.0, 1.0))
+    probe = cli._Points(P("0*x"), {"x": (-1.0, 1.0), "t": (0.0, 1.0)}, (1.0,))
+    assert math.isnan(probe.max_rel(NAN_TERM))
 
 
 def test_edge_cases_do_raise():
