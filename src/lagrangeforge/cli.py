@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -139,8 +140,27 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _strict_json(value):
+    """``value`` with each NaN or infinity as a string, which RFC 8259 allows.
+
+    JSON has no non-finite numbers; Python's bare ``NaN`` and ``Infinity``
+    tokens are rejected by strict parsers.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return "NaN"
+        return "Infinity" if value > 0.0 else "-Infinity"
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+    _atomic_write(path, text + "\n")
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:

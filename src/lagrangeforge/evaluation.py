@@ -90,6 +90,7 @@ from .quadrature import integrate_adaptive
 __all__ = [
     "Binding",
     "Jet2",
+    "ZERO",
     "compile_callable",
     "definite_integral",
     "evaluate",
@@ -390,13 +391,88 @@ def definite_integral(
 _STATE = ("x", "v", "t")
 
 
+class _Zero(float):
+    """The type of :data:`ZERO`, a derivative slot that vanishes identically."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return ZERO
+
+    def __reduce__(self):
+        # pickles and copies as the module attribute, so as the singleton
+        return "ZERO"
+
+
+#: The structural zero: a jet slot that is zero by the tree's structure, not
+#: by arithmetic.  It is tested by identity, so a computed 0.0 is never one.
+ZERO = float.__new__(_Zero, 0.0)
+
+
+class _NonFinite(Exception):
+    """A non-finite number may have met a ZERO; see :class:`Jet2`."""
+
+
+def _times(a, b):
+    """``a * b``, or ZERO when either factor is ZERO.
+
+    Raises :class:`_NonFinite` instead of dropping a non-finite Python
+    float; numpy values are left to numpy's flags (see :func:`jet_field`).
+    """
+    if a is ZERO or b is ZERO:
+        other = b if a is ZERO else a
+        if type(other) is float and not math.isfinite(other):
+            raise _NonFinite
+        return ZERO
+    return a * b
+
+
+def _plus(a, b):
+    """``a + b`` with a ZERO term dropped; ZERO when both are."""
+    if a is ZERO:
+        return b
+    return a if b is ZERO else a + b
+
+
+def _minus(a, b):
+    """``a - b`` with a ZERO term dropped; ZERO when both are."""
+    if b is ZERO:
+        return a
+    return -b if a is ZERO else a - b
+
+
+def _negated(a):
+    return a if a is ZERO else -a
+
+
 class Jet2:
-    """Value, gradient and Hessian with respect to ``(x, v, t)``."""
+    """Value, gradient and Hessian with respect to ``(x, v, t)``.
+
+    A derivative slot holds a float, an array over a sweep's points, or
+    :data:`ZERO`, the default: constants and variables start sparse.  The
+    arithmetic drops every term that has a ZERO factor and computes the
+    others in the order of the full formulas; a slot with no term left is
+    ZERO.  A *dense* jet is one whose leaves hold a plain 0.0, where nothing
+    is dropped and every formula runs in full.
+
+    Dropping is exact up to the sign of a zero.  Were the ZERO a plain 0.0,
+    the dropped term would be ``±0`` whenever the product of its other
+    factors is finite, and adding ``±0`` changes a sum at most in the sign
+    of a zero; later products and sums carry a signed zero on as a signed
+    zero.  Were that product infinite or NaN, the term would be NaN.  So
+    the product of a dropped term's other factors is still formed, and
+    none that is not finite may meet a ZERO.  A Python float raises
+    :class:`_NonFinite` there, and :func:`eval_jet2` walks the point again
+    with dense leaves.  The array sweep holds numpy numbers, whose
+    arithmetic numpy's error flags see, and :func:`jet_field` redoes its
+    points one by one if a flag or an input says that a non-finite number
+    can have arisen.
+    """
 
     __slots__ = ("f", "gx", "gv", "gt", "hxx", "hxv", "hxt", "hvv", "hvt", "htt")
 
-    def __init__(self, f=0.0, gx=0.0, gv=0.0, gt=0.0,
-                 hxx=0.0, hxv=0.0, hxt=0.0, hvv=0.0, hvt=0.0, htt=0.0):
+    def __init__(self, f=0.0, gx=ZERO, gv=ZERO, gt=ZERO,
+                 hxx=ZERO, hxv=ZERO, hxt=ZERO, hvv=ZERO, hvt=ZERO, htt=ZERO):
         self.f = f
         self.gx = gx
         self.gv = gv
@@ -425,55 +501,67 @@ class Jet2:
         return (f"Jet2(f={self.f!r}, grad=({self.gx!r}, {self.gv!r}, {self.gt!r}))")
 
     def __add__(self, other):
+        u, w = self, other
         return Jet2(
-            self.f + other.f,
-            self.gx + other.gx, self.gv + other.gv, self.gt + other.gt,
-            self.hxx + other.hxx, self.hxv + other.hxv, self.hxt + other.hxt,
-            self.hvv + other.hvv, self.hvt + other.hvt, self.htt + other.htt,
+            u.f + w.f,
+            _plus(u.gx, w.gx), _plus(u.gv, w.gv), _plus(u.gt, w.gt),
+            _plus(u.hxx, w.hxx), _plus(u.hxv, w.hxv), _plus(u.hxt, w.hxt),
+            _plus(u.hvv, w.hvv), _plus(u.hvt, w.hvt), _plus(u.htt, w.htt),
         )
 
     def __sub__(self, other):
+        u, w = self, other
         return Jet2(
-            self.f - other.f,
-            self.gx - other.gx, self.gv - other.gv, self.gt - other.gt,
-            self.hxx - other.hxx, self.hxv - other.hxv, self.hxt - other.hxt,
-            self.hvv - other.hvv, self.hvt - other.hvt, self.htt - other.htt,
+            u.f - w.f,
+            _minus(u.gx, w.gx), _minus(u.gv, w.gv), _minus(u.gt, w.gt),
+            _minus(u.hxx, w.hxx), _minus(u.hxv, w.hxv), _minus(u.hxt, w.hxt),
+            _minus(u.hvv, w.hvv), _minus(u.hvt, w.hvt), _minus(u.htt, w.htt),
         )
 
     def __neg__(self):
+        u = self
         return Jet2(
-            -self.f,
-            -self.gx, -self.gv, -self.gt,
-            -self.hxx, -self.hxv, -self.hxt, -self.hvv, -self.hvt, -self.htt,
+            -u.f,
+            _negated(u.gx), _negated(u.gv), _negated(u.gt),
+            _negated(u.hxx), _negated(u.hxv), _negated(u.hxt),
+            _negated(u.hvv), _negated(u.hvt), _negated(u.htt),
         )
 
     def __mul__(self, other):
         u, w = self, other
+        uf, wf = u.f, w.f
         return Jet2(
-            u.f * w.f,
-            u.gx * w.f + u.f * w.gx,
-            u.gv * w.f + u.f * w.gv,
-            u.gt * w.f + u.f * w.gt,
-            u.hxx * w.f + 2.0 * u.gx * w.gx + u.f * w.hxx,
-            u.hxv * w.f + u.gx * w.gv + u.gv * w.gx + u.f * w.hxv,
-            u.hxt * w.f + u.gx * w.gt + u.gt * w.gx + u.f * w.hxt,
-            u.hvv * w.f + 2.0 * u.gv * w.gv + u.f * w.hvv,
-            u.hvt * w.f + u.gv * w.gt + u.gt * w.gv + u.f * w.hvt,
-            u.htt * w.f + 2.0 * u.gt * w.gt + u.f * w.htt,
+            uf * wf,
+            _plus(_times(u.gx, wf), _times(uf, w.gx)),
+            _plus(_times(u.gv, wf), _times(uf, w.gv)),
+            _plus(_times(u.gt, wf), _times(uf, w.gt)),
+            _plus(_plus(_times(u.hxx, wf), _times(_times(2.0, u.gx), w.gx)),
+                  _times(uf, w.hxx)),
+            _plus(_plus(_plus(_times(u.hxv, wf), _times(u.gx, w.gv)),
+                        _times(u.gv, w.gx)), _times(uf, w.hxv)),
+            _plus(_plus(_plus(_times(u.hxt, wf), _times(u.gx, w.gt)),
+                        _times(u.gt, w.gx)), _times(uf, w.hxt)),
+            _plus(_plus(_times(u.hvv, wf), _times(_times(2.0, u.gv), w.gv)),
+                  _times(uf, w.hvv)),
+            _plus(_plus(_plus(_times(u.hvt, wf), _times(u.gv, w.gt)),
+                        _times(u.gt, w.gv)), _times(uf, w.hvt)),
+            _plus(_plus(_times(u.htt, wf), _times(_times(2.0, u.gt), w.gt)),
+                  _times(uf, w.htt)),
         )
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Compose with a scalar function given its value and two derivatives."""
         u = self
+        gx, gv, gt = u.gx, u.gv, u.gt
         return Jet2(
             f0,
-            f1 * u.gx, f1 * u.gv, f1 * u.gt,
-            f1 * u.hxx + f2 * u.gx * u.gx,
-            f1 * u.hxv + f2 * u.gx * u.gv,
-            f1 * u.hxt + f2 * u.gx * u.gt,
-            f1 * u.hvv + f2 * u.gv * u.gv,
-            f1 * u.hvt + f2 * u.gv * u.gt,
-            f1 * u.htt + f2 * u.gt * u.gt,
+            _times(f1, gx), _times(f1, gv), _times(f1, gt),
+            _plus(_times(f1, u.hxx), _times(_times(f2, gx), gx)),
+            _plus(_times(f1, u.hxv), _times(_times(f2, gx), gv)),
+            _plus(_times(f1, u.hxt), _times(_times(f2, gx), gt)),
+            _plus(_times(f1, u.hvv), _times(_times(f2, gv), gv)),
+            _plus(_times(f1, u.hvt), _times(_times(f2, gv), gt)),
+            _plus(_times(f1, u.htt), _times(_times(f2, gt), gt)),
         )
 
     def __truediv__(self, other):
@@ -564,7 +652,7 @@ def _is_constant_jet(j: Jet2) -> bool:
 
 
 def _pow_rule(u, n: float, on) -> tuple:
-    """(f, f', f'') of u**n for a constant exponent n, a Python float."""
+    """(f, f', f'') of u**n for a constant exponent n, a float."""
     # skip undefined derivative terms whose coefficients vanish, so x**2 is
     # fine at x = 0
     f0 = on.value(Pow, u, n)
@@ -591,31 +679,50 @@ _VAR_SLOT = {"x": "gx", "v": "gv", "t": "gt"}
 def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
     """Evaluate ``expr`` with exact first and second derivatives in (x, v, t).
 
-    Non-state variables in the binding are treated as constants.
+    Non-state variables in the binding are treated as constants.  Slots that
+    vanish by the tree's structure are :data:`ZERO`; the others equal the
+    dense walk's bit for bit, up to the sign of a zero (see :class:`Jet2`).
     """
+    try:
+        return _jet_point(expr, binding, ZERO)
+    except _NonFinite:
+        # a non-finite number can have met a ZERO: the dense walk drops
+        # nothing, so it computes every term as the full formulas do
+        return _jet_point(expr, binding, 0.0)
+
+
+def _leaf(value, zero) -> Jet2:
+    """A jet whose nine derivative slots hold ``zero``."""
+    return Jet2(value, zero, zero, zero, zero, zero, zero, zero, zero, zero)
+
+
+def _jet_point(expr: Expr, binding: Binding, zero) -> Jet2:
+    """The scalar jet walk with leaves of ``zero``, ZERO or a plain 0.0."""
     kind = type(expr)
     if kind is Const:
-        return Jet2(expr.value)
+        return _leaf(expr.value, zero)
     rule = _JET_BINARY.get(kind)
     if rule is not None:
-        return rule(eval_jet2(expr.left, binding), eval_jet2(expr.right, binding))
+        return rule(_jet_point(expr.left, binding, zero),
+                    _jet_point(expr.right, binding, zero))
     if kind is Var:
-        jet = Jet2(evaluate(expr, binding))
+        jet = _leaf(evaluate(expr, binding), zero)
         slot = _VAR_SLOT.get(expr.name)
         if slot is not None:
             setattr(jet, slot, 1.0)
         return jet
     rule = _DERIVATIVE_RULES.get(kind)
     if rule is not None:
-        u = eval_jet2(expr.operand, binding)
+        u = _jet_point(expr.operand, binding, zero)
         return u.chain(*rule(u.f, _POINT))
     if kind is Pow:
-        return _jet_pow(eval_jet2(expr.base, binding),
-                        eval_jet2(expr.exponent, binding))
+        return _jet_pow(_jet_point(expr.base, binding, zero),
+                        _jet_point(expr.exponent, binding, zero))
     if kind is Neg:
-        return -eval_jet2(expr.operand, binding)
+        return -_jet_point(expr.operand, binding, zero)
     if kind is Antideriv:
-        return _jet_antideriv(expr, binding)
+        return Jet2(*[zero if _is_zero(d) else evaluate(d, binding)
+                      for d in _antideriv_slots(expr)])
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
@@ -632,18 +739,19 @@ def _antideriv_slots(node: Antideriv) -> tuple:
     return (node, *first, *second)
 
 
-def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
-    return Jet2(*[evaluate(d, binding) for d in _antideriv_slots(node)])
+def _is_zero(slot: Expr) -> bool:
+    """Whether an integral's slot expression is the constant 0, a leaf zero."""
+    return type(slot) is Const and slot.value == 0.0
 
 
 # --- array sweeps -----------------------------------------------------------
 #
 # evaluate_field and jet_field run one tree walk over every sample point at
-# once.  A value is a float64 array over the points, or a Python float where
-# it is the same at all of them (constants, parameters).  The sweep keeps one
+# once.  A value is a float64 array over the points, or a scalar where it is
+# the same at all of them (constants, parameters).  The sweep keeps one
 # mask of the points at which some node visited so far would have raised;
 # after it is set, a point's values are never read, so numpy may compute
-# anything there (its warnings are silenced for the walk).  Nodes are visited
+# anything there (it prints no warning during a walk).  Nodes are visited
 # in the scalar order (left before right, base before exponent), and the
 # C-library calls and integrals skip masked points, so they do work exactly
 # where the scalar walks do.
@@ -667,6 +775,25 @@ def _jet_antideriv(node: Antideriv, binding: Binding) -> Jet2:
 # later visit, and the points it masked are masked already, so the visit
 # would add nothing.  Kept arrays are shared, so no rule changes an operand
 # in place.  The memo lives as long as its sweep; the scalar walks keep none.
+#
+# A jet sweep keeps structural zeros (see Jet2): a slot that vanishes by the
+# tree's structure is the object ZERO at all points at once, so a product
+# with a constant or a variable does a fraction of the array work.  That is
+# exact as long as no infinity or NaN meets a ZERO at an unmasked point.
+# numpy flags every operation that turns finite numbers into an infinity or
+# a NaN, so jet_field runs its walk with the flags calling _Sweep.flag, and
+# holds constants and parameters as numpy scalars so that their arithmetic
+# is flagged as well.  It checks what no flag sees: the columns and
+# parameters and the slots of integrals (``source`` in _Sweep.vetted), and
+# the per-point results of variable exponents (_Sweep.per_point), which run
+# on Python floats.  The derivative rules compute
+# at masked points too (the square root of a negative, 1/0), so a flag
+# raised inside a rule counts only where the rule's values are not finite
+# at an unmasked point; the masked points then become NaN, which later
+# arithmetic carries without a flag.  If anything is left, jet_field redoes
+# the points one by one with eval_jet2 (_jet_points), so that it equals
+# eval_jet2 bit for bit in every case; on the benchmark's three workloads
+# that happens on no sweep.
 
 def _pow_domain(base, exponent):
     integral = np.isfinite(exponent) & (exponent == np.floor(exponent))
@@ -685,11 +812,16 @@ _UFUNC = {Exp: np.exp, Ln: np.log, Sqrt: np.sqrt, Abs: np.abs, Sin: np.sin,
 
 
 class _Sweep:
-    __slots__ = ("columns", "bad", "vectorised", "values", "jets")
+    __slots__ = ("columns", "bad", "vectorised", "values", "jets", "flagged",
+                 "redo")
 
     def __init__(self, columns: Mapping, bad, vectorised: bool = False):
         self.columns = columns
         self.vectorised = vectorised
+        # jet_field's watch for non-finite numbers (see there): numpy flagged
+        # an operation, or a number no flag sees is not finite
+        self.flagged = False
+        self.redo = False
         # each distinct node's value and jet, once walked (see above)
         self.values: dict = {}
         self.jets: dict = {}
@@ -732,15 +864,55 @@ class _Sweep:
         """:meth:`_Point.fail` for a sweep: mask where ``where`` holds."""
         self.bad |= where
 
-    def per_point(self, width: int, rule, *operands) -> np.ndarray:
+    def flag(self, kind: str, flag: int) -> None:
+        """numpy's error callback: an operation made an infinity or a NaN."""
+        self.flagged = True
+
+    def vetted(self, compute, *args, source: bool = False) -> list:
+        """``compute(*args)``, a sequence of values, judged apart from the walk.
+
+        A numpy flag raised inside counts only if some value is not finite
+        at an unmasked point: one raised at masked points alone is
+        forgiven.  ``source`` marks values that enter unseen by the flags
+        (columns, parameters, integrals); they are always checked.
+        """
+        outer, self.flagged = self.flagged, False
+        values = compute(*args)
+        if self.flagged or source:
+            values = self.finite(values)
+        self.flagged = outer
+        return values
+
+    def finite(self, values) -> list:
+        """``values`` with NaN at the masked points that are not finite.
+
+        Later arithmetic carries a NaN without a flag.  Marks the sweep for
+        redoing if a value is not finite at an unmasked point.
+        """
+        out = []
+        for value in values:
+            ok = np.isfinite(value)
+            if not ok.all():
+                if (ok | self.bad).all():
+                    value = np.where(self.bad, math.nan, value)
+                else:
+                    self.redo = True
+            out.append(value)
+        return out
+
+    def per_point(self, width: int, rule, *operands) -> list:
         """``rule`` at every unmasked point, on Python floats; masks where it raises.
 
-        Returns an array of shape (width, n) for a rule returning ``width``
-        floats, NaN at masked points.
+        For a rule returning ``width`` floats, returns ``width`` rows over
+        the points, NaN at masked points.  A ZERO operand stays ZERO, and a
+        row that is ZERO at every point is ZERO.  Marks the sweep for
+        redoing where a result is not finite (no numpy flag sees Python
+        floats) or where a row is ZERO at some points only.
         """
         good = np.flatnonzero(~self.bad)
-        args = [(op[good] if isinstance(op, np.ndarray)
-                 else np.full(len(good), op)).tolist() for op in operands]
+        args = [op[good].tolist() if isinstance(op, np.ndarray)
+                else [op if op is ZERO else float(op)] * len(good)
+                for op in operands]
         kept, results = [], []
         for i, point in zip(good.tolist(), zip(*args)):
             try:
@@ -748,11 +920,24 @@ class _Sweep:
             except EvalDomainError:
                 self.bad[i] = True
                 continue
+            except _NonFinite:
+                self.redo = True
+                continue
             kept.append(i)
         out = np.full((width, len(self.bad)), math.nan)
-        if results:
-            out[:, kept] = np.array(results, dtype=float).reshape(len(results), width).T
-        return out
+        if not results:
+            return list(out)
+        out[:, kept] = np.array(results, dtype=float).reshape(len(results), width).T
+        self.redo |= not np.isfinite(out[:, kept]).all()
+        rows = list(out)
+        if width > 1:   # a jet's slots, not one value
+            for k in range(width):
+                zero = [r[k] is ZERO for r in results]
+                if all(zero):
+                    rows[k] = ZERO
+                elif any(zero):
+                    self.redo = True
+        return rows
 
 
 def _full(value, n: int) -> np.ndarray:
@@ -859,10 +1044,28 @@ def jet_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
     :class:`NonDifferentiableError` (or where it was already True).
     """
     sweep = _Sweep(columns, bad)
-    with np.errstate(all="ignore"):
+    given = sweep.bad.copy()
+    with np.errstate(over="call", invalid="call", divide="call",
+                     under="ignore", call=sweep.flag):
         jet = _jet_walk(expr, sweep)
+    if sweep.flagged or sweep.redo:
+        return _jet_points(expr, columns, given)
     n = len(sweep.bad)
     return Jet2(*(_full(s, n) for s in _slots(jet))), sweep.bad
+
+
+def _jet_points(expr: Expr, columns: Mapping, bad) -> tuple:
+    """:func:`jet_field` by :func:`eval_jet2`, one point at a time."""
+    bad = bad.copy()
+    out = np.full((len(Jet2.__slots__), len(bad)), math.nan)
+    for i in np.flatnonzero(~bad).tolist():
+        binding = {name: (c[i].item() if isinstance(c, np.ndarray) else c)
+                   for name, c in columns.items()}
+        try:
+            out[:, i] = _slots(eval_jet2(expr, binding))
+        except EvalDomainError:
+            bad[i] = True
+    return Jet2(*out), bad
 
 
 def _slots(jet: Jet2) -> tuple:
@@ -876,10 +1079,23 @@ def _jet_walk(expr, sweep):
     return jet
 
 
+def _leaf_values(sweep, exprs) -> list:
+    """The values of ``exprs`` as jet leaves: arrays, numpy scalars or ZERO.
+
+    numpy's flags see the arithmetic of numpy scalars, not of Python floats.
+    """
+    values = []
+    for e in exprs:
+        value = ZERO if _is_zero(e) else _value_walk(e, sweep)
+        values.append(value if isinstance(value, np.ndarray) or value is ZERO
+                      else np.float64(value))
+    return values
+
+
 def _jet_node(expr, sweep):
     kind = type(expr)
     if kind is Const:
-        return Jet2(expr.value)
+        return Jet2(np.float64(expr.value))
     if kind in _JET_BINARY:
         left = _jet_walk(expr.left, sweep)
         right = _jet_walk(expr.right, sweep)
@@ -887,9 +1103,10 @@ def _jet_node(expr, sweep):
             return _JET_BINARY[kind](left, right)
         # a constant denominator stays a scalar, as a numpy one, so that a
         # zero is masked rather than raised
-        return left * right.chain(*_recip_rule(np.asarray(right.f), sweep))
+        return left * right.chain(*sweep.vetted(_recip_rule, np.asarray(right.f),
+                                                sweep))
     if kind is Var:
-        jet = Jet2(_value_walk(expr, sweep))
+        jet = Jet2(*sweep.vetted(_leaf_values, sweep, (expr,), source=True))
         slot = _VAR_SLOT.get(expr.name)
         if slot is not None:
             setattr(jet, slot, 1.0)
@@ -897,15 +1114,15 @@ def _jet_node(expr, sweep):
     rule = _DERIVATIVE_RULES.get(kind)
     if rule is not None:
         u = _jet_walk(expr.operand, sweep)
-        return u.chain(*rule(_full(u.f, len(sweep.bad)), sweep))
+        return u.chain(*sweep.vetted(rule, _full(u.f, len(sweep.bad)), sweep))
     if kind is Pow:
         base = _jet_walk(expr.base, sweep)
         exponent = _jet_walk(expr.exponent, sweep)
         exp_slots = _slots(exponent)
         if not any(isinstance(s, np.ndarray) for s in exp_slots) \
                 and _is_constant_jet(exponent):
-            return base.chain(*_pow_rule(_full(base.f, len(sweep.bad)),
-                                         float(exponent.f), sweep))
+            return base.chain(*sweep.vetted(_pow_rule, _full(base.f, len(sweep.bad)),
+                                            exponent.f, sweep))
         # an exponent that varies over the points: the scalar rule per point
         return Jet2(*sweep.per_point(
             10, lambda *p: _slots(_jet_pow(Jet2(*p[:10]), Jet2(*p[10:]))),
@@ -913,5 +1130,6 @@ def _jet_node(expr, sweep):
     if kind is Neg:
         return -_jet_walk(expr.operand, sweep)
     if kind is Antideriv:
-        return Jet2(*[_value_walk(d, sweep) for d in _antideriv_slots(expr)])
+        return Jet2(*sweep.vetted(_leaf_values, sweep, _antideriv_slots(expr),
+                                  source=True))
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")

@@ -212,38 +212,54 @@ def _nf_exp(arg_nf):
     return ((_round12(scale), (), _merge(rest)),)
 
 
-def _nf(expr: Expr):
+def _nf(expr: Expr, memo: dict):
+    """The normal form of ``expr``, once per distinct subtree.
+
+    ``memo`` maps each node normalised so far to its normal form.  Equal
+    nodes have equal normal forms, so a kept one is exact; trees built from
+    Horner polynomials repeat a few subtrees many times.
+    """
+    nf = memo.get(expr)
+    if nf is None:
+        nf = memo[expr] = _nf_node(expr, memo)
+    return nf
+
+
+def _nf_node(expr: Expr, memo: dict):
+    def nf(e):
+        return _nf(e, memo)
+
     if isinstance(expr, Const):
         return _const_nf(expr.value)
     if isinstance(expr, Var):
         return _atom_nf(("var", expr.name))
     if isinstance(expr, Add):
-        return _nf_add(_nf(expr.left), _nf(expr.right))
+        return _nf_add(nf(expr.left), nf(expr.right))
     if isinstance(expr, Sub):
-        return _nf_add(_nf(expr.left), _nf_scale(_nf(expr.right), -1.0))
+        return _nf_add(nf(expr.left), _nf_scale(nf(expr.right), -1.0))
     if isinstance(expr, Neg):
-        return _nf_scale(_nf(expr.operand), -1.0)
+        return _nf_scale(nf(expr.operand), -1.0)
     if isinstance(expr, Mul):
-        return _nf_mul(_nf(expr.left), _nf(expr.right))
+        return _nf_mul(nf(expr.left), nf(expr.right))
     if isinstance(expr, Div):
-        denom = _nf(expr.right)
-        return _nf_mul(_nf(expr.left), _nf_pow(denom, _const_nf(-1.0)))
+        denom = nf(expr.right)
+        return _nf_mul(nf(expr.left), _nf_pow(denom, _const_nf(-1.0)))
     if isinstance(expr, Pow):
-        return _nf_pow(_nf(expr.base), _nf(expr.exponent))
+        return _nf_pow(nf(expr.base), nf(expr.exponent))
     if isinstance(expr, Sqrt):
-        return _nf_pow(_nf(expr.operand), _const_nf(0.5))
+        return _nf_pow(nf(expr.operand), _const_nf(0.5))
     if isinstance(expr, Exp):
-        return _nf_exp(_nf(expr.operand))
+        return _nf_exp(nf(expr.operand))
     if isinstance(expr, Ln):
-        return _atom_nf(("ln", _nf(expr.operand)))
+        return _atom_nf(("ln", nf(expr.operand)))
     if isinstance(expr, Abs):
-        return _atom_nf(("abs", _nf(expr.operand)))
+        return _atom_nf(("abs", nf(expr.operand)))
     if isinstance(expr, Sin):
-        return _atom_nf(("sin", _nf(expr.operand)))
+        return _atom_nf(("sin", nf(expr.operand)))
     if isinstance(expr, Cos):
-        return _atom_nf(("cos", _nf(expr.operand)))
+        return _atom_nf(("cos", nf(expr.operand)))
     if isinstance(expr, Antideriv):
-        return _atom_nf(("antideriv", _nf(expr.integrand), expr.var, expr.base))
+        return _atom_nf(("antideriv", nf(expr.integrand), expr.var, expr.base))
     raise TypeError(f"cannot normalize node of type {type(expr).__name__}")
 
 
@@ -253,7 +269,7 @@ def normal_form(expr: Expr):
     Returns None when expansion exceeds the size budget.
     """
     try:
-        return _nf(simplify(expr))
+        return _nf(simplify(expr), {})
     except _Budget:
         return None
 
