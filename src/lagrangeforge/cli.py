@@ -100,6 +100,7 @@ from .lagrangian import (
     largest,
     max_acceleration_gap,
     verify_lagrangian,
+    _energy,
 )
 from .presets import PRESETS, preset_names
 
@@ -392,9 +393,8 @@ class _Points:
 class _Probe:
     """What the family tests read about f, each part computed once.
 
-    The v = 1 grid and the x and t dependence are computed on first use, in
-    the order the family tests ask for them: an integral's value can depend
-    on which upper limits were requested before.
+    The v = 1 grid and the x and t dependence are computed on first use,
+    so only the family tests that read them pay for their evaluations.
     """
 
     def __init__(self, f, dom: dict):
@@ -873,12 +873,11 @@ def cmd_integrate(spec: dict, out_dir: Path):
     state = {"x": np.array(xs, dtype=float), "v": np.array(vs, dtype=float),
              "t": np.array(traj.times, dtype=float)}
     if "L" in columns:
-        # L binds the state only, not the Lagrangian's parameters
         cells["L"] = _field_cells(*evaluate_field(L.expr, state))
     if "E" in columns or "p" in columns:
-        jet, bad = jet_field(L.expr, {**L.param_dict, **state})
+        jet, bad = jet_field(L.expr, state)
         with np.errstate(all="ignore"):
-            energy = state["v"] * jet.gv - jet.f
+            energy = _energy(jet, state["v"])
         cells["E"] = _field_cells(energy, bad)
         cells["p"] = _field_cells(jet.gv, bad)
     rows = [[cells[c][i] for c in columns] for i in range(len(traj.times))]

@@ -62,22 +62,19 @@ class StandardCoeffs:
             -(self.a * Pow(_V, Const(2.0)) + self.b * _V + self.c)
         )
 
-    def ode(self, params=None, description="") -> OdeSpec:
-        return OdeSpec(self.rhs(), params or (), description)
+    def ode(self, description="") -> OdeSpec:
+        return OdeSpec(self.rhs(), description)
 
 
 def admissibility_defect(coeffs: StandardCoeffs,
-                         box: DomainBox | None = None,
-                         params=None) -> float:
+                         box: DomainBox | None = None) -> float:
     """Max |b_x - 2 a_t| over the box; zero when closure holds symbolically."""
     defect = simplify(Sub(
         differentiate(coeffs.b, "x"),
         Const(2.0) * differentiate(coeffs.a, "t"),
     ))
-    extra = dict(params or {})
     box = box or DomainBox(grid=(7, 1, 7), n_random=20)
-    return max_abs_defect(defect, lambda: {
-        **extra, **_state_columns(box.sample_points(extra))})
+    return max_abs_defect(defect, lambda: _state_columns(box.sample_points()))
 
 
 def _kinetic_factor(coeffs: StandardCoeffs, x0: float, t0: float) -> Expr:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -77,8 +78,8 @@ class Trajectory:
         if ascending:
             i = bisect.bisect_right(times, t) - 1
         else:
-            # decreasing times: search on the negated axis
-            i = bisect.bisect_right([-u for u in times], -t) - 1
+            # decreasing times are increasing on the negated axis
+            i = bisect.bisect_right(times, -t, key=operator.neg) - 1
         i = max(0, min(i, len(times) - 2))
         t0, t1 = times[i], times[i + 1]
         h = t1 - t0
@@ -108,7 +109,7 @@ def _rhs_callable(ode: OdeSpec) -> Callable:
     """
     rhs = ode.__dict__.get(_COMPILED_RHS)
     if rhs is None:
-        rhs = compile_callable(ode.rhs, ("x", "v", "t"), dict(ode.params))
+        rhs = compile_callable(ode.rhs, ("x", "v", "t"))
         object.__setattr__(ode, _COMPILED_RHS, rhs)
     return rhs
 
@@ -268,15 +269,12 @@ def integrate_ode(ode: OdeSpec, x0: float, v0: float, t0: float, t1: float,
         ) from err
 
 
-def monitor_quantity(traj: Trajectory, quantity: Expr,
-                     params: Mapping[str, float] | None = None) -> list:
+def monitor_quantity(traj: Trajectory, quantity: Expr) -> list:
     """Evaluate ``quantity(x, v, t)`` at every trajectory node."""
     quantity = as_expr(quantity)
-    base = dict(params or {})
-    missing = free_vars(quantity) - {"x", "v", "t"} - set(base)
+    missing = free_vars(quantity) - {"x", "v", "t"}
     if missing:
         raise EvalDomainError(f"unbound variables {sorted(missing)}")
     xs, vs = zip(*traj.states)
-    return evaluate_points(quantity, {**base, "x": np.array(xs),
-                                      "v": np.array(vs),
+    return evaluate_points(quantity, {"x": np.array(xs), "v": np.array(vs),
                                       "t": np.array(traj.times)})

@@ -209,36 +209,32 @@ def evaluate(expr: Expr, binding: Binding) -> float:
 # walk first reaches it, so a call raises where evaluate raises and returns
 # its bits.  Equal subtrees evaluate identically (see the sweeps below), so
 # computing one once is exact.  The source holds only generated names:
-# arguments are a0, a1, ..., locals t0, t1, ..., and constants, frozen
-# parameters, value rules and integrals are entries of the function's
-# namespace, so no user text reaches the compiler.
+# arguments are a0, a1, ..., locals t0, t1, ..., and constants, value rules
+# and integrals are entries of the function's namespace, so no user text
+# reaches the compiler.
 
-def compile_callable(
-    expr: Expr,
-    varnames: Sequence[str],
-    env: Mapping[str, float] | None = None,
-) -> Callable[..., float]:
+def compile_callable(expr: Expr, varnames: Sequence[str]) -> Callable[..., float]:
     """Compile ``expr`` to a positional-argument callable.
 
     Each call integrates its integrals from their bases, as :func:`evaluate`
     does, so a call's value equals :func:`evaluate`'s bit for bit and never
     depends on earlier calls.
 
-    ``varnames`` become positional parameters; every other free variable must
-    appear in ``env`` and is frozen as a constant.
+    ``varnames`` become the positional parameters, in order, and must cover
+    every free variable of ``expr``: a parameter of the tree is one more
+    name, or is substituted before compiling.
     """
-    frozen = dict(env) if env else {}
     names = tuple(varnames)
     for name in sorted(free_vars(expr)):
-        if name not in names and name not in frozen:
+        if name not in names:
             raise EvalDomainError(f"unbound variable {name!r}")
-    return _compile(expr, names, frozen)
+    return _compile(expr, names)
 
 
 _INLINE = {Add: "+", Sub: "-", Mul: "*"}
 
 
-def _compile(expr, names, env):
+def _compile(expr, names):
     args = [f"a{i}" for i in range(len(names))]
     namespace = {rule.__name__: rule for rule in (*_VALUE_RULE.values(),
                                                   _div_value)}
@@ -258,11 +254,10 @@ def _compile(expr, names, env):
         if kind is Const:
             name = constant(node.value)
         elif kind is Var:
-            name = (args[names.index(node.name)] if node.name in names
-                    else constant(float(env[node.name])))
+            name = args[names.index(node.name)]
         else:
             if kind is Antideriv:
-                text = f"{constant(_integral_call(node, names, env))}({', '.join(args)})"
+                text = f"{constant(_integral_call(node, names))}({', '.join(args)})"
             elif kind is Pow:
                 base = emit(node.base)
                 text = f"_pow_value({base}, {emit(node.exponent)})"
@@ -289,12 +284,10 @@ def _compile(expr, names, env):
     return namespace["compiled"]
 
 
-def _integral_call(node: Antideriv, names, env):
+def _integral_call(node: Antideriv, names):
     """An integral node as a function of the compiled callable's arguments."""
     def integral(*a):
-        binding = dict(env)
-        binding.update(zip(names, a))
-        return _antideriv_point(node, binding)
+        return _antideriv_point(node, dict(zip(names, a)))
 
     return integral
 

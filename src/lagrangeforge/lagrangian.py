@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     NotInvariantError,
 )
 from .evaluation import eval_jet2, evaluate, evaluate_field, jet_field
-from .expressions import Expr, Var, as_expr, differentiate, free_vars, parse_expression
+from .expressions import Expr, Var, as_expr, differentiate, free_vars
 
 __all__ = [
     "EPS_REG",
@@ -66,47 +66,26 @@ def largest(values, keep=None) -> tuple | None:
     return kept[i].item(), int(index[i])
 
 
-def _freeze_params(params) -> tuple:
-    if params is None:
-        return ()
-    if isinstance(params, tuple) and all(
-        isinstance(p, tuple) and len(p) == 2 for p in params
-    ):
-        return tuple((str(k), float(v)) for k, v in params)
-    return tuple(sorted((str(k), float(v)) for k, v in dict(params).items()))
-
-
 # The attribute under which dynamics keeps an OdeSpec's compiled right-hand side
 _COMPILED_RHS = "_compiled_rhs"
 
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """Second-order dynamics ``x'' = rhs(x, x', t)`` with frozen parameters."""
+    """Second-order dynamics ``x'' = rhs(x, x', t)``.
+
+    ``rhs`` is a function of x, v and t alone: a parameter gets its value
+    by :func:`~lagrangeforge.expressions.substitute` before the spec is made.
+    """
 
     rhs: Expr
-    params: tuple = ()
     description: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "rhs", as_expr(self.rhs))
-        object.__setattr__(self, "params", _freeze_params(self.params))
-
-    @classmethod
-    def from_text(cls, text: str, params: Mapping[str, float] | None = None,
-                  description: str = "") -> "OdeSpec":
-        params = dict(params or {})
-        rhs = parse_expression(text, params=tuple(params))
-        return cls(rhs, _freeze_params(params), description)
-
-    @property
-    def param_dict(self) -> dict:
-        return dict(self.params)
 
     def rhs_value(self, x: float, v: float, t: float) -> float:
-        binding = self.param_dict
-        binding.update({"x": x, "v": v, "t": t})
-        return evaluate(self.rhs, binding)
+        return evaluate(self.rhs, {"x": x, "v": v, "t": t})
 
     def __getstate__(self):
         # the integrator's compiled right-hand side is kept on the spec
@@ -116,32 +95,25 @@ class OdeSpec:
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """A candidate Lagrangian plus a record of how it was built."""
+    """A candidate Lagrangian L(x, v, t) plus a record of how it was built.
+
+    ``expr`` is a function of x, v and t alone; parameters are substituted
+    before it is made, as for :class:`OdeSpec`.
+    """
 
     expr: Expr
     family: str = "custom"
-    params: tuple = ()
     gauge: str = ""
     domain_note: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "expr", as_expr(self.expr))
-        object.__setattr__(self, "params", _freeze_params(self.params))
-
-    @property
-    def param_dict(self) -> dict:
-        return dict(self.params)
-
-    def binding(self, x: float, v: float, t: float) -> dict:
-        b = self.param_dict
-        b.update({"x": x, "v": v, "t": t})
-        return b
 
     def value(self, x: float, v: float, t: float) -> float:
-        return evaluate(self.expr, self.binding(x, v, t))
+        return evaluate(self.expr, {"x": x, "v": v, "t": t})
 
     def jet(self, x: float, v: float, t: float):
-        return eval_jet2(self.expr, self.binding(x, v, t))
+        return eval_jet2(self.expr, {"x": x, "v": v, "t": t})
 
 
 @dataclass(frozen=True)
@@ -207,7 +179,7 @@ class DomainBox:
             raise ValueError("n_random must be non-negative")
         object.__setattr__(self, "strata", tuple(self.strata))
 
-    def sample_points(self, extra_binding: Mapping[str, float] | None = None) -> list:
+    def sample_points(self) -> list:
         """Concrete (x, v, t) samples after stratum exclusion; never empty."""
         nx, nv, nt = self.grid
         pts = [
@@ -224,7 +196,7 @@ class DomainBox:
         if self.strata:
             # a point leaves at the first stratum that is undefined or small
             # there; later strata are not evaluated at it
-            columns = {**(extra_binding or {}), **_state_columns(pts)}
+            columns = _state_columns(pts)
             dropped = None
             for stratum in self.strata:
                 size, dropped = evaluate_field(stratum.expr, columns, dropped)
@@ -242,16 +214,33 @@ def _state_columns(points: Sequence[tuple]) -> dict:
     return {"x": xs, "v": vs, "t": ts}
 
 
+# The Euler-Lagrange quantities, each written once: ``jet`` is a scalar jet
+# with ``v`` a float, or a jet field with ``v`` its column.
+
+def _acceleration(jet, v):
+    """The implied acceleration (L_x - L_vx v - L_vt) / L_vv."""
+    return (jet.gx - jet.hxv * v - jet.hvt) / jet.hvv
+
+
+def _residual(a, f):
+    """The normalized residual |a - f| / (1 + |f|)."""
+    return abs(a - f) / (1.0 + abs(f))
+
+
+def _energy(jet, v):
+    """The energy function v L_v - L."""
+    return v * jet.gv - jet.f
+
+
 def _acceleration_jet_field(L: Lagrangian, state: dict, bad=None) -> tuple:
     """The jet field of ``L``, its mask and its implied accelerations.
 
-    The accelerations are (L_x - L_vx v - L_vt) / L_vv, computed as
-    :func:`implied_acceleration` does; they mean nothing where the mask is
-    set or |L_vv| < EPS_REG.
+    The accelerations mean nothing where the mask is set or
+    |L_vv| < EPS_REG.
     """
-    jet, bad = jet_field(L.expr, {**L.param_dict, **state}, bad)
+    jet, bad = jet_field(L.expr, state, bad)
     with np.errstate(all="ignore"):
-        accels = (jet.gx - jet.hxv * state["v"] - jet.hvt) / jet.hvv
+        accels = _acceleration(jet, state["v"])
     return jet, bad, accels
 
 
@@ -262,10 +251,9 @@ def implied_acceleration(L: Lagrangian, x: float, v: float, t: float) -> float:
     Raises :class:`DegenerateLagrangianError` when |L_vv| < EPS_REG.
     """
     jet = L.jet(x, v, t)
-    lvv = jet.hvv
-    if abs(lvv) < EPS_REG:
-        raise DegenerateLagrangianError((x, v, t), lvv)
-    return (jet.gx - jet.hxv * v - jet.hvt) / lvv
+    if abs(jet.hvv) < EPS_REG:
+        raise DegenerateLagrangianError((x, v, t), jet.hvv)
+    return _acceleration(jet, v)
 
 
 def euler_lagrange_residual(L: Lagrangian, ode: OdeSpec,
@@ -273,7 +261,7 @@ def euler_lagrange_residual(L: Lagrangian, ode: OdeSpec,
     """Normalized pointwise residual |a_implied - f| / (1 + |f|)."""
     f = ode.rhs_value(x, v, t)
     a = implied_acceleration(L, x, v, t)
-    return abs(a - f) / (1.0 + abs(f))
+    return _residual(a, f)
 
 
 @dataclass(frozen=True)
@@ -312,16 +300,14 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     degenerate.  A NaN residual is the largest: it fails the report and
     the first one in sample order is its argmax.
     """
-    binding_extra = dict(ode.params)
-    binding_extra.update(L.param_dict)
-    points = box.sample_points(binding_extra)
+    points = box.sample_points()
     # the rhs first, then the jet where the rhs is defined, in the order of
     # the scalar evaluations at one point
     state = _state_columns(points)
-    rhs, bad = evaluate_field(ode.rhs, {**ode.param_dict, **state})
+    rhs, bad = evaluate_field(ode.rhs, state)
     jet, bad, accels = _acceleration_jet_field(L, state, bad)
     with np.errstate(all="ignore"):
-        field_residuals = np.abs(accels - rhs) / (1.0 + np.abs(rhs))
+        field_residuals = _residual(accels, rhs)
 
     good = ~bad
     used = int(np.count_nonzero(good))
@@ -399,10 +385,7 @@ def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian],
     """
     if len(lagrangians) < 2:
         return 0.0
-    extra = {}
-    for L in lagrangians:
-        extra.update(L.param_dict)
-    points = box.sample_points(extra)
+    points = box.sample_points()
     return max_acceleration_gap([acceleration_field(L, points) for L in lagrangians])
 
 
@@ -415,8 +398,7 @@ def legendre_momentum(L: Lagrangian, x: float, v: float, t: float) -> float:
 
 def hamiltonian_value(L: Lagrangian, x: float, v: float, t: float) -> float:
     """Energy function h = v dL/dv - L evaluated at a velocity point."""
-    jet = L.jet(x, v, t)
-    return v * jet.gv - jet.f
+    return _energy(L.jet(x, v, t), v)
 
 
 def energy_expression(L) -> Expr:
@@ -493,10 +475,9 @@ def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox) -> float:
     is normalized by 1 + |I|.  Points outside the domain are skipped; a NaN
     rate at a usable point makes the result NaN.
     """
-    state = _state_columns(box.sample_points(ode.param_dict))
-    columns = {**ode.param_dict, **state}
-    f, bad = evaluate_field(ode.rhs, columns)
-    jet, bad = jet_field(quantity, columns, bad)
+    state = _state_columns(box.sample_points())
+    f, bad = evaluate_field(ode.rhs, state)
+    jet, bad = jet_field(quantity, state, bad)
     with np.errstate(all="ignore"):
         rates = (np.abs(jet.gx * state["v"] + jet.gv * f + jet.gt)
                  / (1.0 + np.abs(jet.f)))

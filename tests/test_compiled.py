@@ -31,6 +31,7 @@ from lagrangeforge import (
     evaluate,
     integrate_ode,
     parse_expression,
+    substitute,
 )
 from lagrangeforge import dynamics, expressions
 
@@ -82,10 +83,10 @@ def outcome(fn):
 @settings(max_examples=400, deadline=None)
 @given(shared_trees(), st.lists(points, min_size=1, max_size=4))
 def test_compiled_matches_evaluate(expr, pts):
-    compiled = compile_callable(expr, STATE, {"k": K})
+    compiled = compile_callable(expr, STATE + ("k",))
     for x, v, t in pts:
         want = outcome(lambda: evaluate(expr, {"x": x, "v": v, "t": t, "k": K}))
-        assert outcome(lambda: compiled(x, v, t)) == want
+        assert outcome(lambda: compiled(x, v, t, K)) == want
 
 
 def test_shared_subtrees_are_computed_once():
@@ -99,12 +100,12 @@ def test_shared_subtrees_are_computed_once():
 def test_generated_source_holds_no_user_text():
     expr = parse_expression(
         "integral(t, 0.25, t*gain) + 3.5*gain^x - exp(v)/t", params=("gain",))
-    fn = compile_callable(expr, ("x", "v", "t"), {"gain": 1.25})
+    fn = compile_callable(expr, ("x", "v", "t", "gain"))
     code = fn.__code__
     assert set(code.co_consts) <= {None}
     assert all(re.fullmatch(r"[at]\d+", name) for name in code.co_varnames)
     assert all(re.fullmatch(r"k\d+|_\w+_value", name) for name in code.co_names)
-    assert fn(0.5, 0.25, 2.0).hex() == evaluate(
+    assert fn(0.5, 0.25, 2.0, 1.25).hex() == evaluate(
         expr, {"x": 0.5, "v": 0.25, "t": 2.0, "gain": 1.25}).hex()
 
 
@@ -140,11 +141,12 @@ def compiles(monkeypatch):
 
 
 def test_one_compile_per_spec(compiles):
-    ode = OdeSpec(parse_expression("-k*x", params=("k",)), {"k": 4.0})
+    ode = OdeSpec(substitute(parse_expression("-k*x", params=("k",)), "k",
+                             Const(4.0)))
     for t1 in (0.5, 1.0, 1.5):
         integrate_ode(ode, 1.0, 0.0, 0.0, t1)
     assert len(compiles) == 1
-    integrate_ode(OdeSpec(ode.rhs, ode.params), 1.0, 0.0, 0.0, 0.5)
+    integrate_ode(OdeSpec(ode.rhs), 1.0, 0.0, 0.0, 0.5)
     assert len(compiles) == 2
 
 
@@ -159,9 +161,9 @@ def test_a_reciprocal_linear_fit_compiles_its_rhs_once(compiles):
 
 
 def test_memo_stays_out_of_eq_repr_and_pickle():
-    ode = OdeSpec(parse_expression("-k*x - 0.1*v", params=("k",)), {"k": 2.0},
-                  "damped")
-    fresh = OdeSpec(ode.rhs, ode.params, "damped")
+    ode = OdeSpec(substitute(parse_expression("-k*x - 0.1*v", params=("k",)),
+                             "k", Const(2.0)), "damped")
+    fresh = OdeSpec(ode.rhs, "damped")
     text = repr(ode)
     want = integrate_ode(ode, 1.0, 0.0, 0.0, 1.0)
     assert dynamics._rhs_callable(ode) is dynamics._rhs_callable(ode)

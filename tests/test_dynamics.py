@@ -74,6 +74,21 @@ class TestDenseOutput:
         with pytest.raises(ValueError):
             traj.sample(1.5)
 
+    def test_backward_samples(self):
+        # from the closed-form state at t = 2 back to t = 0
+        x2, v2 = 1.0 - math.exp(-2.0), math.exp(-2.0)
+        traj = integrate_ode(LINEAR_DRAG, x2, v2, 2.0, 0.0)
+        assert traj.times[-1] < traj.times[0]
+        for i, tv in enumerate(traj.times):
+            assert traj.sample(tv) == traj.states[i]
+        for i in range(50):
+            tv = 2.0 * (i + 0.5) / 50.5
+            x, v = traj.sample(tv)
+            assert x == pytest.approx(1.0 - math.exp(-tv), abs=1e-7)
+            assert v == pytest.approx(math.exp(-tv), abs=1e-7)
+        with pytest.raises(ValueError):
+            traj.sample(-0.5)
+
 
 class TestFailureModes:
     def test_overflow_guard(self):

@@ -446,11 +446,11 @@ class TestNodeHash:
     def test_antideriv_requests_rehash_nothing(self, monkeypatch):
         calls = _count_structural_hashes(monkeypatch)
         node = parse_expression("integral(s, 0.375, s*x)", params=("s",))
-        integral = compile_callable(node, ("s",), {"x": 2.0})
-        assert integral(0.5) == pytest.approx(0.5 ** 2 - 0.375 ** 2)
+        integral = compile_callable(node, ("s", "x"))
+        assert integral(0.5, 2.0) == pytest.approx(0.5 ** 2 - 0.375 ** 2)
         calls.clear()
         for s in (0.5, 0.75, 1.0, 0.75):
-            integral(s)
+            integral(s, 2.0)
         assert calls == []
 
     def test_memo_stays_out_of_fields_repr_eq_and_pickle(self):
