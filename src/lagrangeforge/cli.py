@@ -122,20 +122,19 @@ _INAPPLICABLE_ERRORS = (
 )
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all, through a hidden
+    temporary file (mode 0600) beside it that is synced, then renamed."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        mode="w", dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
+    fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-        handle.close()
-        os.replace(handle.name, path)
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(name, path)
     except BaseException:
-        handle.close()
         try:
-            os.unlink(handle.name)
+            os.unlink(name)
         except OSError:
             pass
         raise

@@ -23,7 +23,7 @@ from ..expressions import (
     simplify,
     substitute,
 )
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec, _state_columns
+from ..lagrangian import DomainBox, Lagrangian, OdeSpec
 from ._symbolic import antiderivative_in
 from .common import (
     BuilderOptions,
@@ -74,7 +74,7 @@ def admissibility_defect(coeffs: StandardCoeffs,
         Const(2.0) * differentiate(coeffs.a, "t"),
     ))
     box = box or DomainBox(grid=(7, 1, 7), n_random=20)
-    return max_abs_defect(defect, lambda: _state_columns(box.sample_points()))
+    return max_abs_defect(defect, box.sample_columns)
 
 
 def _kinetic_factor(coeffs: StandardCoeffs, x0: float, t0: float) -> Expr:

@@ -751,7 +751,9 @@ def _is_zero(slot: Expr) -> bool:
 #
 # A function node's value rule runs in two steps (_Sweep.value): its domain
 # check as a mask over the operands (_DOMAIN; comparisons and isinf are
-# exact), then the value at the unmasked points.  Exp and powers can still
+# exact), then the value at the unmasked points; while no point is masked
+# the map runs over whole columns, and a power whose exponent is one number
+# decides that number's domain tests once.  Exp and powers can still
 # overflow there: where a mapped C-library call raises OverflowError, the
 # node is redone point by point with its scalar rule, which masks exactly
 # the overflowing points.  The integrands' sweep (``vectorised``) takes
@@ -789,6 +791,12 @@ def _is_zero(slot: Expr) -> bool:
 # that happens on no sweep.
 
 def _pow_domain(base, exponent):
+    if not isinstance(exponent, np.ndarray):
+        # one exponent for every point: decide its tests once
+        exponent = float(exponent)
+        if math.isfinite(exponent) and exponent == math.floor(exponent):
+            return base == 0.0 if exponent < 0.0 else False
+        return base <= 0.0 if exponent < 0.0 else base < 0.0
     integral = np.isfinite(exponent) & (exponent == np.floor(exponent))
     return ((base < 0.0) & ~integral) | ((base == 0.0) & (exponent < 0.0))
 
@@ -840,17 +848,22 @@ class _Sweep:
                     overflow = overflow & np.isfinite(op)
                 self.bad |= overflow
             return value
-        good = ~self.bad
-        count = int(np.count_nonzero(good))
-        args = [op[good].tolist() if isinstance(op, np.ndarray)
-                else [float(op)] * count for op in operands]
-        out = np.full(len(good), math.nan)
+        # with no point masked yet, map over whole columns: no index, no scatter
+        good = ~self.bad if self.bad.any() else None
+        count = len(self.bad) if good is None else int(np.count_nonzero(good))
+        args = [(op if good is None else op[good]).tolist()
+                if isinstance(op, np.ndarray) else [float(op)] * count
+                for op in operands]
         try:
-            out[good] = np.fromiter(map(libm, *args), float, count)
+            values = np.fromiter(map(libm, *args), float, count)
         except OverflowError:
             # exp or a power overflowed at some point: the scalar rule, point
             # by point, masks exactly the points where it raises
             return self.per_point(1, _VALUE_RULE[kind], *operands)[0]
+        if good is None:
+            return values
+        out = np.full(len(good), math.nan)
+        out[good] = values
         return out
 
     def fail(self, where, error, message, *args) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 from typing import Sequence
 
 import numpy as np
@@ -133,7 +134,7 @@ def grid_points(lo: float, hi: float, n: int) -> list:
     """``n`` evenly spaced points from ``lo`` to ``hi``; the midpoint if n is 1.
 
     Each point is ``lo + (hi - lo) * i / (n - 1)``, which the structural
-    scans and probes share; :meth:`DomainBox.sample_points` steps by
+    scans and probes share; :meth:`DomainBox.sample_columns` steps by
     ``(hi - lo) / (n - 1)`` instead, which rounds differently.
     """
     if n == 1:
@@ -141,19 +142,25 @@ def grid_points(lo: float, hi: float, n: int) -> list:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _axis_points(lo: float, hi: float, n: int) -> list:
+def _axis_column(lo: float, hi: float, n: int) -> np.ndarray:
     if n == 1:
-        return [0.5 * (lo + hi)]
+        return np.array([0.5 * (lo + hi)])
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return lo + np.arange(n) * step
+
+
+# the state variables, in the order of a sample point's coordinates
+_STATE = ("x", "v", "t")
 
 
 @dataclass(frozen=True)
 class DomainBox:
     """Sampling plan over a box in (x, v, t): tensor grid plus random fill.
 
-    Samples are returned sorted by (t, x, v), which fixes the row order of
-    ``residuals.csv`` and how ties in residual maxima resolve.
+    :meth:`sample_columns` gives the samples as three float64 columns, the
+    form the field walks take; :meth:`sample_points` gives the same samples
+    as (x, v, t) tuples.  Samples are sorted by (t, x, v), which fixes the
+    row order of ``residuals.csv`` and how ties in residual maxima resolve.
     """
 
     x: tuple = (-1.0, 1.0)
@@ -165,12 +172,15 @@ class DomainBox:
     strata: tuple = ()
 
     def __post_init__(self):
-        for name in ("x", "v", "t"):
+        for name in _STATE:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"{name} interval must be finite")
             if lo > hi:
                 raise ValueError(f"{name} interval is reversed")
+            if not math.isfinite(hi - lo):
+                # its grid step and random draws would be NaN or infinite
+                raise ValueError(f"{name} interval is too wide for a float")
             object.__setattr__(self, name, (float(lo), float(hi)))
         if len(self.grid) != 3 or any(int(n) < 1 for n in self.grid):
             raise ValueError("grid must have three positive counts")
@@ -179,33 +189,47 @@ class DomainBox:
             raise ValueError("n_random must be non-negative")
         object.__setattr__(self, "strata", tuple(self.strata))
 
-    def sample_points(self) -> list:
-        """Concrete (x, v, t) samples after stratum exclusion; never empty."""
+    def sample_columns(self) -> dict:
+        """The samples after stratum exclusion as field columns; never empty.
+
+        Maps ``x``, ``v`` and ``t`` to float64 arrays.  The grid comes first,
+        in x-v-t order with t varying fastest, each axis ``lo + i * step``;
+        then ``n_random`` points, each drawing its x, v and t in turn from
+        ``random.Random(seed)`` as ``random.uniform`` does.  A point leaves
+        at the first stratum that is undefined or small there; later strata
+        are not evaluated at it.  The rest are put in (t, x, v) order by a
+        stable sort.
+        """
         nx, nv, nt = self.grid
-        pts = [
-            (xv, vv, tv)
-            for xv in _axis_points(*self.x, nx)
-            for vv in _axis_points(*self.v, nv)
-            for tv in _axis_points(*self.t, nt)
-        ]
-        rng = random.Random(self.seed)
-        for _ in range(self.n_random):
-            pts.append((
-                rng.uniform(*self.x), rng.uniform(*self.v), rng.uniform(*self.t)
-            ))
+        grid = (np.repeat(_axis_column(*self.x, nx), nv * nt),
+                np.tile(np.repeat(_axis_column(*self.v, nv), nt), nx),
+                np.tile(_axis_column(*self.t, nt), nx * nv))
+        count = 3 * self.n_random
+        draws = np.fromiter(starmap(random.Random(self.seed).random,
+                                    repeat((), count)), float, count)
+        columns = {}
+        for k, (name, axis) in enumerate(zip(_STATE, grid)):
+            lo, hi = getattr(self, name)
+            columns[name] = np.concatenate((axis, lo + (hi - lo) * draws[k::3]))
+        order = np.lexsort((columns["v"], columns["x"], columns["t"]))
         if self.strata:
-            # a point leaves at the first stratum that is undefined or small
-            # there; later strata are not evaluated at it
-            columns = _state_columns(pts)
             dropped = None
             for stratum in self.strata:
                 size, dropped = evaluate_field(stratum.expr, columns, dropped)
                 dropped |= np.abs(size) <= stratum.radius
-            pts = [p for p, out in zip(pts, dropped.tolist()) if not out]
-        if not pts:
+            order = order[~dropped[order]]
+        if not order.size:
             raise EmptyDomainError("no sample points survive the exclusions")
-        pts.sort(key=lambda p: (p[2], p[0], p[1]))
-        return pts
+        return {name: column[order] for name, column in columns.items()}
+
+    def sample_points(self) -> list:
+        """The samples of :meth:`sample_columns` as (x, v, t) tuples."""
+        return _points(self.sample_columns())
+
+
+def _points(columns: dict) -> list:
+    """The (x, v, t) tuples of field columns, as Python floats."""
+    return list(zip(*(columns[name].tolist() for name in _STATE)))
 
 
 def _state_columns(points: Sequence[tuple]) -> dict:
@@ -267,7 +291,13 @@ def euler_lagrange_residual(L: Lagrangian, ode: OdeSpec,
 @dataclass(frozen=True)
 class VerificationReport:
     """What :func:`verify_lagrangian` measured; ``max_residual`` and
-    ``regularity_min`` are NaN when some usable point's value is."""
+    ``regularity_min`` are NaN when some usable point's value is.
+
+    The report also keeps the sweep itself: the sample ``columns``, the
+    ``residual_field`` over them and the ``scored`` mask of the points it
+    counts.  They stay out of ``repr`` and ``==``; :attr:`residuals` builds
+    the per-point rows from them when it is read.
+    """
 
     passed: bool
     max_residual: float
@@ -277,8 +307,20 @@ class VerificationReport:
     regularity_min: float
     tolerance: float
     notes: tuple = ()
-    # ((x, v, t), residual) per sample; residual None where skipped or degenerate
-    residuals: tuple = field(default=(), repr=False)
+    columns: dict | None = field(default=None, repr=False, compare=False)
+    residual_field: np.ndarray | None = field(default=None, repr=False,
+                                              compare=False)
+    scored: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def residuals(self) -> tuple:
+        """((x, v, t), residual) per sample; residual None where skipped or
+        degenerate.  Built anew at each read."""
+        if self.columns is None:
+            return ()
+        return tuple(zip(_points(self.columns),
+                         np.where(self.scored, self.residual_field,
+                                  None).tolist()))
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -287,6 +329,11 @@ class VerificationReport:
             f"(x, v, t) = {self.argmax} over {self.samples_used} samples "
             f"(tol {self.tolerance:.1e}, min |L_vv| {self.regularity_min:.3e})"
         )
+
+
+def _point(columns: dict, i: int) -> tuple:
+    """Sample ``i`` of field columns as an (x, v, t) tuple."""
+    return tuple(columns[name][i].item() for name in _STATE)
 
 
 def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
@@ -300,10 +347,9 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     degenerate.  A NaN residual is the largest: it fails the report and
     the first one in sample order is its argmax.
     """
-    points = box.sample_points()
     # the rhs first, then the jet where the rhs is defined, in the order of
     # the scalar evaluations at one point
-    state = _state_columns(points)
+    state = box.sample_columns()
     rhs, bad = evaluate_field(ode.rhs, state)
     jet, bad, accels = _acceleration_jet_field(L, state, bad)
     with np.errstate(all="ignore"):
@@ -315,7 +361,7 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
         raise EmptyDomainError(
             "every sample point fell outside the domain of definition"
         )
-    skipped = len(points) - used
+    skipped = len(bad) - used
     regularity = np.abs(jet.hvv)
     degenerate = good & (regularity < EPS_REG)
     scored = good & ~degenerate
@@ -323,7 +369,7 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     if degenerate.any():
         i = int(np.argmax(degenerate))
         notes.append(
-            f"degenerate at (x, v, t) = {points[i]}: "
+            f"degenerate at (x, v, t) = {_point(state, i)}: "
             f"|L_vv| = {regularity[i].item():.3e} < {EPS_REG:.1e}"
         )
     if skipped:
@@ -332,7 +378,7 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     if worst is None:
         max_residual, argmax = math.inf, (math.nan, math.nan, math.nan)
     else:
-        max_residual, argmax = worst[0], points[worst[1]]
+        max_residual, argmax = worst[0], _point(state, worst[1])
     return VerificationReport(
         passed=worst is not None and not degenerate.any()
         and max_residual <= tol,
@@ -343,9 +389,20 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
         regularity_min=regularity[good].min().item(),
         tolerance=tol,
         notes=tuple(notes),
-        residuals=tuple(zip(points, np.where(scored, field_residuals,
-                                             None).tolist())),
+        columns=state,
+        residual_field=field_residuals,
+        scored=scored,
     )
+
+
+def _usable_accelerations(L: Lagrangian, columns: dict) -> tuple:
+    """The implied accelerations of ``L`` and the mask of usable points.
+
+    A point is usable where ``L`` is in domain and |L_vv| is not below
+    EPS_REG; a NaN |L_vv| is not below it, so its NaN acceleration is used.
+    """
+    jet, bad, accels = _acceleration_jet_field(L, columns)
+    return accels, ~(bad | (np.abs(jet.hvv) < EPS_REG))
 
 
 def acceleration_field(L: Lagrangian, points: Sequence[tuple]) -> list:
@@ -354,9 +411,20 @@ def acceleration_field(L: Lagrangian, points: Sequence[tuple]) -> list:
     The entry is None where ``L`` is out of domain, non-differentiable or
     degenerate there.
     """
-    jet, bad, accels = _acceleration_jet_field(L, _state_columns(points))
-    return [None if out or abs(lvv) < EPS_REG else a
-            for out, lvv, a in zip(bad.tolist(), jet.hvv.tolist(), accels.tolist())]
+    accels, usable = _usable_accelerations(L, _state_columns(points))
+    return [a if ok else None for a, ok in zip(accels.tolist(), usable.tolist())]
+
+
+def _acceleration_gap(accels: Sequence, usable: Sequence) -> float:
+    """:func:`max_acceleration_gap` of accelerations given with usable masks."""
+    keep = np.logical_and.reduce(usable)
+    accels = np.where(keep, accels, 0.0)
+    lo, hi = accels.min(axis=0), accels.max(axis=0)
+    worst = largest((hi - lo) / (1.0 + np.maximum(np.abs(lo), np.abs(hi))),
+                    keep)
+    if worst is None:
+        raise EmptyDomainError("no common usable sample points")
+    return worst[0]
 
 
 def max_acceleration_gap(fields: Sequence[list]) -> float:
@@ -366,27 +434,23 @@ def max_acceleration_gap(fields: Sequence[list]) -> float:
     every field is defined.  A NaN at such a point makes the result NaN.
     """
     cells = np.array(fields, dtype=object)
-    keep = np.not_equal(cells, None).all(axis=0)
-    accels = np.where(keep, cells, 0.0).astype(float)
-    lo, hi = accels.min(axis=0), accels.max(axis=0)
-    worst = largest((hi - lo) / (1.0 + np.maximum(np.abs(lo), np.abs(hi))),
-                    keep)
-    if worst is None:
-        raise EmptyDomainError("no common usable sample points")
-    return worst[0]
+    usable = np.not_equal(cells, None)
+    return _acceleration_gap(np.where(usable, cells, 0.0).astype(float), usable)
 
 
 def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian],
                               box: DomainBox) -> float:
     """Largest normalized disagreement in implied acceleration over the box.
 
-    Skips points outside some member's domain; requires at least one usable
-    common point.
+    Skips points outside some member's domain or degenerate for it;
+    requires at least one usable common point.  A NaN acceleration at a
+    usable point makes the result NaN.
     """
     if len(lagrangians) < 2:
         return 0.0
-    points = box.sample_points()
-    return max_acceleration_gap([acceleration_field(L, points) for L in lagrangians])
+    columns = box.sample_columns()
+    accels, usable = zip(*(_usable_accelerations(L, columns) for L in lagrangians))
+    return _acceleration_gap(accels, usable)
 
 
 # --- Legendre structure ------------------------------------------------------
@@ -475,7 +539,7 @@ def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox) -> float:
     is normalized by 1 + |I|.  Points outside the domain are skipped; a NaN
     rate at a usable point makes the result NaN.
     """
-    state = _state_columns(box.sample_points())
+    state = box.sample_columns()
     f, bad = evaluate_field(ode.rhs, state)
     jet, bad = jet_field(quantity, state, bad)
     with np.errstate(all="ignore"):

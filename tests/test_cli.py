@@ -585,3 +585,27 @@ class TestFamilyTable:
         assert verified
         assert all(str(ode.rhs) == reported for ode in verified), \
             [str(ode.rhs) for ode in verified]
+
+
+class TestAtomicWrite:
+    def test_writes_the_text_with_owner_only_mode(self, tmp_path):
+        path = tmp_path / "deep" / "report.json"
+        cli._atomic_write(path, "first\r\nsecond\n")
+        assert path.read_bytes() == b"first\r\nsecond\n"
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert sorted(p.name for p in path.parent.iterdir()) == ["report.json"]
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_a_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, step):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+
+        def broken(*args):
+            raise OSError(f"{step} failed")
+
+        monkeypatch.setattr(cli.os, step, broken)
+        with pytest.raises(OSError, match=f"{step} failed"):
+            cli._atomic_write(path, "new\n")
+        monkeypatch.undo()
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -374,6 +374,43 @@ def test_incoming_mask_is_kept_and_not_mutated():
     assert values[0] == 0.0
 
 
+# --- the value rules' shortcuts -----------------------------------------------
+
+EXPONENTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -3.0, -2.5, 0.5, 2.0,
+             1e308]
+BASES = np.array([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0, math.nan])
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
+def test_a_scalar_exponent_has_the_array_domain(exponent):
+    want = evaluation._pow_domain(BASES, np.full(len(BASES), exponent))
+    for e in (exponent, np.float64(exponent)):
+        got = evaluation._pow_domain(BASES, e)
+        assert np.broadcast_to(got, BASES.shape).tolist() == want.tolist()
+        for base, out in zip(BASES.tolist(), want.tolist()):
+            assert bool(evaluation._pow_domain(base, e)) == out
+
+
+@settings(max_examples=200, deadline=None)
+@given(exprs, points, st.lists(st.booleans(), min_size=6, max_size=6))
+def test_a_given_mask_changes_nothing_elsewhere(expr, pts, flags):
+    # the sweeps take an unmasked and a masked path through each value rule
+    cols = columns(pts)
+    given_bad = np.array(flags[:len(pts)])
+    values, bad = evaluate_field(expr, cols)
+    masked_values, masked_bad = evaluate_field(expr, cols, given_bad)
+    assert masked_bad.tolist() == (bad | given_bad).tolist()
+    keep = ~masked_bad
+    assert [v.hex() for v in masked_values[keep].tolist()] == \
+        [v.hex() for v in values[keep].tolist()]
+
+    jet, bad = jet_field(expr, cols)
+    masked_jet, masked_bad = jet_field(expr, cols, given_bad)
+    assert masked_bad.tolist() == (bad | given_bad).tolist()
+    for i in np.flatnonzero(~masked_bad).tolist():
+        assert hexes(masked_jet, i) == hexes(jet, i)
+
+
 def _recorded_verifications(monkeypatch, build):
     """The (L, ode, box, tol) of every sweep that ``build()`` asks for."""
     calls = []

@@ -31,7 +31,11 @@ from lagrangeforge import (
 )
 from lagrangeforge.constructors.common import relative_stratum
 from lagrangeforge.expressions import Add, Const, simplify, substitute
-from lagrangeforge.lagrangian import largest, max_acceleration_gap
+from lagrangeforge.lagrangian import (
+    acceleration_field,
+    largest,
+    max_acceleration_gap,
+)
 
 POINTS = [(-0.7, 0.4, 0.0), (0.3, -1.1, 0.8), (1.2, 0.9, 1.5), (0.0, 2.0, 0.3)]
 
@@ -359,6 +363,19 @@ class TestPairwiseGap:
             [Lagrangian(parse_expression("0.5*v^2"))], box
         ) == 0.0
 
+
+    def test_a_nan_regularity_gives_a_nan_gap(self):
+        # |L_vv| is NaN wherever the hole is: abs(nan) < EPS_REG is False,
+        # so those points are used, and their NaN acceleration is no None
+        L = Lagrangian(parse_expression("0.5*v^2 + " + NAN_HOLE))
+        points = NAN_BOX.sample_points()
+        field = acceleration_field(L, points)
+        nans = [p for p, a in zip(points, field) if math.isnan(a)]
+        assert len(nans) == 46
+        assert all(math.isnan(L.jet(*p).hvv) for p in nans)
+        other = Lagrangian(parse_expression("0.5*v^2"))
+        assert math.isnan(pairwise_acceleration_gap([L, other], NAN_BOX))
+        assert math.isnan(pairwise_acceleration_gap([other, L], NAN_BOX))
 
     @pytest.mark.parametrize("fields", [
         [[1.0, 2.0, math.nan], [1.0, 2.5, 1.0]],
