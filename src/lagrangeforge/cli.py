@@ -28,7 +28,7 @@ import platform
 import sys
 import tempfile
 import time
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -234,10 +234,13 @@ def normalize_spec(spec: dict) -> dict:
 
 def _box(spec: dict) -> DomainBox:
     dom = spec["domain"]
-    return DomainBox(
-        x=tuple(dom["x"]), v=tuple(dom["v"]), t=tuple(dom["t"]),
-        grid=tuple(dom["grid"]), n_random=dom["n_random"], seed=dom["seed"],
-    )
+    try:
+        return DomainBox(
+            x=tuple(dom["x"]), v=tuple(dom["v"]), t=tuple(dom["t"]),
+            grid=tuple(dom["grid"]), n_random=dom["n_random"], seed=dom["seed"],
+        )
+    except ValueError as exc:
+        raise SpecValidationError(f"spec invalid at domain: {exc}") from exc
 
 
 def _options(spec: dict) -> BuilderOptions:
@@ -740,11 +743,28 @@ def classify_equation(f, dom: dict) -> list:
     return entries
 
 
-def _build_block(block: dict, options: BuilderOptions) -> BuiltProblem:
-    family, blk = _family(block)
-    problem = family.build(blk, family.ode(blk), options)
-    problem.notes = list(family.notes)
-    return problem
+def _build_block(block: dict, options: BuilderOptions,
+                 builds: dict) -> BuiltProblem:
+    """The problem a family block builds, built once per run.
+
+    ``builds`` maps the block (as canonical JSON) and the options to the
+    problem or to the error its build raised; a cached error is raised
+    again, so every task that needs the block reports the same outcome.
+    Callers read the problem and never change it.
+    """
+    key = (json.dumps(block, sort_keys=True), options)
+    if key not in builds:
+        try:
+            family, blk = _family(block)
+            problem = family.build(blk, family.ode(blk), options)
+            problem.notes = list(family.notes)
+            builds[key] = problem
+        except Exception as exc:  # noqa: BLE001 - raised again below
+            builds[key] = exc
+    outcome = builds[key]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _target(spec: dict):
@@ -756,10 +776,10 @@ def _target(spec: dict):
     return family.ode(blk).rhs
 
 
-def _problem(spec: dict) -> BuiltProblem:
+def _problem(spec: dict, builds: dict) -> BuiltProblem:
     eq = spec["equation"]
     if "family" in eq:
-        return _build_block(eq, _options(spec))
+        return _build_block(eq, _options(spec), builds)
     ode = OdeSpec(_expr(eq, "rhs"))
     members = {}
     if "lagrangian" in eq:
@@ -792,7 +812,7 @@ def _verification_payload(report) -> dict:
     }
 
 
-def cmd_classify(spec: dict, out_dir: Path):
+def cmd_classify(spec: dict, out_dir: Path, builds: dict):
     f = _target(spec)
     entries = classify_equation(f, spec["domain"])
     rows = [[e["family"], "yes" if e["applicable"] else "no",
@@ -804,11 +824,11 @@ def cmd_classify(spec: dict, out_dir: Path):
     return payload, {"families_csv": "families.csv"}, EXIT_OK
 
 
-def cmd_build(spec: dict, out_dir: Path):
+def cmd_build(spec: dict, out_dir: Path, builds: dict):
     if "family" not in spec["equation"]:
         raise InapplicableFamilyError(
             "build needs a family block; run classify to see candidates")
-    problem = _problem(spec)
+    problem = _problem(spec, builds)
     payload = {
         "family": spec["equation"]["family"],
         "rhs": str(problem.ode.rhs),
@@ -822,8 +842,8 @@ def cmd_build(spec: dict, out_dir: Path):
     return payload, {}, EXIT_OK
 
 
-def cmd_verify(spec: dict, out_dir: Path):
-    problem = _problem(spec)
+def cmd_verify(spec: dict, out_dir: Path, builds: dict):
+    problem = _problem(spec, builds)
     if not problem.members:
         raise InapplicableFamilyError(
             "verify needs a family block or an explicit lagrangian")
@@ -857,8 +877,8 @@ def _field_cells(values, bad) -> list:
             for value, out in zip(values.tolist(), bad.tolist())]
 
 
-def cmd_integrate(spec: dict, out_dir: Path):
-    problem = _problem(spec)
+def cmd_integrate(spec: dict, out_dir: Path, builds: dict):
+    problem = _problem(spec, builds)
     ode = problem.ode
     L = problem.primary if problem.members else None
     cfg = spec["integrate"]
@@ -895,11 +915,11 @@ def cmd_integrate(spec: dict, out_dir: Path):
     return payload, {"trajectory_csv": "trajectory.csv"}, EXIT_OK
 
 
-def cmd_compare(spec: dict, out_dir: Path):
+def cmd_compare(spec: dict, out_dir: Path, builds: dict):
     options = _options(spec)
     control = None
     if "members" in spec:
-        built = [_build_block(blk, options) for blk in spec["members"]]
+        built = [_build_block(blk, options, builds) for blk in spec["members"]]
         points = _Points(built[0].ode.rhs, spec["domain"], _PROBE_VS)
         for other in built[1:]:
             gap = points.max_rel(simplify(other.ode.rhs - built[0].ode.rhs))
@@ -915,7 +935,7 @@ def cmd_compare(spec: dict, out_dir: Path):
         ode = built[0].ode
         notes = sorted({note for b in built for note in b.notes})
     elif "family" in spec["equation"]:
-        problem = _problem(spec)
+        problem = _problem(spec, builds)
         members, ode, notes = problem.members, problem.ode, problem.notes
         control = problem.control
     else:
@@ -982,10 +1002,13 @@ def _classified_error(exc: Exception):
     raise exc
 
 
-def run_command(command: str, spec: dict, out_dir: Path,
+def run_command(command: str, spec: dict, out_dir: Path, builds: dict,
                 tol: float | None = None, seed: int | None = None,
                 report_name: str = "report.json") -> int:
-    """Run one task and write its report; the exit code is returned."""
+    """Run one task and write its report; the exit code is returned.
+
+    ``builds`` is the run's memo of built problems (see :func:`_build_block`).
+    """
     normalized = normalize_spec(spec)
     if seed is not None:
         normalized["domain"]["seed"] = seed
@@ -1003,7 +1026,9 @@ def run_command(command: str, spec: dict, out_dir: Path,
         if allowed and command not in allowed:
             raise SpecValidationError(
                 f"spec allows tasks {allowed}, not {command!r}")
-        payload, artifacts, code = _COMMANDS[command](normalized, out_dir)
+        _box(normalized)  # a bad domain is an input error for every command
+        payload, artifacts, code = _COMMANDS[command](normalized, out_dir,
+                                                      builds)
         report.update(payload)
         report["artifacts"] = artifacts
     except Exception as exc:  # noqa: BLE001 - re-raised unless classified
@@ -1024,13 +1049,17 @@ def run_tasks(spec: dict, out_dir: Path, tasks: list,
               tol: float | None = None, seed: int | None = None) -> int:
     """Run each ``(command, report name)`` in order; the worst exit code.
 
-    One ``run_meta.json`` records the package, Python and numpy versions
-    once, and every task's command, report and elapsed seconds.
+    The tasks share one memo of built problems, so the run builds each
+    problem once: the first task that needs it builds it (or meets its
+    error), and later tasks reuse the outcome.  The memo is dropped on
+    return.  One ``run_meta.json`` records the package, Python and numpy
+    versions once, and every task's command, report and elapsed seconds;
+    a build's time counts in the first task that needs it.
     """
-    worst, records = EXIT_OK, []
+    worst, records, builds = EXIT_OK, [], {}
     for command, report_name in tasks:
         started = time.perf_counter()
-        code = run_command(command, spec, out_dir, tol=tol, seed=seed,
+        code = run_command(command, spec, out_dir, builds, tol=tol, seed=seed,
                            report_name=report_name)
         records.append({"command": command, "report": report_name,
                         "elapsed_seconds": time.perf_counter() - started})
@@ -1055,7 +1084,9 @@ def cmd_demo(name: str, out_dir: Path, tol: float | None,
     return run_tasks(spec, out_dir, tasks, tol=tol, seed=seed)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="lagrangeforge",
         description="Construct and certify Lagrangians for one-dimensional "
@@ -1074,8 +1105,11 @@ def main(argv=None) -> int:
     demo.add_argument("--out", default="lagrangeforge-out")
     demo.add_argument("--tol", type=float, default=None)
     demo.add_argument("--seed", type=int, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.command == "demo":

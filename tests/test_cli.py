@@ -113,6 +113,24 @@ class TestSpecValidation:
         assert run("build", spec, out) == EXIT_INPUT_ERROR
         assert "tasks" in load_report(out)["error"]["message"]
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("interval, problem", [
+        ([1.0, -1.0], "x interval is reversed"),
+        ([-1e308, 1e308], "x interval is too wide for a float"),
+    ])
+    def test_bad_domain_is_input_error(self, tmp_path, command, interval,
+                                       problem):
+        doc = {"version": 1,
+               "equation": {"rhs": "-x", "lagrangian": "0.5*v^2 - 0.5*x^2"},
+               "domain": {"x": interval}}
+        spec = write_spec(tmp_path, doc)
+        out = tmp_path / "out"
+        assert run(command, spec, out) == EXIT_INPUT_ERROR
+        report = load_report(out)
+        assert report["error"]["code"] == "input-error"
+        assert problem in report["error"]["message"]
+        assert report["exit_code"] == EXIT_INPUT_ERROR
+
 
 class TestClassify:
     def classification(self, tmp_path, doc):
@@ -508,6 +526,109 @@ class TestDemo:
     def test_every_preset_succeeds(self, tmp_path, name):
         out = tmp_path / name
         assert main(["demo", name, "--out", str(out)]) == EXIT_OK
+
+
+def count_builds(monkeypatch, family):
+    """Wrap one family's build; the returned list gains an entry per call."""
+    calls = []
+    entry = FAMILIES[family]
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return entry.build(*args, **kwargs)
+
+    monkeypatch.setitem(FAMILIES, family, entry._replace(build=counting))
+    return calls
+
+
+INADMISSIBLE = {"version": 1,
+                "equation": {"family": "standard", "a": "0", "b": "1.0*x*t",
+                             "c": "0"}}
+
+
+class TestRunMemo:
+    def test_a_run_builds_its_problem_once(self, tmp_path, monkeypatch):
+        builds = count_builds(monkeypatch, "standard")
+        assert len(PRESETS["free-particle"]["tasks"]) == 3
+        assert main(["demo", "free-particle", "--out",
+                     str(tmp_path / "a")]) == EXIT_OK
+        assert len(builds) == 1
+
+    def test_nothing_is_reused_across_runs(self, tmp_path, monkeypatch):
+        builds = count_builds(monkeypatch, "standard")
+        for out in ("a", "b"):
+            assert main(["demo", "free-particle", "--out",
+                         str(tmp_path / out)]) == EXIT_OK
+        assert len(builds) == 2
+
+    def test_a_failed_build_fails_every_task_alike(self, tmp_path,
+                                                   monkeypatch):
+        # each task run on its own builds for itself
+        alone = {}
+        for command in ("build", "verify"):
+            out = tmp_path / command
+            assert run(command, write_spec(tmp_path, INADMISSIBLE), out) == \
+                EXIT_INAPPLICABLE
+            alone[command] = load_report(out)
+        builds = count_builds(monkeypatch, "standard")
+        out = tmp_path / "run"
+        code = cli.run_tasks(INADMISSIBLE, out, [
+            ("build", "report_build.json"), ("verify", "report_verify.json")])
+        assert code == EXIT_INAPPLICABLE
+        assert len(builds) == 1
+        for command in ("build", "verify"):
+            report = load_report(out, f"report_{command}.json")
+            assert report["error"] == alone[command]["error"]
+            assert report["error"]["code"] == "inapplicable"
+            assert report["exit_code"] == EXIT_INAPPLICABLE
+
+    def test_classify_never_builds(self, tmp_path, monkeypatch):
+        builds = count_builds(monkeypatch, "standard")
+        out = tmp_path / "run"
+        cli.run_tasks(INADMISSIBLE, out, [
+            ("classify", "report_classify.json"),
+            ("build", "report_build.json"),
+            ("classify", "report_again.json")])
+        assert len(builds) == 1
+        for name in ("report_classify.json", "report_again.json"):
+            report = load_report(out, name)
+            assert report["exit_code"] == EXIT_OK
+            assert report["error"] is None
+
+
+class TestParserReuse:
+    def test_no_argument_leaks_into_a_later_call(self, tmp_path):
+        free = {"version": 1,
+                "equation": {"rhs": "0", "lagrangian": "0.5*v^2"}}
+        assert run("verify", write_spec(tmp_path, DAMPED, "damped.json"),
+                   tmp_path / "a", "--tol", "1e-3", "--seed", "7") == EXIT_OK
+        first = load_report(tmp_path / "a")["normalized_spec"]
+        assert (first["options"]["verify_tol"], first["domain"]["seed"]) == \
+            (1e-3, 7)
+        assert run("verify", write_spec(tmp_path, free, "free.json"),
+                   tmp_path / "b") == EXIT_OK
+        assert load_report(tmp_path / "b")["normalized_spec"] == \
+            normalize_spec(free)
+        assert main(["demo", "free-particle", "--out",
+                     str(tmp_path / "c")]) == EXIT_OK
+        assert load_report(tmp_path / "c", "report_build.json")[
+            "normalized_spec"] == normalize_spec(PRESETS["free-particle"])
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--out", "o"],
+        ["verify", "--spec", "s.json", "--tol", "tight"],
+        ["demo", "--seed", "1.5"],
+    ])
+    def test_bad_arguments_still_exit_2(self, tmp_path, argv):
+        # a call with every option set comes first, so a kept value would
+        # stand in for a missing one
+        spec = write_spec(tmp_path, DAMPED)
+        assert run("build", spec, tmp_path / "a",
+                   "--tol", "1e-3", "--seed", "7") == EXIT_OK
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 # one block per family; two families run on their preset's domain box
