@@ -22,9 +22,10 @@ Five entry points read the tables:
 * :func:`compile_callable` generates one straight-line Python function per
   tree, for ODE right-hand sides that are called thousands of times.
 * :func:`eval_jet2` returns a :class:`Jet2` carrying the value together with
-  the gradient and Hessian with respect to the state variables ``x, v, t``.
-  Derivatives are propagated structurally (no finite differences), so they
-  are exact up to roundoff.
+  the gradient with respect to the state variables ``x, v, t`` and the
+  three second derivatives that the Euler-Lagrange operator reads,
+  ``L_xv``, ``L_vv`` and ``L_vt``.  Derivatives are propagated structurally
+  (no finite differences), so they are exact up to roundoff.
 * :func:`evaluate_field` and :func:`jet_field` do what :func:`evaluate` and
   :func:`eval_jet2` do at every sample point in one tree walk, over float64
   arrays, and return a mask of the points where the scalar walk would
@@ -439,7 +440,12 @@ def _negated(a):
 
 
 class Jet2:
-    """Value, gradient and Hessian with respect to ``(x, v, t)``.
+    """Value, gradient and the second derivatives that the Euler-Lagrange
+    operator reads, with respect to ``(x, v, t)``.
+
+    The operator ``L_vv x'' + L_vx v + L_vt - L_x`` reads of the Hessian
+    only ``hxv``, ``hvv`` and ``hvt``, and their formulas never read
+    ``L_xx``, ``L_xt`` or ``L_tt``, so the jet carries none of those.
 
     A derivative slot holds a float, an array over a sweep's points, or
     :data:`ZERO`, the default: constants and variables start sparse.  The
@@ -462,33 +468,21 @@ class Jet2:
     can have arisen.
     """
 
-    __slots__ = ("f", "gx", "gv", "gt", "hxx", "hxv", "hxt", "hvv", "hvt", "htt")
+    __slots__ = ("f", "gx", "gv", "gt", "hxv", "hvv", "hvt")
 
     def __init__(self, f=0.0, gx=ZERO, gv=ZERO, gt=ZERO,
-                 hxx=ZERO, hxv=ZERO, hxt=ZERO, hvv=ZERO, hvt=ZERO, htt=ZERO):
+                 hxv=ZERO, hvv=ZERO, hvt=ZERO):
         self.f = f
         self.gx = gx
         self.gv = gv
         self.gt = gt
-        self.hxx = hxx
         self.hxv = hxv
-        self.hxt = hxt
         self.hvv = hvv
         self.hvt = hvt
-        self.htt = htt
 
     @property
     def gradient(self) -> tuple:
         return (self.gx, self.gv, self.gt)
-
-    @property
-    def hessian(self) -> tuple:
-        """Symmetric Hessian rows in (x, v, t) order."""
-        return (
-            (self.hxx, self.hxv, self.hxt),
-            (self.hxv, self.hvv, self.hvt),
-            (self.hxt, self.hvt, self.htt),
-        )
 
     def __repr__(self):
         return (f"Jet2(f={self.f!r}, grad=({self.gx!r}, {self.gv!r}, {self.gt!r}))")
@@ -498,8 +492,7 @@ class Jet2:
         return Jet2(
             u.f + w.f,
             _plus(u.gx, w.gx), _plus(u.gv, w.gv), _plus(u.gt, w.gt),
-            _plus(u.hxx, w.hxx), _plus(u.hxv, w.hxv), _plus(u.hxt, w.hxt),
-            _plus(u.hvv, w.hvv), _plus(u.hvt, w.hvt), _plus(u.htt, w.htt),
+            _plus(u.hxv, w.hxv), _plus(u.hvv, w.hvv), _plus(u.hvt, w.hvt),
         )
 
     def __sub__(self, other):
@@ -507,8 +500,7 @@ class Jet2:
         return Jet2(
             u.f - w.f,
             _minus(u.gx, w.gx), _minus(u.gv, w.gv), _minus(u.gt, w.gt),
-            _minus(u.hxx, w.hxx), _minus(u.hxv, w.hxv), _minus(u.hxt, w.hxt),
-            _minus(u.hvv, w.hvv), _minus(u.hvt, w.hvt), _minus(u.htt, w.htt),
+            _minus(u.hxv, w.hxv), _minus(u.hvv, w.hvv), _minus(u.hvt, w.hvt),
         )
 
     def __neg__(self):
@@ -516,8 +508,7 @@ class Jet2:
         return Jet2(
             -u.f,
             _negated(u.gx), _negated(u.gv), _negated(u.gt),
-            _negated(u.hxx), _negated(u.hxv), _negated(u.hxt),
-            _negated(u.hvv), _negated(u.hvt), _negated(u.htt),
+            _negated(u.hxv), _negated(u.hvv), _negated(u.hvt),
         )
 
     def __mul__(self, other):
@@ -528,18 +519,12 @@ class Jet2:
             _plus(_times(u.gx, wf), _times(uf, w.gx)),
             _plus(_times(u.gv, wf), _times(uf, w.gv)),
             _plus(_times(u.gt, wf), _times(uf, w.gt)),
-            _plus(_plus(_times(u.hxx, wf), _times(_times(2.0, u.gx), w.gx)),
-                  _times(uf, w.hxx)),
             _plus(_plus(_plus(_times(u.hxv, wf), _times(u.gx, w.gv)),
                         _times(u.gv, w.gx)), _times(uf, w.hxv)),
-            _plus(_plus(_plus(_times(u.hxt, wf), _times(u.gx, w.gt)),
-                        _times(u.gt, w.gx)), _times(uf, w.hxt)),
             _plus(_plus(_times(u.hvv, wf), _times(_times(2.0, u.gv), w.gv)),
                   _times(uf, w.hvv)),
             _plus(_plus(_plus(_times(u.hvt, wf), _times(u.gv, w.gt)),
                         _times(u.gt, w.gv)), _times(uf, w.hvt)),
-            _plus(_plus(_times(u.htt, wf), _times(_times(2.0, u.gt), w.gt)),
-                  _times(uf, w.htt)),
         )
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
@@ -549,12 +534,9 @@ class Jet2:
         return Jet2(
             f0,
             _times(f1, gx), _times(f1, gv), _times(f1, gt),
-            _plus(_times(f1, u.hxx), _times(_times(f2, gx), gx)),
             _plus(_times(f1, u.hxv), _times(_times(f2, gx), gv)),
-            _plus(_times(f1, u.hxt), _times(_times(f2, gx), gt)),
             _plus(_times(f1, u.hvv), _times(_times(f2, gv), gv)),
             _plus(_times(f1, u.hvt), _times(_times(f2, gv), gt)),
-            _plus(_times(f1, u.htt), _times(_times(f2, gt), gt)),
         )
 
     def __truediv__(self, other):
@@ -640,8 +622,7 @@ _DERIVATIVE_RULES = {Exp: _exp_rule, Ln: _ln_rule, Sqrt: _sqrt_rule,
 
 def _is_constant_jet(j: Jet2) -> bool:
     return (j.gx == 0.0 and j.gv == 0.0 and j.gt == 0.0
-            and j.hxx == 0.0 and j.hxv == 0.0 and j.hxt == 0.0
-            and j.hvv == 0.0 and j.hvt == 0.0 and j.htt == 0.0)
+            and j.hxv == 0.0 and j.hvv == 0.0 and j.hvt == 0.0)
 
 
 def _pow_rule(u, n: float, on) -> tuple:
@@ -685,8 +666,8 @@ def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
 
 
 def _leaf(value, zero) -> Jet2:
-    """A jet whose nine derivative slots hold ``zero``."""
-    return Jet2(value, zero, zero, zero, zero, zero, zero, zero, zero, zero)
+    """A jet whose six derivative slots hold ``zero``."""
+    return Jet2(value, zero, zero, zero, zero, zero, zero)
 
 
 def _jet_point(expr: Expr, binding: Binding, zero) -> Jet2:
@@ -719,12 +700,18 @@ def _jet_point(expr: Expr, binding: Binding, zero) -> Jet2:
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
-# Hessian slots of Jet2 in order, as index pairs into _STATE
-_HESSIAN_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+# Second-derivative slots of Jet2 in order, as index pairs into _STATE
+_HESSIAN_PAIRS = ((0, 1), (1, 1), (1, 2))
 
 
 def _antideriv_slots(node: Antideriv) -> tuple:
-    """The expressions of an integral's ten jet slots, in Jet2's order."""
+    """The expressions of an integral's seven jet slots, in Jet2's order.
+
+    Each slot costs a symbolic derivative and, at every point, often one
+    more integral, so only the slots :class:`Jet2` keeps are built; a point
+    where only the integral of some other derivative is undefined is in the
+    jet's domain.
+    """
     # differentiate applies the fundamental theorem of calculus in node.var
     # and differentiates under the integral sign in the other variables.
     first = [differentiate(node, q) for q in _STATE]
@@ -1043,7 +1030,7 @@ def jet_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
     """:func:`eval_jet2` at every point of ``columns`` in one tree walk.
 
     Takes ``columns`` and ``bad`` as :func:`evaluate_field` does.  Returns
-    ``(jet, bad)``: ``jet`` is a :class:`Jet2` whose ten slots are float64
+    ``(jet, bad)``: ``jet`` is a :class:`Jet2` whose seven slots are float64
     arrays over the points, equal to :func:`eval_jet2` bit for bit wherever
     ``bad`` is False, and ``bad`` is True exactly where :func:`eval_jet2`
     would raise :class:`EvalDomainError` or
@@ -1130,8 +1117,9 @@ def _jet_node(expr, sweep):
             return base.chain(*sweep.vetted(_pow_rule, _full(base.f, len(sweep.bad)),
                                             exponent.f, sweep))
         # an exponent that varies over the points: the scalar rule per point
+        width = len(Jet2.__slots__)
         return Jet2(*sweep.per_point(
-            10, lambda *p: _slots(_jet_pow(Jet2(*p[:10]), Jet2(*p[10:]))),
+            width, lambda *p: _slots(_jet_pow(Jet2(*p[:width]), Jet2(*p[width:]))),
             *_slots(base), *exp_slots))
     if kind is Neg:
         return -_jet_walk(expr.operand, sweep)

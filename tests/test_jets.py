@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lagrangeforge import (
@@ -16,8 +17,10 @@ from lagrangeforge import (
     Pow,
     Var,
     compile_callable,
+    differentiate,
     eval_jet2,
     evaluate,
+    jet_field,
     parse_expression,
 )
 
@@ -93,11 +96,10 @@ class TestAgainstFiniteDifferences:
             for got, want in zip(jet.gradient, fd_gradient(expr, point)):
                 assert got == pytest.approx(want, rel=2e-7, abs=2e-7)
             fd = fd_hessian(expr, point)
-            for i in range(3):
-                for j in range(3):
-                    assert jet.hessian[i][j] == pytest.approx(
-                        fd[i][j], rel=5e-5, abs=5e-5
-                    )
+            # the second derivatives a jet carries, as (i, j) into STATE
+            for got, (i, j) in ((jet.hxv, (0, 1)), (jet.hvv, (1, 1)),
+                                (jet.hvt, (1, 2))):
+                assert got == pytest.approx(fd[i][j], rel=5e-5, abs=5e-5)
 
 
 class TestClosedForms:
@@ -126,24 +128,24 @@ class TestClosedForms:
         assert jet.gx == 0.0 and jet.gt == 0.0
 
     def test_integer_power_at_zero(self):
-        jet = eval_jet2(parse_expression("x^2"), {"x": 0.0, "v": 0.0, "t": 0.0})
-        assert jet.f == 0.0 and jet.gx == 0.0 and jet.hxx == 2.0
+        jet = eval_jet2(parse_expression("v^2"), {"x": 0.0, "v": 0.0, "t": 0.0})
+        assert jet.f == 0.0 and jet.gv == 0.0 and jet.hvv == 2.0
 
     def test_negative_base_integer_exponent(self):
-        jet = eval_jet2(parse_expression("x^3"), {"x": -2.0, "v": 0.0, "t": 0.0})
+        jet = eval_jet2(parse_expression("v^3"), {"x": 0.0, "v": -2.0, "t": 0.0})
         assert jet.f == -8.0
-        assert jet.gx == 12.0
-        assert jet.hxx == -12.0
+        assert jet.gv == 12.0
+        assert jet.hvv == -12.0
 
 
 class TestIntegralJets:
     def test_ftc_partials(self):
-        # F(t) = int_0^t s^2 ds: F' = t^2, F'' = 2t
-        node = Antideriv(Mul(Var("t"), Var("t")), "t", 0.0)
-        jet = eval_jet2(node, {"x": 0.0, "v": 0.0, "t": 1.5})
+        # F(v) = int_0^v s^2 ds: F' = v^2, F'' = 2v
+        node = Antideriv(Mul(Var("v"), Var("v")), "v", 0.0)
+        jet = eval_jet2(node, {"x": 0.0, "v": 1.5, "t": 0.0})
         assert jet.f == pytest.approx(1.125, rel=1e-12)
-        assert jet.gt == pytest.approx(2.25, rel=1e-12)
-        assert jet.htt == pytest.approx(3.0, rel=1e-12)
+        assert jet.gv == pytest.approx(2.25, rel=1e-12)
+        assert jet.hvv == pytest.approx(3.0, rel=1e-12)
 
     def test_differentiation_under_integral(self):
         # G(x, t) = int_0^t exp(x*s) ds; dG/dx = int_0^t s exp(x*s) ds
@@ -158,15 +160,31 @@ class TestIntegralJets:
         assert jet.gv == 0.0 and jet.gt == 0.0
 
     def test_mixed_partial_upper_limit_and_parameter(self):
-        # H(x, t) = int_0^t x*s ds = x t^2/2: Hxt = t, Htt = x, Hxx = 0
-        expr = Antideriv(Mul(Var("x"), Var("t")), "t", 0.0)
-        jet = eval_jet2(expr, {"x": 2.0, "v": 0.0, "t": 3.0})
+        # H(v, t) = int_0^t v*s ds = v t^2/2: Hvt = t, Hvv = 0
+        expr = Antideriv(Mul(Var("v"), Var("t")), "t", 0.0)
+        jet = eval_jet2(expr, {"x": 0.0, "v": 2.0, "t": 3.0})
         assert jet.f == pytest.approx(9.0, rel=1e-12)
-        assert jet.gx == pytest.approx(4.5, rel=1e-12)
+        assert jet.gv == pytest.approx(4.5, rel=1e-12)
         assert jet.gt == pytest.approx(6.0, rel=1e-12)
-        assert jet.hxt == pytest.approx(3.0, rel=1e-12)
-        assert jet.htt == pytest.approx(2.0, rel=1e-12)
-        assert jet.hxx == pytest.approx(0.0, abs=1e-12)
+        assert jet.hvt == pytest.approx(3.0, rel=1e-12)
+        assert jet.hvv == pytest.approx(0.0, abs=1e-12)
+
+    def test_an_undefined_unread_derivative_leaves_the_point_in_domain(self):
+        # d2/dt2 of int_0^x s t^1.5 ds integrates s * 0.75 t^-0.5, undefined at
+        # t = 0; the Euler-Lagrange operator never reads L_tt, so the jet
+        # neither computes it nor masks the point
+        node = Antideriv(parse_expression("x*t^1.5"), "x", 0.0)
+        expr = parse_expression("0.5*v^2") + node
+        point = {"x": 0.7, "v": 1.0, "t": 0.0}
+        with pytest.raises(EvalDomainError):
+            evaluate(differentiate(differentiate(node, "t"), "t"), point)
+        jet = eval_jet2(expr, point)
+        assert jet.gx == 0.0 and jet.hvv == 1.0
+        assert jet.hxv == 0.0 and jet.hvt == 0.0
+        field, bad = jet_field(expr, {q: np.array([point[q]]) for q in STATE})
+        assert not bad.any()
+        assert [field.gx[0], field.hvv[0], field.hxv[0], field.hvt[0]] == \
+            [0.0, 1.0, 0.0, 0.0]
 
     def test_against_finite_differences(self):
         expr = Antideriv(parse_expression("exp(-(x*s^2))", params=("s",)), "s", 0.0)
@@ -246,8 +264,8 @@ class TestDomainRules:
         assert outcomes("x^x", -1.0) == [-1.0, -1.0, EvalDomainError]
 
     def test_abs_away_from_kink(self):
-        jet = eval_jet2(Abs(Var("x")), {"x": -2.0, "v": 0.0, "t": 0.0})
-        assert jet.f == 2.0 and jet.gx == -1.0 and jet.hxx == 0.0
+        jet = eval_jet2(Abs(Var("v")), {"x": 0.0, "v": -2.0, "t": 0.0})
+        assert jet.f == 2.0 and jet.gv == -1.0 and jet.hvv == 0.0
 
     def test_unbound_variable(self):
         with pytest.raises(EvalDomainError):

@@ -3,7 +3,8 @@
 ``data/symbolic_golden.json`` holds, for two seeds of each criterion-01 draw
 (``test_acceptance.BUILDER_DRAWS``), the sha256 of ``repr`` of the built
 ``L.expr``, of its three first derivatives and of its six second
-derivatives, in ``Jet2``'s slot order.  ``repr`` spells out every node and
+derivatives, in the order x, v, t and xx, xv, xt, vv, vt, tt (a jet
+carries only the xv, vv and vt ones; the rest stay pinned here).  ``repr`` spells out every node and
 every constant bit for bit, so any change to what ``differentiate`` or
 ``simplify`` return fails the comparison.  The digests were taken before
 ``simplify`` learned to share unchanged subtrees and to mark its fixed
@@ -30,7 +31,7 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "symbolic_golden.json").read_text())
 SEEDS = (1, 2)
 STATE = ("x", "v", "t")
-# Jet2's Hessian slots, as index pairs into STATE
+# the upper triangle of the Hessian, as index pairs into STATE
 HESSIAN_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
