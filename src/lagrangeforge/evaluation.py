@@ -21,25 +21,28 @@ Five entry points read the tables:
 * :func:`evaluate` walks the tree and returns a float.
 * :func:`compile_callable` generates one straight-line Python function per
   tree, for ODE right-hand sides that are called thousands of times.
-* :func:`eval_jet2` returns a :class:`Jet2` carrying the value together with
-  the gradient with respect to the state variables ``x, v, t`` and the
-  three second derivatives that the Euler-Lagrange operator reads,
-  ``L_xv``, ``L_vv`` and ``L_vt``.  Derivatives are propagated structurally
-  (no finite differences), so they are exact up to roundoff.
-* :func:`evaluate_field` and :func:`jet_field` do what :func:`evaluate` and
-  :func:`eval_jet2` do at every sample point in one tree walk, over float64
-  arrays, and return a mask of the points where the scalar walk would
-  raise.  Elsewhere their results equal the scalar ones bit for bit.
-  :func:`evaluate_points` is :func:`evaluate_field` for scans that need
-  every point: it raises where the mask is set.
+* :func:`evaluate_field` does what :func:`evaluate` does at every sample
+  point in one tree walk, over float64 arrays, and returns a mask of the
+  points where :func:`evaluate` would raise.  Elsewhere its values equal
+  :func:`evaluate`'s bit for bit.  :func:`evaluate_points` is
+  :func:`evaluate_field` for scans that need every point: it raises where
+  the mask is set.
   ``+ - * /``, negation, ``sqrt`` and ``abs`` run in numpy, which rounds
   them exactly as Python floats do.  ``exp``, ``ln``, ``sin``, ``cos`` and
   powers map the C library's function, the one the scalar rule calls, over
   the unmasked points: numpy's ``exp``, ``log``, ``power``, ``sin`` and
   ``cos`` differ from the C library's in the last bit on a few percent of
-  inputs, and the scalar walks remain the reference.  Where a map
-  overflows, that node runs point by point through its scalar rule; so
-  does the jet of a power whose exponent varies over the points.
+  inputs.  Where a map overflows, that node runs point by point through
+  its scalar rule.
+* :func:`jet_field` walks the tree once over the sample points for a
+  :class:`Jet2`: the value together with the gradient with respect to the
+  state variables ``x, v, t`` and the three second derivatives that the
+  Euler-Lagrange operator reads, ``L_xv``, ``L_vv`` and ``L_vt``, and the
+  mask of the points where a value or derivative rule fails.  Derivatives
+  are propagated structurally (no finite differences), so they are exact
+  up to roundoff.  :func:`eval_jet2` is the same walk over one point: it
+  raises the error of the first rule that fails instead of masking, and
+  returns Python floats.
 
 Integral nodes evaluate by adaptive Gauss-Kronrod quadrature
 (:func:`~lagrangeforge.quadrature.integrate_adaptive`), one call per
@@ -317,17 +320,19 @@ def _antideriv_field(node: Antideriv, sweep) -> np.ndarray:
     """An integral node at every unmasked point of ``sweep``, in one call."""
     n = len(sweep.bad)
     names = sorted(free_vars(node.integrand) - {node.var})
-    if any(name not in sweep.columns for name in (node.var, *names)):
-        sweep.bad[:] = True
-        return math.nan
+    for name in (node.var, *names):
+        if name not in sweep.columns:
+            sweep.fail(True, EvalDomainError, "unbound variable {!r}", name)
+            return math.nan
     good = np.flatnonzero(~sweep.bad)
     out = np.full(n, math.nan)
     if good.size:
+        upper = _full(sweep.columns[node.var], n)
         env = {name: _full(sweep.columns[name], n)[good] for name in names}
-        values = _integrate(node.integrand, node.var, node.base,
-                            _full(sweep.columns[node.var], n)[good], env)
-        sweep.bad[good] |= np.isnan(values)
-        out[good] = values
+        out[good] = _integrate(node.integrand, node.var, node.base,
+                               upper[good], env)
+        sweep.fail(np.isnan(out), EvalDomainError,
+                   "integrand undefined between {!r} and {!r}", node.base, upper)
     return out
 
 
@@ -403,20 +408,9 @@ class _Zero(float):
 ZERO = float.__new__(_Zero, 0.0)
 
 
-class _NonFinite(Exception):
-    """A non-finite number may have met a ZERO; see :class:`Jet2`."""
-
-
 def _times(a, b):
-    """``a * b``, or ZERO when either factor is ZERO.
-
-    Raises :class:`_NonFinite` instead of dropping a non-finite Python
-    float; numpy values are left to numpy's flags (see :func:`jet_field`).
-    """
+    """``a * b``, or ZERO when either factor is ZERO."""
     if a is ZERO or b is ZERO:
-        other = b if a is ZERO else a
-        if type(other) is float and not math.isfinite(other):
-            raise _NonFinite
         return ZERO
     return a * b
 
@@ -460,12 +454,10 @@ class Jet2:
     of a zero; later products and sums carry a signed zero on as a signed
     zero.  Were that product infinite or NaN, the term would be NaN.  So
     the product of a dropped term's other factors is still formed, and
-    none that is not finite may meet a ZERO.  A Python float raises
-    :class:`_NonFinite` there, and :func:`eval_jet2` walks the point again
-    with dense leaves.  The array sweep holds numpy numbers, whose
-    arithmetic numpy's error flags see, and :func:`jet_field` redoes its
-    points one by one if a flag or an input says that a non-finite number
-    can have arisen.
+    none that is not finite may meet a ZERO.  The jet walks compute on
+    numpy numbers, whose arithmetic numpy's error flags see, and redo a
+    walk in which a flag or an input says that a non-finite number can have
+    arisen (see :func:`eval_jet2` and :func:`jet_field`).
     """
 
     __slots__ = ("f", "gx", "gv", "gt", "hxv", "hvv", "hvt")
@@ -539,9 +531,6 @@ class Jet2:
             _plus(_times(f1, u.hvt), _times(_times(f2, gv), gt)),
         )
 
-    def __truediv__(self, other):
-        return self * other.chain(*_recip_rule(other.f, _POINT))
-
 
 # --- derivative rules: (f, f', f'') at the operand value ---------------------
 #
@@ -549,10 +538,11 @@ class Jet2:
 # float or an array over the sweep's points, and ``on`` is the walk.
 # ``on.value(kind, *operands)`` applies a node type's value rule, and
 # ``on.fail(where, error, message, *args)`` raises ``error`` if ``where``
-# holds at a point (``_POINT``) or masks the points where it holds (a sweep).
+# holds at a point (``_POINT``, and eval_jet2's one-point sweep) or masks
+# the points where it holds (a sweep).
 
 class _Point:
-    """The scalar walks' side of the derivative rules."""
+    """The rules' side of one point given as Python floats: raises where they fail."""
 
     @staticmethod
     def value(kind, *operands):
@@ -620,9 +610,13 @@ _DERIVATIVE_RULES = {Exp: _exp_rule, Ln: _ln_rule, Sqrt: _sqrt_rule,
                      Abs: _abs_rule, Sin: _sin_rule, Cos: _cos_rule}
 
 
-def _is_constant_jet(j: Jet2) -> bool:
-    return (j.gx == 0.0 and j.gv == 0.0 and j.gt == 0.0
-            and j.hxv == 0.0 and j.hvv == 0.0 and j.hvt == 0.0)
+def _is_constant_jet(j: Jet2):
+    """Where every derivative slot of ``j`` is zero: a bool, or an array over
+    a sweep's points."""
+    flat = True
+    for name in Jet2.__slots__[1:]:
+        flat = flat & (getattr(j, name) == 0.0)
+    return flat
 
 
 def _pow_rule(u, n: float, on) -> tuple:
@@ -635,69 +629,13 @@ def _pow_rule(u, n: float, on) -> tuple:
     return f0, f1, f2
 
 
-def _jet_pow(base: Jet2, exponent: Jet2) -> Jet2:
-    if _is_constant_jet(exponent):
-        return base.chain(*_pow_rule(base.f, exponent.f, _POINT))
-    # variable exponent: u**w = exp(w * ln u), requires u > 0
-    if base.f <= 0.0:
-        raise EvalDomainError(f"non-positive base {base.f!r} with variable exponent")
-    arg = exponent * base.chain(*_ln_rule(base.f, _POINT))
-    return arg.chain(*_exp_rule(arg.f, _POINT))
-
-
-_JET_BINARY = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__,
-               Div: Jet2.__truediv__}
+_JET_BINARY = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__}
 _VAR_SLOT = {"x": "gx", "v": "gv", "t": "gt"}
-
-
-def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
-    """Evaluate ``expr`` with exact first and second derivatives in (x, v, t).
-
-    Non-state variables in the binding are treated as constants.  Slots that
-    vanish by the tree's structure are :data:`ZERO`; the others equal the
-    dense walk's bit for bit, up to the sign of a zero (see :class:`Jet2`).
-    """
-    try:
-        return _jet_point(expr, binding, ZERO)
-    except _NonFinite:
-        # a non-finite number can have met a ZERO: the dense walk drops
-        # nothing, so it computes every term as the full formulas do
-        return _jet_point(expr, binding, 0.0)
 
 
 def _leaf(value, zero) -> Jet2:
     """A jet whose six derivative slots hold ``zero``."""
     return Jet2(value, zero, zero, zero, zero, zero, zero)
-
-
-def _jet_point(expr: Expr, binding: Binding, zero) -> Jet2:
-    """The scalar jet walk with leaves of ``zero``, ZERO or a plain 0.0."""
-    kind = type(expr)
-    if kind is Const:
-        return _leaf(expr.value, zero)
-    rule = _JET_BINARY.get(kind)
-    if rule is not None:
-        return rule(_jet_point(expr.left, binding, zero),
-                    _jet_point(expr.right, binding, zero))
-    if kind is Var:
-        jet = _leaf(evaluate(expr, binding), zero)
-        slot = _VAR_SLOT.get(expr.name)
-        if slot is not None:
-            setattr(jet, slot, 1.0)
-        return jet
-    rule = _DERIVATIVE_RULES.get(kind)
-    if rule is not None:
-        u = _jet_point(expr.operand, binding, zero)
-        return u.chain(*rule(u.f, _POINT))
-    if kind is Pow:
-        return _jet_pow(_jet_point(expr.base, binding, zero),
-                        _jet_point(expr.exponent, binding, zero))
-    if kind is Neg:
-        return -_jet_point(expr.operand, binding, zero)
-    if kind is Antideriv:
-        return Jet2(*[zero if _is_zero(d) else evaluate(d, binding)
-                      for d in _antideriv_slots(expr)])
-    raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
 # Second-derivative slots of Jet2 in order, as index pairs into _STATE
@@ -756,26 +694,37 @@ def _is_zero(slot: Expr) -> bool:
 # when it was computed, which includes every point still unmasked at a
 # later visit, and the points it masked are masked already, so the visit
 # would add nothing.  Kept arrays are shared, so no rule changes an operand
-# in place.  The memo lives as long as its sweep; the scalar walks keep none.
+# in place.  The memo lives as long as its sweep; evaluate keeps none.
 #
 # A jet sweep keeps structural zeros (see Jet2): a slot that vanishes by the
 # tree's structure is the object ZERO at all points at once, so a product
 # with a constant or a variable does a fraction of the array work.  That is
 # exact as long as no infinity or NaN meets a ZERO at an unmasked point.
 # numpy flags every operation that turns finite numbers into an infinity or
-# a NaN, so jet_field runs its walk with the flags calling _Sweep.flag, and
-# holds constants and parameters as numpy scalars so that their arithmetic
-# is flagged as well.  It checks what no flag sees: the columns and
-# parameters and the slots of integrals (``source`` in _Sweep.vetted), and
-# the per-point results of variable exponents (_Sweep.per_point), which run
-# on Python floats.  The derivative rules compute
-# at masked points too (the square root of a negative, 1/0), so a flag
-# raised inside a rule counts only where the rule's values are not finite
-# at an unmasked point; the masked points then become NaN, which later
-# arithmetic carries without a flag.  If anything is left, jet_field redoes
-# the points one by one with eval_jet2 (_jet_points), so that it equals
-# eval_jet2 bit for bit in every case; on the benchmark's three workloads
-# that happens on no sweep.
+# a NaN, so a jet walk runs with the flags calling _Sweep.flag (_jet_sweep),
+# and holds constants and parameters as numpy scalars so that their
+# arithmetic is flagged as well.  It checks what no flag sees: the columns
+# and parameters and the slots of integrals (``source`` in _Sweep.vetted);
+# a C-library map turns finite operands into a finite value or raises.  The
+# derivative rules compute at masked points too (the square root of a
+# negative, 1/0), so a flag raised inside a rule counts only where the
+# rule's values are not finite at an unmasked point; the masked points then
+# become NaN, which later arithmetic carries without a flag.
+#
+# If anything is left, the walk is redone.  eval_jet2 walks its point again
+# with dense leaves, a plain 0.0 for ZERO, which drop nothing.  jet_field
+# redoes its points one by one with eval_jet2 (_jet_points), so that it
+# equals eval_jet2 bit for bit in every case: a dense array walk would
+# differ in the sign of the zeros that eval_jet2 keeps as ZERO, which
+# negates to 0.0 where a plain 0.0 negates to -0.0.  On the benchmark's
+# three workloads no sweep is redone.
+#
+# A power whose exponent varies is exp(w ln u) over the arrays, with the
+# points where u <= 0 masked first.  At a point where every derivative slot
+# of the exponent is zero, eval_jet2 takes the constant-exponent rule
+# instead, as a constant exponent does; its slots have more ZEROs than the
+# other points', which one array cannot hold, so a sweep with such a point
+# among others is redone.
 
 def _pow_domain(base, exponent):
     if not isinstance(exponent, np.ndarray):
@@ -800,22 +749,29 @@ _UFUNC = {Exp: np.exp, Ln: np.log, Sqrt: np.sqrt, Abs: np.abs, Sin: np.sin,
 
 
 class _Sweep:
-    __slots__ = ("columns", "bad", "vectorised", "values", "jets", "flagged",
-                 "redo")
+    __slots__ = ("columns", "bad", "vectorised", "zero", "values", "jets",
+                 "flagged", "redo")
 
-    def __init__(self, columns: Mapping, bad, vectorised: bool = False):
+    def __init__(self, columns: Mapping, bad, vectorised: bool = False,
+                 zero=ZERO):
         self.columns = columns
         self.vectorised = vectorised
-        # jet_field's watch for non-finite numbers (see there): numpy flagged
-        # an operation, or a number no flag sees is not finite
+        # what a jet leaf's derivative slots hold: ZERO, or 0.0 when dense
+        self.zero = zero
+        # the jet walks' watch for non-finite numbers (see above): numpy
+        # flagged an operation, or a number no flag sees is not finite
         self.flagged = False
         self.redo = False
         # each distinct node's value and jet, once walked (see above)
         self.values: dict = {}
         self.jets: dict = {}
         if bad is None:
-            bad = np.zeros(len(next(c for c in columns.values()
-                                    if isinstance(c, np.ndarray))), dtype=bool)
+            first = next((c for c in columns.values()
+                          if isinstance(c, np.ndarray)), None)
+            if first is None:
+                raise ValueError("the columns hold no array, so the number "
+                                 "of points is unknown; pass bad")
+            bad = np.zeros(len(first), dtype=bool)
         self.bad = np.array(bad, dtype=bool)
 
     def value(self, kind, *operands) -> np.ndarray:
@@ -870,10 +826,12 @@ class _Sweep:
         (columns, parameters, integrals); they are always checked.
         """
         outer, self.flagged = self.flagged, False
-        values = compute(*args)
-        if self.flagged or source:
-            values = self.finite(values)
-        self.flagged = outer
+        try:
+            values = compute(*args)
+            if self.flagged or source:
+                values = self.finite(values)
+        finally:
+            self.flagged = outer
         return values
 
     def finite(self, values) -> list:
@@ -897,40 +855,43 @@ class _Sweep:
         """``rule`` at every unmasked point, on Python floats; masks where it raises.
 
         For a rule returning ``width`` floats, returns ``width`` rows over
-        the points, NaN at masked points.  A ZERO operand stays ZERO, and a
-        row that is ZERO at every point is ZERO.  Marks the sweep for
-        redoing where a result is not finite (no numpy flag sees Python
-        floats) or where a row is ZERO at some points only.
+        the points, NaN at masked points.
         """
         good = np.flatnonzero(~self.bad)
         args = [op[good].tolist() if isinstance(op, np.ndarray)
-                else [op if op is ZERO else float(op)] * len(good)
-                for op in operands]
-        kept, results = [], []
+                else [float(op)] * len(good) for op in operands]
+        out = np.full((width, len(self.bad)), math.nan)
         for i, point in zip(good.tolist(), zip(*args)):
             try:
-                results.append(rule(*point))
+                out[:, i] = rule(*point)
             except EvalDomainError:
                 self.bad[i] = True
-                continue
-            except _NonFinite:
-                self.redo = True
-                continue
-            kept.append(i)
-        out = np.full((width, len(self.bad)), math.nan)
-        if not results:
-            return list(out)
-        out[:, kept] = np.array(results, dtype=float).reshape(len(results), width).T
-        self.redo |= not np.isfinite(out[:, kept]).all()
-        rows = list(out)
-        if width > 1:   # a jet's slots, not one value
-            for k in range(width):
-                zero = [r[k] is ZERO for r in results]
-                if all(zero):
-                    rows[k] = ZERO
-                elif any(zero):
-                    self.redo = True
-        return rows
+        return list(out)
+
+
+class _OnePoint(_Sweep):
+    """A sweep over one point that raises where the scalar rules raise.
+
+    Its value rules are the scalar ones on Python floats, and a failing
+    check raises at once, so the first rule that fails in walk order names
+    the error.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, columns: Mapping, zero):
+        super().__init__(columns, np.zeros(1, dtype=bool), zero=zero)
+
+    def value(self, kind, *operands) -> np.ndarray:
+        return np.array([_POINT.value(kind, *map(_scalar, operands))])
+
+    def fail(self, where, error, message, *args) -> None:
+        _POINT.fail(np.any(where), error, message, *map(_scalar, args))
+
+
+def _scalar(value):
+    """A one-point sweep's number as a Python float; anything else as it is."""
+    return value.item() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _full(value, n: int) -> np.ndarray:
@@ -1006,12 +967,12 @@ def _value_node(expr, sweep):
             return left - right
         if kind is Mul:
             return left * right
-        sweep.bad |= right == 0.0
+        sweep.fail(right == 0.0, EvalDomainError, "division by zero")
         return np.divide(left, right)
     if kind is Var:
         value = sweep.columns.get(expr.name)
         if value is None:
-            sweep.bad[:] = True
+            sweep.fail(True, EvalDomainError, "unbound variable {!r}", expr.name)
             return math.nan
         return value if isinstance(value, np.ndarray) else float(value)
     if kind is Neg:
@@ -1038,9 +999,7 @@ def jet_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
     """
     sweep = _Sweep(columns, bad)
     given = sweep.bad.copy()
-    with np.errstate(over="call", invalid="call", divide="call",
-                     under="ignore", call=sweep.flag):
-        jet = _jet_walk(expr, sweep)
+    jet = _jet_sweep(expr, sweep)
     if sweep.flagged or sweep.redo:
         return _jet_points(expr, columns, given)
     n = len(sweep.bad)
@@ -1061,8 +1020,44 @@ def _jet_points(expr: Expr, columns: Mapping, bad) -> tuple:
     return Jet2(*out), bad
 
 
+def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
+    """Evaluate ``expr`` with exact first and second derivatives in (x, v, t).
+
+    The jet walk of :func:`jet_field` over one point, which raises the
+    error of the first rule that fails.  Non-state variables in the binding
+    are treated as constants.  Slots are Python floats, or :data:`ZERO`
+    where they vanish by the tree's structure; they equal the dense walk's
+    bit for bit, up to the sign of a zero (see :class:`Jet2`).
+    """
+    columns = {name: np.array([float(value)]) for name, value in binding.items()}
+    sweep = _OnePoint(columns, ZERO)
+    try:
+        jet = _jet_sweep(expr, sweep)
+    except EvalDomainError:
+        if not (sweep.flagged or sweep.redo):
+            raise
+    else:
+        if not (sweep.flagged or sweep.redo):
+            return Jet2(*map(_plain, _slots(jet)))
+    # a non-finite number can have met a ZERO: dense leaves drop nothing, so
+    # every term is computed as the full formulas do
+    return Jet2(*map(_plain, _slots(_jet_sweep(expr, _OnePoint(columns, 0.0)))))
+
+
+def _plain(slot):
+    """A one-point jet slot as a Python float; ZERO stays."""
+    return slot if slot is ZERO else np.asarray(slot).item()
+
+
 def _slots(jet: Jet2) -> tuple:
     return tuple(getattr(jet, s) for s in Jet2.__slots__)
+
+
+def _jet_sweep(expr, sweep):
+    """``expr``'s jet over ``sweep``, with numpy's flags calling :meth:`_Sweep.flag`."""
+    with np.errstate(over="call", invalid="call", divide="call",
+                     under="ignore", call=sweep.flag):
+        return _jet_walk(expr, sweep)
 
 
 def _jet_walk(expr, sweep):
@@ -1073,23 +1068,27 @@ def _jet_walk(expr, sweep):
 
 
 def _leaf_values(sweep, exprs) -> list:
-    """The values of ``exprs`` as jet leaves: arrays, numpy scalars or ZERO.
+    """The values of ``exprs`` as jet leaves: arrays, numpy scalars or the
+    sweep's zero.
 
     numpy's flags see the arithmetic of numpy scalars, not of Python floats.
     """
     values = []
     for e in exprs:
-        value = ZERO if _is_zero(e) else _value_walk(e, sweep)
-        values.append(value if isinstance(value, np.ndarray) or value is ZERO
-                      else np.float64(value))
+        if _is_zero(e):
+            values.append(sweep.zero)
+            continue
+        value = _value_walk(e, sweep)
+        values.append(value if isinstance(value, np.ndarray) else np.float64(value))
     return values
 
 
 def _jet_node(expr, sweep):
     kind = type(expr)
+    n = len(sweep.bad)
     if kind is Const:
-        return Jet2(np.float64(expr.value))
-    if kind in _JET_BINARY:
+        return _leaf(np.float64(expr.value), sweep.zero)
+    if kind in _BINARY_VALUE:
         left = _jet_walk(expr.left, sweep)
         right = _jet_walk(expr.right, sweep)
         if kind is not Div:
@@ -1099,7 +1098,8 @@ def _jet_node(expr, sweep):
         return left * right.chain(*sweep.vetted(_recip_rule, np.asarray(right.f),
                                                 sweep))
     if kind is Var:
-        jet = Jet2(*sweep.vetted(_leaf_values, sweep, (expr,), source=True))
+        value, = sweep.vetted(_leaf_values, sweep, (expr,), source=True)
+        jet = _leaf(value, sweep.zero)
         slot = _VAR_SLOT.get(expr.name)
         if slot is not None:
             setattr(jet, slot, 1.0)
@@ -1107,20 +1107,20 @@ def _jet_node(expr, sweep):
     rule = _DERIVATIVE_RULES.get(kind)
     if rule is not None:
         u = _jet_walk(expr.operand, sweep)
-        return u.chain(*sweep.vetted(rule, _full(u.f, len(sweep.bad)), sweep))
+        return u.chain(*sweep.vetted(rule, _full(u.f, n), sweep))
     if kind is Pow:
         base = _jet_walk(expr.base, sweep)
         exponent = _jet_walk(expr.exponent, sweep)
-        exp_slots = _slots(exponent)
-        if not any(isinstance(s, np.ndarray) for s in exp_slots) \
-                and _is_constant_jet(exponent):
-            return base.chain(*sweep.vetted(_pow_rule, _full(base.f, len(sweep.bad)),
-                                            exponent.f, sweep))
-        # an exponent that varies over the points: the scalar rule per point
-        width = len(Jet2.__slots__)
-        return Jet2(*sweep.per_point(
-            width, lambda *p: _slots(_jet_pow(Jet2(*p[:width]), Jet2(*p[width:]))),
-            *_slots(base), *exp_slots))
+        flat = _is_constant_jet(exponent)
+        if np.all(flat) and (n == 1 or not isinstance(exponent.f, np.ndarray)):
+            power = exponent.f[0] if isinstance(exponent.f, np.ndarray) else exponent.f
+            return base.chain(*sweep.vetted(_pow_rule, _full(base.f, n), power, sweep))
+        # an exponent that varies: u**w = exp(w * ln u), for u > 0 (see above)
+        sweep.redo |= bool(np.any(flat & ~sweep.bad))
+        sweep.fail(base.f <= 0.0, EvalDomainError,
+                   "non-positive base {!r} with variable exponent", base.f)
+        arg = exponent * base.chain(*sweep.vetted(_ln_rule, _full(base.f, n), sweep))
+        return arg.chain(*sweep.vetted(_exp_rule, _full(arg.f, n), sweep))
     if kind is Neg:
         return -_jet_walk(expr.operand, sweep)
     if kind is Antideriv:

@@ -374,6 +374,20 @@ def test_incoming_mask_is_kept_and_not_mutated():
     assert values[0] == 0.0
 
 
+def test_columns_without_an_array_need_a_mask():
+    # no column says how many points there are
+    k = parse_expression("k*2", params=("k",))
+    for call in (lambda: evaluate_field(Const(1.0), {}),
+                 lambda: jet_field(k, {"k": 1.0}),
+                 lambda: evaluation.evaluate_points(k, {"k": 1.0})):
+        with pytest.raises(ValueError, match="columns hold no array"):
+            call()
+    values, bad = evaluate_field(k, {"k": 1.0}, np.zeros(2, dtype=bool))
+    assert values.tolist() == [2.0, 2.0] and not bad.any()
+    # the scalar jet gives its own one-point mask
+    assert eval_jet2(Exp(Const(1.5)), {}).f == math.exp(1.5)
+
+
 # --- the value rules' shortcuts -----------------------------------------------
 
 EXPONENTS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -3.0, -2.5, 0.5, 2.0,

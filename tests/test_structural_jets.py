@@ -38,6 +38,7 @@ from lagrangeforge import (
 from lagrangeforge import evaluation
 from test_expressions import expressions
 from test_fields import exprs as field_exprs
+from test_fields import fallbacks  # noqa: F401 - a fixture
 
 SLOTS = Jet2.__slots__
 DERIVATIVES = SLOTS[1:]
@@ -353,3 +354,30 @@ def test_masked_domain_edges_are_not_redone(redone):
                 assert [g.hex() for g in slots_of(jet, i)] == \
                     [w.hex() for w in slots_of(want)]
     assert redone == []
+
+
+@pytest.mark.parametrize("text, cols", [
+    ("x^t", {"x": [-1.5, -0.5, 0.0, 0.4, 1.3, 1e300], "v": [1.0] * 6,
+             "t": [0.0, 0.25, 0.5, 1.0, 1.5, 3.0]}),
+    ("(v + 2)^(x*t)", {"x": [-1.5, 0.0, 0.4, 1.3, -2.0, 1e300],
+                       "v": [-2.5, 0.3, 1.0, -1.0, 2.0, 1.0],
+                       "t": [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]}),
+    ("(x^2 + 0.5)^(sin(v)*t)", {"x": [-1.5, 0.0, 0.4, 1.3, -2.0, 1e5],
+                                "v": [-2.5, 0.3, 1.0, -1.0, 2.0, 1.5],
+                                "t": [0.0, 0.25, 0.5, 1.0, 1.5, 40.0]}),
+])
+def test_variable_exponents_run_as_arrays(text, cols, redone, fallbacks):
+    # exp(w ln u) over the arrays: no point is redone, the only rules run
+    # point by point are value rules where exp overflows
+    expr = parse_expression(text)
+    cols = {q: np.array(c) for q, c in cols.items()}
+    jet, bad = jet_field(expr, cols)
+    assert redone == []
+    assert set(fallbacks) <= set(evaluation._VALUE_RULE.values())
+    for i in range(len(bad)):
+        want = outcome(dense_jet2, expr, {q: cols[q][i].item() for q in "xvt"})
+        assert bool(bad[i]) == (want is None)
+        if want is not None:
+            assert_dense_equal(slots_of(jet, i), slots_of(want))
+    assert 0 < bad.sum() < len(bad)
+    assert fallbacks, "the last point's exp overflows"
