@@ -890,7 +890,8 @@ class _OnePoint(_Sweep):
 
 
 def _scalar(value):
-    """A one-point sweep's number as a Python float; anything else as it is."""
+    """A one-point sweep's number as a Python float; anything else (ZERO
+    and Python floats too) as it is."""
     return value.item() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
@@ -1038,15 +1039,10 @@ def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
             raise
     else:
         if not (sweep.flagged or sweep.redo):
-            return Jet2(*map(_plain, _slots(jet)))
+            return Jet2(*map(_scalar, _slots(jet)))
     # a non-finite number can have met a ZERO: dense leaves drop nothing, so
     # every term is computed as the full formulas do
-    return Jet2(*map(_plain, _slots(_jet_sweep(expr, _OnePoint(columns, 0.0)))))
-
-
-def _plain(slot):
-    """A one-point jet slot as a Python float; ZERO stays."""
-    return slot if slot is ZERO else np.asarray(slot).item()
+    return Jet2(*map(_scalar, _slots(_jet_sweep(expr, _OnePoint(columns, 0.0)))))
 
 
 def _slots(jet: Jet2) -> tuple:
