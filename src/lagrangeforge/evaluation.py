@@ -752,12 +752,12 @@ class _Sweep:
     __slots__ = ("columns", "bad", "vectorised", "zero", "values", "jets",
                  "flagged", "redo")
 
-    def __init__(self, columns: Mapping, bad, vectorised: bool = False,
-                 zero=ZERO):
+    def __init__(self, columns: Mapping, bad, vectorised: bool = False):
         self.columns = columns
         self.vectorised = vectorised
-        # what a jet leaf's derivative slots hold: ZERO, or 0.0 when dense
-        self.zero = zero
+        # what a jet leaf's derivative slots hold: ZERO, or 0.0 in eval_jet2's
+        # dense walk
+        self.zero = ZERO
         # the jet walks' watch for non-finite numbers (see above): numpy
         # flagged an operation, or a number no flag sees is not finite
         self.flagged = False
@@ -880,7 +880,8 @@ class _OnePoint(_Sweep):
     __slots__ = ()
 
     def __init__(self, columns: Mapping, zero):
-        super().__init__(columns, np.zeros(1, dtype=bool), zero=zero)
+        super().__init__(columns, np.zeros(1, dtype=bool))
+        self.zero = zero
 
     def value(self, kind, *operands) -> np.ndarray:
         return np.array([_POINT.value(kind, *map(_scalar, operands))])
@@ -1035,6 +1036,8 @@ def eval_jet2(expr: Expr, binding: Binding) -> Jet2:
     try:
         jet = _jet_sweep(expr, sweep)
     except EvalDomainError:
+        # after a flag the dense walk decides: a NaN that it keeps can make
+        # an exponent vary where this walk finds it constant
         if not (sweep.flagged or sweep.redo):
             raise
     else:
@@ -1108,7 +1111,9 @@ def _jet_node(expr, sweep):
         base = _jet_walk(expr.base, sweep)
         exponent = _jet_walk(expr.exponent, sweep)
         flat = _is_constant_jet(exponent)
-        if np.all(flat) and (n == 1 or not isinstance(exponent.f, np.ndarray)):
+        varies = isinstance(flat, np.ndarray)   # over the points
+        if (flat.all() if varies else flat) and (
+                n == 1 or not isinstance(exponent.f, np.ndarray)):
             power = exponent.f[0] if isinstance(exponent.f, np.ndarray) else exponent.f
             return base.chain(*sweep.vetted(_pow_rule, _full(base.f, n), power, sweep))
         # an exponent that varies: u**w = exp(w * ln u), for u > 0 (see above)

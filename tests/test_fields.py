@@ -328,7 +328,7 @@ def test_power_of_ten_overflow_edge_is_the_scalar_one(fallbacks):
     bad, jet_bad = _matches_scalar(Pow(Const(10.0), Var("x")), {"x": np.array(xs)})
     assert bad == jet_bad
     assert 0 < sum(bad) < len(xs) and bad == sorted(bad)
-    # the value walk falls back; the variable-exponent jet is per point anyway
+    # the value walk falls back; so may the jet's exp(x*ln(10))
     assert evaluation._pow_value in fallbacks
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from lagrangeforge import (
+    Add,
     Const,
     EvalDomainError,
     Exp,
@@ -20,6 +21,7 @@ from lagrangeforge import (
     Ln,
     Mul,
     NonDifferentiableError,
+    Pow,
     QuadratureDepthError,
     Var,
     ZERO,
@@ -103,6 +105,16 @@ def test_binding_and_integral_messages(text, binding, error, message):
     with pytest.raises(Exception) as info:
         eval_jet2(parse_expression(text, params=("k",)), binding)
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_after_a_non_finite_number_the_dense_walk_names_the_error():
+    # ln(1e-160) has the second derivative -inf.  Against the constant's ZERO
+    # slots it is dropped, and the exponent looks constant; the dense walk
+    # keeps a NaN there and takes the variable-exponent rule
+    expr = Pow(Var("x"), Add(Mul(Const(0.0), Ln(Const(1e-160))), Const(0.5)))
+    with pytest.raises(EvalDomainError) as info:
+        eval_jet2(expr, {"x": -2.0, "v": 0.0, "t": 0.0})
+    assert str(info.value) == "non-positive base -2.0 with variable exponent"
 
 
 @pytest.mark.parametrize("expr, binding", [
