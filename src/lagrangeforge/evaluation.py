@@ -802,7 +802,7 @@ class _Sweep:
         except OverflowError:
             # exp or a power overflowed at some point: the scalar rule, point
             # by point, masks exactly the points where it raises
-            return self.per_point(1, _VALUE_RULE[kind], *operands)[0]
+            return self.per_point(_VALUE_RULE[kind], *operands)
         if good is None:
             return values
         out = np.full(len(good), math.nan)
@@ -851,22 +851,21 @@ class _Sweep:
             out.append(value)
         return out
 
-    def per_point(self, width: int, rule, *operands) -> list:
+    def per_point(self, rule, *operands) -> np.ndarray:
         """``rule`` at every unmasked point, on Python floats; masks where it raises.
 
-        For a rule returning ``width`` floats, returns ``width`` rows over
-        the points, NaN at masked points.
+        Returns the rule's values over the points, NaN at masked points.
         """
         good = np.flatnonzero(~self.bad)
         args = [op[good].tolist() if isinstance(op, np.ndarray)
                 else [float(op)] * len(good) for op in operands]
-        out = np.full((width, len(self.bad)), math.nan)
+        out = np.full(len(self.bad), math.nan)
         for i, point in zip(good.tolist(), zip(*args)):
             try:
-                out[:, i] = rule(*point)
+                out[i] = rule(*point)
             except EvalDomainError:
                 self.bad[i] = True
-        return list(out)
+        return out
 
 
 class _OnePoint(_Sweep):

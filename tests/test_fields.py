@@ -308,9 +308,9 @@ def fallbacks(monkeypatch):
     seen = []
     real = evaluation._Sweep.per_point
 
-    def spy(self, width, rule, *operands):
+    def spy(self, rule, *operands):
         seen.append(rule)
-        return real(self, width, rule, *operands)
+        return real(self, rule, *operands)
 
     monkeypatch.setattr(evaluation._Sweep, "per_point", spy)
     return seen
