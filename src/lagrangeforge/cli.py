@@ -30,6 +30,7 @@ import tempfile
 import time
 from functools import cache, cached_property
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -122,15 +123,23 @@ _INAPPLICABLE_ERRORS = (
 )
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all, through a hidden
-    temporary file (mode 0600) beside it that is synced, then renamed."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all, and durably.
+
+    The text goes to a hidden temporary file (mode 0600) beside ``path``,
+    which is fsynced, then renamed over ``path``; on any failure the
+    temporary file is removed and ``path`` keeps its old content.  The
+    directory is made only when it is missing.
+    """
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
             handle.flush()
-            os.fsync(handle.fileno())
+            os.fsync(fd)
         os.replace(name, path)
     except BaseException:
         try:
@@ -140,35 +149,67 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _strict_json(value):
-    """``value`` with each NaN or infinity as a string, which RFC 8259 allows.
+_JSON_STRING = json.encoder.encode_basestring_ascii
 
-    JSON has no non-finite numbers; Python's bare ``NaN`` and ``Infinity``
-    tokens are rejected by strict parsers.
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it, except that each NaN or infinity is written as the string
+    ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which RFC 8259 allows.
+
+    JSON has no non-finite numbers, and strict parsers reject Python's bare
+    ``NaN`` and ``Infinity`` tokens.  Tuples are written as lists, and a
+    value ``json.dumps`` cannot write raises ``TypeError``, as does a key
+    that is not a string (a report's never is).  ``newline`` starts each
+    line inside ``value``: a line break and the enclosing indentation.
     """
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, str):
+        return _JSON_STRING(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
         if math.isnan(value):
-            return "NaN"
-        return "Infinity" if value > 0.0 else "-Infinity"
-    if isinstance(value, dict):
-        return {key: _strict_json(item) for key, item in value.items()}
+            return '"NaN"'
+        return '"Infinity"' if value > 0.0 else '"-Infinity"'
+    inner = newline + "  "
     if isinstance(value, (list, tuple)):
-        return [_strict_json(item) for item in value]
-    return value
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_JSON_STRING(key)}: {_json_text(value[key], inner)}"
+                 for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True,
-                      allow_nan=False)
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, _json_text(payload) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
+
+
+def _cells(values) -> list:
+    """CSV cells of a column of floats: each value's repr."""
+    return list(map(repr, values.tolist()))
 
 
 # --- spec loading -------------------------------------------------------------
@@ -857,8 +898,9 @@ def cmd_verify(spec: dict, out_dir: Path, builds: dict):
         reports[name] = _verification_payload(report)
         if not report.passed:
             code = EXIT_VERIFY_FAIL
-        rows.extend([repr(x), repr(v), repr(t), name, "" if r is None else repr(r)]
-                    for (x, v, t), r in report.residuals)
+        rows.extend(zip(*(_cells(report.columns[c]) for c in "xvt"),
+                        repeat(name),
+                        _field_cells(report.residual_field, ~report.scored)))
     _write_csv(out_dir / "residuals.csv",
                ["x", "v", "t", "member", "residual"], rows)
     payload = {
@@ -873,8 +915,10 @@ def cmd_verify(spec: dict, out_dir: Path, builds: dict):
 
 def _field_cells(values, bad) -> list:
     """CSV cells of a field: each value's repr, blank where the point is bad."""
-    return ["" if out else repr(value)
-            for value, out in zip(values.tolist(), bad.tolist())]
+    cells = _cells(values)
+    for i in np.flatnonzero(bad).tolist():
+        cells[i] = ""
+    return cells
 
 
 def cmd_integrate(spec: dict, out_dir: Path, builds: dict):
@@ -887,10 +931,9 @@ def cmd_integrate(spec: dict, out_dir: Path, builds: dict):
     if L is None:
         columns = [c for c in columns if c in ("t", "x", "v")]
     xs, vs = zip(*traj.states)
-    cells = {"t": [repr(t) for t in traj.times], "x": [repr(x) for x in xs],
-             "v": [repr(v) for v in vs]}
     state = {"x": np.array(xs, dtype=float), "v": np.array(vs, dtype=float),
              "t": np.array(traj.times, dtype=float)}
+    cells = {name: _cells(column) for name, column in state.items()}
     if "L" in columns:
         cells["L"] = _field_cells(*evaluate_field(L.expr, state))
     if "E" in columns or "p" in columns:
@@ -899,8 +942,8 @@ def cmd_integrate(spec: dict, out_dir: Path, builds: dict):
             energy = _energy(jet, state["v"])
         cells["E"] = _field_cells(energy, bad)
         cells["p"] = _field_cells(jet.gv, bad)
-    rows = [[cells[c][i] for c in columns] for i in range(len(traj.times))]
-    _write_csv(out_dir / "trajectory.csv", columns, rows)
+    _write_csv(out_dir / "trajectory.csv", columns,
+               zip(*(cells[c] for c in columns)))
     payload = {
         "rhs": str(ode.rhs),
         "integration": {
@@ -1111,7 +1154,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # an existing file or an unwritable place: nowhere to put a report
+        print(f"{args.command}: input-error (cannot use --out {args.out}: "
+              f"{exc.strerror or exc})", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if args.command == "demo":
         return cmd_demo(args.name, out_dir, args.tol, args.seed)
     try:

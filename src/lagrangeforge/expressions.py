@@ -64,8 +64,10 @@ class Expr:
     # ``_hash``: the node's structural hash, stored on first use (see
     # ``_node``).  ``_simplified``: set by ``simplify`` on a node it found to
     # be its own simplification; a marked node is returned as it is, so
-    # ``simplify(node) is node`` for every marked node.
-    __slots__ = ("_hash", "_simplified")
+    # ``simplify(node) is node`` for every marked node.  ``_text``: the
+    # node's text and precedence, stored at its first rendering (see
+    # ``_format``).
+    __slots__ = ("_hash", "_simplified", "_text")
 
     def __add__(self, other: ExprLike) -> "Expr":
         return Add(self, as_expr(other))
@@ -510,72 +512,75 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _format_number(value: float) -> str:
+    # a negative value gives "-" and the text of its magnitude
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
 
 
-def _precedence(expr: Expr) -> int:
-    if isinstance(expr, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(expr, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(expr, Neg):
-        return _PREC_NEG
-    if isinstance(expr, Const) and expr.value < 0:
-        return _PREC_NEG
-    if isinstance(expr, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _wrap(expr: Expr, min_prec: int) -> str:
-    text = format_expression(expr)
-    if _precedence(expr) < min_prec:
-        return f"({text})"
-    return text
-
-
 def format_expression(expr: Expr) -> str:
-    """Render an expression as parseable text (print-parse-print fixed point)."""
-    if isinstance(expr, Const):
-        if expr.value < 0:
-            return "-" + _format_number(-expr.value)
-        return _format_number(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Add):
-        return f"{_wrap(expr.left, _PREC_ADD)} + {_wrap(expr.right, _PREC_ADD + 1)}"
-    if isinstance(expr, Sub):
-        return f"{_wrap(expr.left, _PREC_ADD)} - {_wrap(expr.right, _PREC_ADD + 1)}"
-    if isinstance(expr, Mul):
-        return f"{_wrap(expr.left, _PREC_MUL)} * {_wrap(expr.right, _PREC_MUL + 1)}"
-    if isinstance(expr, Div):
-        return f"{_wrap(expr.left, _PREC_MUL)} / {_wrap(expr.right, _PREC_MUL + 1)}"
-    if isinstance(expr, Neg):
-        return "-" + _wrap(expr.operand, _PREC_NEG)
-    if isinstance(expr, Pow):
-        base = _wrap(expr.base, _PREC_ATOM)
-        exponent = _wrap(expr.exponent, _PREC_NEG)
-        return f"{base}^{exponent}"
-    if isinstance(expr, Exp):
-        return f"exp({format_expression(expr.operand)})"
-    if isinstance(expr, Ln):
-        return f"ln({format_expression(expr.operand)})"
-    if isinstance(expr, Abs):
-        return f"abs({format_expression(expr.operand)})"
-    if isinstance(expr, Sqrt):
-        return f"sqrt({format_expression(expr.operand)})"
-    if isinstance(expr, Sin):
-        return f"sin({format_expression(expr.operand)})"
-    if isinstance(expr, Cos):
-        return f"cos({format_expression(expr.operand)})"
-    if isinstance(expr, Antideriv):
-        base = _format_number(expr.base) if expr.base >= 0 \
-            else "-" + _format_number(-expr.base)
-        return (f"integral({expr.var}, {base}, "
-                f"{format_expression(expr.integrand)})")
-    raise ExpressionError(f"cannot format {type(expr).__name__}")
+    """Render an expression as parseable text (print-parse-print fixed point).
+
+    Each node's text is stored on the node at its first rendering, so a
+    tree is formatted once however often it is printed, and a subtree it
+    shares with a tree already printed is not formatted again.
+    """
+    return _format(expr)[0]
+
+
+def _format(expr: Expr) -> tuple[str, int]:
+    """``expr``'s text and the precedence of its outermost operator.
+
+    The pair is stored in the node's ``_text`` slot, which, like ``_hash``,
+    stays out of the fields: nodes are immutable, so it never goes stale.
+    """
+    try:
+        return expr._text
+    except AttributeError:
+        pass
+    try:
+        rule = _FORMAT_RULES[type(expr)]
+    except KeyError:
+        raise ExpressionError(f"cannot format {type(expr).__name__}") from None
+    out = rule(expr)
+    object.__setattr__(expr, "_text", out)
+    return out
+
+
+def _operand(expr: Expr, min_prec: int) -> str:
+    """``expr``'s text, in parentheses if it binds looser than ``min_prec``."""
+    text, prec = _format(expr)
+    return text if prec >= min_prec else f"({text})"
+
+
+def _infix(op: str, prec: int):
+    def rule(expr) -> tuple[str, int]:
+        return (f"{_operand(expr.left, prec)} {op} "
+                f"{_operand(expr.right, prec + 1)}", prec)
+    return rule
+
+
+def _call(name: str):
+    def rule(expr) -> tuple[str, int]:
+        return f"{name}({_format(expr.operand)[0]})", _PREC_ATOM
+    return rule
+
+
+_FORMAT_RULES = {
+    Const: lambda e: (_format_number(e.value),
+                      _PREC_NEG if e.value < 0 else _PREC_ATOM),
+    Var: lambda e: (e.name, _PREC_ATOM),
+    Add: _infix("+", _PREC_ADD),
+    Sub: _infix("-", _PREC_ADD),
+    Mul: _infix("*", _PREC_MUL),
+    Div: _infix("/", _PREC_MUL),
+    Neg: lambda e: ("-" + _operand(e.operand, _PREC_NEG), _PREC_NEG),
+    Pow: lambda e: (f"{_operand(e.base, _PREC_ATOM)}^"
+                    f"{_operand(e.exponent, _PREC_NEG)}", _PREC_POW),
+    Antideriv: lambda e: (f"integral({e.var}, {_format_number(e.base)}, "
+                          f"{_format(e.integrand)[0]})", _PREC_ATOM),
+    **{cls: _call(name) for name, cls in _UNARY_CLASSES.items()},
+}
 
 
 def canonical(expr: Expr) -> Expr:

@@ -708,6 +708,25 @@ class TestFamilyTable:
             [str(ode.rhs) for ode in verified]
 
 
+class TestOutDirectory:
+    @pytest.mark.parametrize("command", ["demo", "build"])
+    def test_an_unusable_out_is_an_input_error(self, tmp_path, capsys,
+                                               command):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        argv = (["demo", "free-particle"] if command == "demo"
+                else ["build", "--spec", write_spec(tmp_path, DAMPED)])
+        for out in (taken, taken / "below"):
+            assert main([*argv, "--out", str(out)]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"{command}: input-error (cannot use --out {out}: ")
+            assert captured.out == ""
+        assert taken.read_text() == "a file, not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(["taken"] + (["spec.json"] if command == "build" else []))
+
+
 class TestAtomicWrite:
     def test_writes_the_text_with_owner_only_mode(self, tmp_path):
         path = tmp_path / "deep" / "report.json"

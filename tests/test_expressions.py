@@ -25,6 +25,7 @@ from lagrangeforge import (
     Pow,
     Sin,
     Sqrt,
+    Sub,
     SubstitutionError,
     Expr,
     UnknownIdentifierError,
@@ -41,7 +42,7 @@ from lagrangeforge import (
     substitute,
 )
 
-from lagrangeforge.expressions import _diff_cached, _memo_hash
+from lagrangeforge.expressions import _FORMAT_RULES, _diff_cached, _memo_hash
 
 X, V, T = Var("x"), Var("v"), Var("t")
 
@@ -183,6 +184,18 @@ def expressions(draw, depth=0):
 @given(expressions())
 def test_format_parse_round_trip(expr):
     assert parse_expression(format_expression(expr)) == canonical(expr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions())
+def test_print_parse_print_is_a_fixed_point(expr):
+    # the stored text of a node, and of the subtrees it shares with a new
+    # tree, is the text a fresh copy renders
+    for tree in (expr, Sub(expr, Pow(expr, Neg(expr))), Div(Neg(expr), expr)):
+        text = str(tree)
+        assert format_expression(tree) == text == str(copy.deepcopy(tree))
+        printed = str(parse_expression(text))
+        assert str(parse_expression(printed)) == printed
 
 
 class TestDifferentiation:
@@ -454,18 +467,44 @@ class TestNodeHash:
         assert calls == []
 
     def test_memo_stays_out_of_fields_repr_eq_and_pickle(self):
+        # each memo slot, the call that fills it, and a forged value
+        for slot, fill, forged_value in (("_hash", hash, 0),
+                                         ("_simplified", simplify, True),
+                                         ("_text", str, ("forged", 5))):
+            tree = parse_expression(ALL_NODES, params=("s",))
+            text = repr(tree)
+            fill(tree)
+            assert hasattr(tree, slot)
+            assert repr(tree) == text and slot not in text
+            for node in _nodes(tree):
+                assert slot not in {f.name for f in dataclasses.fields(node)}
+            forged = parse_expression(ALL_NODES, params=("s",))
+            object.__setattr__(forged, slot, forged_value)
+            assert forged == tree
+            restored = pickle.loads(pickle.dumps(tree))
+            assert not hasattr(restored, slot)
+            assert restored == tree and hash(restored) == hash(tree)
+            assert str(restored) == str(tree)
+
+    def test_text_is_computed_once(self, monkeypatch):
+        calls = []
+        for cls, rule in list(_FORMAT_RULES.items()):
+            def counting(node, _rule=rule):
+                calls.append(type(node).__name__)
+                return _rule(node)
+            monkeypatch.setitem(_FORMAT_RULES, cls, counting)
         tree = parse_expression(ALL_NODES, params=("s",))
-        text = repr(tree)
-        hash(tree)
-        assert repr(tree) == text and "_hash" not in text
-        for node in _nodes(tree):
-            assert "_hash" not in {f.name for f in dataclasses.fields(node)}
-        forged = parse_expression(ALL_NODES, params=("s",))
-        object.__setattr__(forged, "_hash", 0)
-        assert forged == tree
-        restored = pickle.loads(pickle.dumps(tree))
-        assert not hasattr(restored, "_hash")
-        assert restored == tree and hash(restored) == hash(tree)
+        text = str(tree)
+        assert len(calls) == len(list(_nodes(tree)))
+        calls.clear()
+        for _ in range(3):
+            assert str(tree) == text
+            for node in _nodes(tree):
+                str(node)
+        assert calls == []
+        # a tree over rendered subtrees formats only its new nodes
+        assert str(Mul(tree, Neg(tree.right))) == f"({text}) * -{tree.right}"
+        assert calls == ["Mul", "Neg"]
 
     def test_nodes_stay_frozen(self):
         node = Add(X, V)
