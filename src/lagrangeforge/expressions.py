@@ -65,8 +65,8 @@ class Expr:
     # ``_node``).  ``_simplified``: set by ``simplify`` on a node it found to
     # be its own simplification; a marked node is returned as it is, so
     # ``simplify(node) is node`` for every marked node.  ``_text``: the
-    # node's text and precedence, stored at its first rendering (see
-    # ``_format``).
+    # node's text and the precedence of its outermost operator, stored at
+    # its first rendering (see ``_format``).
     __slots__ = ("_hash", "_simplified", "_text")
 
     def __add__(self, other: ExprLike) -> "Expr":
@@ -525,47 +525,45 @@ def format_expression(expr: Expr) -> str:
     tree is formatted once however often it is printed, and a subtree it
     shares with a tree already printed is not formatted again.
     """
-    return _format(expr)[0]
+    return _format(expr, 0)
 
 
-def _format(expr: Expr) -> tuple[str, int]:
-    """``expr``'s text and the precedence of its outermost operator.
+def _format(expr: Expr, min_prec: int) -> str:
+    """``expr``'s text, in parentheses if it binds looser than ``min_prec``.
 
-    The pair is stored in the node's ``_text`` slot, which, like ``_hash``,
-    stays out of the fields: nodes are immutable, so it never goes stale.
+    The node's rule gives its text and the precedence of its outermost
+    operator in one pass.  The pair is stored in the node's ``_text`` slot,
+    which, like ``_hash``, stays out of the fields: nodes are immutable, so
+    it never goes stale.
     """
     try:
-        return expr._text
+        text, prec = expr._text
     except AttributeError:
-        pass
-    try:
-        rule = _FORMAT_RULES[type(expr)]
-    except KeyError:
-        raise ExpressionError(f"cannot format {type(expr).__name__}") from None
-    out = rule(expr)
-    object.__setattr__(expr, "_text", out)
-    return out
-
-
-def _operand(expr: Expr, min_prec: int) -> str:
-    """``expr``'s text, in parentheses if it binds looser than ``min_prec``."""
-    text, prec = _format(expr)
+        try:
+            rule = _FORMAT_RULES[type(expr)]
+        except KeyError:
+            raise ExpressionError(
+                f"cannot format {type(expr).__name__}") from None
+        pair = rule(expr)
+        object.__setattr__(expr, "_text", pair)
+        text, prec = pair
     return text if prec >= min_prec else f"({text})"
 
 
 def _infix(op: str, prec: int):
     def rule(expr) -> tuple[str, int]:
-        return (f"{_operand(expr.left, prec)} {op} "
-                f"{_operand(expr.right, prec + 1)}", prec)
+        return (f"{_format(expr.left, prec)} {op} "
+                f"{_format(expr.right, prec + 1)}", prec)
     return rule
 
 
 def _call(name: str):
     def rule(expr) -> tuple[str, int]:
-        return f"{name}({_format(expr.operand)[0]})", _PREC_ATOM
+        return f"{name}({_format(expr.operand, 0)})", _PREC_ATOM
     return rule
 
 
+# each node type's rule: (text, precedence of the outermost operator)
 _FORMAT_RULES = {
     Const: lambda e: (_format_number(e.value),
                       _PREC_NEG if e.value < 0 else _PREC_ATOM),
@@ -574,11 +572,11 @@ _FORMAT_RULES = {
     Sub: _infix("-", _PREC_ADD),
     Mul: _infix("*", _PREC_MUL),
     Div: _infix("/", _PREC_MUL),
-    Neg: lambda e: ("-" + _operand(e.operand, _PREC_NEG), _PREC_NEG),
-    Pow: lambda e: (f"{_operand(e.base, _PREC_ATOM)}^"
-                    f"{_operand(e.exponent, _PREC_NEG)}", _PREC_POW),
+    Neg: lambda e: ("-" + _format(e.operand, _PREC_NEG), _PREC_NEG),
+    Pow: lambda e: (f"{_format(e.base, _PREC_ATOM)}^"
+                    f"{_format(e.exponent, _PREC_NEG)}", _PREC_POW),
     Antideriv: lambda e: (f"integral({e.var}, {_format_number(e.base)}, "
-                          f"{_format(e.integrand)[0]})", _PREC_ATOM),
+                          f"{_format(e.integrand, 0)})", _PREC_ATOM),
     **{cls: _call(name) for name, cls in _UNARY_CLASSES.items()},
 }
 
