@@ -96,12 +96,12 @@ from .lagrangian import (
     DomainBox,
     Lagrangian,
     OdeSpec,
-    acceleration_field,
     grid_points,
     largest,
-    max_acceleration_gap,
     verify_lagrangian,
+    _acceleration_gap,
     _energy,
+    _usable_accelerations,
 )
 from .presets import PRESETS, preset_names
 
@@ -123,12 +123,15 @@ _INAPPLICABLE_ERRORS = (
 )
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, whole or not at all, and durably.
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all.
 
     The text goes to a hidden temporary file (mode 0600) beside ``path``,
     which is fsynced, then renamed over ``path``; on any failure the
     temporary file is removed and ``path`` keeps its old content.  The
-    directory is made only when it is missing.
+    directory is made only when it is missing.  The rename is durable once
+    the directory is fsynced too, which a CLI run does once, after its last
+    write (:func:`_sync_directory`): a run's artifacts are durable once the
+    command returns.
     """
     try:
         fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -147,6 +150,19 @@ def _atomic_write(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _sync_directory(path: Path) -> None:
+    """Fsync the directory ``path``, so the renames into it survive a power
+    failure.  Windows cannot open a directory for fsync, so there it does
+    nothing."""
+    if os.name == "nt":
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 _JSON_STRING = json.encoder.encode_basestring_ascii
@@ -989,10 +1005,11 @@ def cmd_compare(spec: dict, out_dir: Path, builds: dict):
     box = _box(spec)
     tol = spec["options"]["verify_tol"]
     names = list(members)
-    points = box.sample_points()
-    fields = [acceleration_field(members[name], points) for name in names]
+    columns = box.sample_columns()
+    # each member's (accelerations, usable mask) over the samples
+    fields = [_usable_accelerations(members[name], columns) for name in names]
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-    gaps = [max_acceleration_gap([fields[i], fields[j]]) for i, j in pairs]
+    gaps = [_acceleration_gap(*zip(fields[i], fields[j])) for i, j in pairs]
     matrix = [[0.0] * len(names) for _ in names]
     for (i, j), gap in zip(pairs, gaps):
         matrix[i][j] = matrix[j][i] = gap
@@ -1010,8 +1027,8 @@ def cmd_compare(spec: dict, out_dir: Path, builds: dict):
         "discrepancy_notes": list(notes),
     }
     if control is not None:
-        control_gap = max_acceleration_gap(
-            [acceleration_field(control, points), fields[0]])
+        control_gap = _acceleration_gap(
+            *zip(_usable_accelerations(control, columns), fields[0]))
         payload["control"] = {
             "lagrangian": str(control.expr),
             "gap_vs_first_member": control_gap,
@@ -1112,6 +1129,7 @@ def run_tasks(spec: dict, out_dir: Path, tasks: list,
                    "numpy_version": np.__version__}
     _write_json(out_dir / "run_meta.json",
                 {"environment": environment, "tasks": records})
+    _sync_directory(out_dir)
     return worst
 
 
@@ -1172,6 +1190,7 @@ def main(argv=None) -> int:
             "error": {"code": "input-error", "message": str(exc)},
             "exit_code": EXIT_INPUT_ERROR,
         })
+        _sync_directory(out_dir)
         print(f"{args.command}: input-error ({exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return run_tasks(spec, out_dir, [(args.command, "report.json")],

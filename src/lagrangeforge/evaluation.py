@@ -45,12 +45,13 @@ Five entry points read the tables:
   returns Python floats.
 
 Integral nodes evaluate by adaptive Gauss-Kronrod quadrature
-(:func:`~lagrangeforge.quadrature.integrate_adaptive`), one call per
-integral node per walk: every unmasked point gets its own panels, from the
-node's base to that point's upper limit.  Each level of bisection
-evaluates the integrand once at the nodes of all open panels, with numpy's
-functions (``_integrand_field``) under the exact sweeps' domain masks; a
-masked node makes its point's integral undefined.
+(:func:`~lagrangeforge.quadrature.integrate_adaptive`), at most one call
+per integral node per walk: every unmasked point gets its own panels, from
+the node's base to that point's upper limit, and points that repeat an
+earlier point's limit and variables share its integral.  Each level of
+bisection evaluates the integrand once at the nodes of all open panels,
+with numpy's functions (``_integrand_field``) under the exact sweeps'
+domain masks; a masked node makes its point's integral undefined.
 A point's value never depends on the other points, so the scalar
 :func:`evaluate` of an integral, the same call over one point, agrees with
 the fields bit for bit; so does a compiled callable, which makes that same
@@ -305,7 +306,24 @@ def _integrate(integrand: Expr, var: str, lo, hi: np.ndarray,
     ``env`` maps the integrand's other free variables to arrays over the
     entries of ``hi``.  One :func:`integrate_adaptive` call; NaN where the
     integrand is undefined at a node of that entry's panels.
+
+    Entries that repeat an earlier one bit for bit, in ``hi`` and in every
+    column of ``env`` (so ``-0.0`` and ``0.0`` differ), are integrated once,
+    at their first occurrence, and take its value: an entry's value depends
+    on its own limits and variables alone.  The first occurrences keep their
+    order, so an error names the panel it names without the repeats.
     """
+    scatter = None
+    if len(hi) > 1:
+        first = _first_occurrences(np.stack((hi, *env.values())).view(np.int64))
+        kept = first == np.arange(len(hi))
+        if not kept.all():
+            # each entry's first occurrence's place among the kept entries
+            scatter = (np.cumsum(kept) - 1)[first]
+            take = np.flatnonzero(kept)
+            hi = hi[take]
+            env = {name: column[take] for name, column in env.items()}
+
     def at_nodes(z):
         owner = z.owner.ravel()
         columns = {name: column[owner] for name, column in env.items()}
@@ -313,11 +331,28 @@ def _integrate(integrand: Expr, var: str, lo, hi: np.ndarray,
         values, bad = _integrand_field(integrand, columns)
         return np.where(bad, math.nan, values).reshape(z.shape)
 
-    return integrate_adaptive(at_nodes, lo, hi)
+    values = integrate_adaptive(at_nodes, lo, hi)
+    return values if scatter is None else values[scatter]
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """For each column of ``keys`` (one row per part of a key), the index of
+    the first column equal to it."""
+    order = np.lexsort(keys)   # stable: equal keys stay in column order
+    ordered = keys[:, order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    first = np.empty(len(order), dtype=np.intp)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
 
 
 def _antideriv_field(node: Antideriv, sweep) -> np.ndarray:
-    """An integral node at every unmasked point of ``sweep``, in one call."""
+    """An integral node at every unmasked point of ``sweep``, in one call.
+
+    An integral that an earlier sweep over the same points computed
+    (``sweep.integrals``) is read from it instead.
+    """
     n = len(sweep.bad)
     names = sorted(free_vars(node.integrand) - {node.var})
     for name in (node.var, *names):
@@ -328,9 +363,13 @@ def _antideriv_field(node: Antideriv, sweep) -> np.ndarray:
     out = np.full(n, math.nan)
     if good.size:
         upper = _full(sweep.columns[node.var], n)
-        env = {name: _full(sweep.columns[name], n)[good] for name in names}
-        out[good] = _integrate(node.integrand, node.var, node.base,
-                               upper[good], env)
+        known = sweep.integrals.get(node)
+        if known is not None:
+            out[good] = known[good]
+        else:
+            env = {name: _full(sweep.columns[name], n)[good] for name in names}
+            out[good] = _integrate(node.integrand, node.var, node.base,
+                                   upper[good], env)
         sweep.fail(np.isnan(out), EvalDomainError,
                    "integrand undefined between {!r} and {!r}", node.base, upper)
     return out
@@ -696,6 +735,25 @@ def _is_zero(slot: Expr) -> bool:
 # would add nothing.  Kept arrays are shared, so no rule changes an operand
 # in place.  The memo lives as long as its sweep; evaluate keeps none.
 #
+# An exact sweep keeps each C-library map it makes (_Sweep.maps), keyed by
+# the function and the operands: an array by its identity, a number by its
+# value and the sign of a zero.  The jet of x^n maps pow at n, n-1 and n-2,
+# so the jets of x^4 and x^3 both ask for x^3 and x^2, and the jets of sin
+# and cos both ask for sin and cos; a later request gets the kept values,
+# whose domain mask the first one set.  That is exact for the reason above:
+# the kept values are right at every point unmasked when they were mapped.
+# The memo holds the operands, so no array's id is reused while the sweep
+# lives, and no operand changes in place.
+#
+# A sweep can also start from integral values that an earlier sweep over the
+# same points computed (_Sweep.integrals).  The verifier's strata sweep
+# (lagrangian.DomainBox._sample) gathers them at the points it keeps, none
+# of which it ever masked, so each value is exact at every point, and the
+# rhs and jet sweeps read them where they would integrate.  Within one
+# integral call, an entry that repeats an earlier one bit for bit is
+# integrated once (_integrate): an entry's value depends on its own limits
+# and variables alone.
+#
 # A jet sweep keeps structural zeros (see Jet2): a slot that vanishes by the
 # tree's structure is the object ZERO at all points at once, so a product
 # with a constant or a variable does a fraction of the array work.  That is
@@ -750,11 +808,15 @@ _UFUNC = {Exp: np.exp, Ln: np.log, Sqrt: np.sqrt, Abs: np.abs, Sin: np.sin,
 
 class _Sweep:
     __slots__ = ("columns", "bad", "vectorised", "zero", "values", "jets",
-                 "flagged", "redo")
+                 "maps", "integrals", "flagged", "redo")
 
-    def __init__(self, columns: Mapping, bad, vectorised: bool = False):
+    def __init__(self, columns: Mapping, bad, vectorised: bool = False,
+                 integrals: Mapping | None = None):
         self.columns = columns
         self.vectorised = vectorised
+        # integral node -> its values over the points, from an earlier sweep
+        # that masked none of them (see above)
+        self.integrals = integrals or {}
         # what a jet leaf's derivative slots hold: ZERO, or 0.0 in eval_jet2's
         # dense walk
         self.zero = ZERO
@@ -762,9 +824,11 @@ class _Sweep:
         # flagged an operation, or a number no flag sees is not finite
         self.flagged = False
         self.redo = False
-        # each distinct node's value and jet, once walked (see above)
+        # each distinct node's value and jet, once walked, and each C-library
+        # map made, with its operands (see above)
         self.values: dict = {}
         self.jets: dict = {}
+        self.maps: dict = {}
         if bad is None:
             first = next((c for c in columns.values()
                           if isinstance(c, np.ndarray)), None)
@@ -775,22 +839,40 @@ class _Sweep:
         self.bad = np.array(bad, dtype=bool)
 
     def value(self, kind, *operands) -> np.ndarray:
-        """``kind``'s value rule at every point; masks where the scalar rule raises."""
+        """``kind``'s value rule at every point; masks where the scalar rule raises.
+
+        An exact sweep makes each C-library map once: a request with the
+        same function and operands returns the values kept from the first
+        (see above).
+        """
+        libm = _LIBM.get(kind)
+        if libm is not None and not self.vectorised:
+            key = (kind, *map(_operand_key, operands))
+            kept = self.maps.get(key)
+            if kept is None:
+                # the operands stay alive with the values, so no array's id
+                # is reused while the sweep lives
+                kept = self.maps[key] = (operands, self.mapped(kind, *operands))
+            return kept[1]
         domain = _DOMAIN.get(kind)
         if domain is not None:
             self.bad |= domain(*operands)
-        libm = _LIBM.get(kind)
-        if libm is None:
-            return _UFUNC[kind](*operands)
-        if self.vectorised:
-            value = _UFUNC[kind](*operands)
-            if kind in (Exp, Pow):
-                # the C library raises where finite operands overflow
-                overflow = np.isinf(value)
-                for op in operands:
-                    overflow = overflow & np.isfinite(op)
-                self.bad |= overflow
-            return value
+        value = _UFUNC[kind](*operands)
+        if kind in (Exp, Pow):
+            # the C library raises where finite operands overflow
+            overflow = np.isinf(value)
+            for op in operands:
+                overflow = overflow & np.isfinite(op)
+            self.bad |= overflow
+        return value
+
+    def mapped(self, kind, *operands) -> np.ndarray:
+        """``kind``'s C-library function over the unmasked points, after its
+        domain check."""
+        domain = _DOMAIN.get(kind)
+        if domain is not None:
+            self.bad |= domain(*operands)
+        libm = _LIBM[kind]
         # with no point masked yet, map over whole columns: no index, no scatter
         good = ~self.bad if self.bad.any() else None
         count = len(self.bad) if good is None else int(np.count_nonzero(good))
@@ -808,6 +890,12 @@ class _Sweep:
         out = np.full(len(good), math.nan)
         out[good] = values
         return out
+
+    def integrals_at(self, index) -> dict:
+        """The values of the integral nodes walked so far, at the points
+        ``index``: the ``integrals`` of a later sweep over those points."""
+        return {node: value[index] for node, value in self.values.items()
+                if type(node) is Antideriv and isinstance(value, np.ndarray)}
 
     def fail(self, where, error, message, *args) -> None:
         """:meth:`_Point.fail` for a sweep: mask where ``where`` holds."""
@@ -887,6 +975,14 @@ class _OnePoint(_Sweep):
 
     def fail(self, where, error, message, *args) -> None:
         _POINT.fail(np.any(where), error, message, *map(_scalar, args))
+
+
+def _operand_key(op):
+    """An operand's part of a C-library map's key: an array by its identity,
+    a number by its value and, for a zero, its sign."""
+    if isinstance(op, np.ndarray):
+        return id(op)
+    return op, math.copysign(1.0, op)
 
 
 def _scalar(value):
@@ -998,11 +1094,15 @@ def jet_field(expr: Expr, columns: Mapping, bad=None) -> tuple:
     would raise :class:`EvalDomainError` or
     :class:`NonDifferentiableError` (or where it was already True).
     """
-    sweep = _Sweep(columns, bad)
+    return _jets(expr, _Sweep(columns, bad))
+
+
+def _jets(expr: Expr, sweep: _Sweep) -> tuple:
+    """:func:`jet_field` over ``sweep``'s columns and mask."""
     given = sweep.bad.copy()
     jet = _jet_sweep(expr, sweep)
     if sweep.flagged or sweep.redo:
-        return _jet_points(expr, columns, given)
+        return _jet_points(expr, sweep.columns, given)
     n = len(sweep.bad)
     return Jet2(*(_full(s, n) for s in _slots(jet))), sweep.bad
 

@@ -24,7 +24,13 @@ from .errors import (
     NonMonotoneError,
     NotInvariantError,
 )
-from .evaluation import eval_jet2, evaluate, evaluate_field, jet_field
+from .evaluation import (
+    _jets,
+    _Sweep,
+    _values,
+    eval_jet2,
+    evaluate,
+)
 from .expressions import Expr, Var, as_expr, differentiate, free_vars
 
 __all__ = [
@@ -200,6 +206,18 @@ class DomainBox:
         are not evaluated at it.  The rest are put in (t, x, v) order by a
         stable sort.
         """
+        return self._sample()[0]
+
+    def _sample(self) -> tuple:
+        """:meth:`sample_columns` and the integrals its strata computed.
+
+        All strata run in one sweep, so an integral that several of them
+        hold is integrated once.  Returns ``(columns, integrals)``:
+        ``integrals`` maps each integral node of the strata to its values at
+        the kept points, in their order.  No kept point was ever masked in
+        that sweep, so every value there is exact, and a later sweep over
+        the columns reads them instead of integrating again.
+        """
         nx, nv, nt = self.grid
         grid = (np.repeat(_axis_column(*self.x, nx), nv * nt),
                 np.tile(np.repeat(_axis_column(*self.v, nv), nt), nx),
@@ -212,15 +230,19 @@ class DomainBox:
             lo, hi = getattr(self, name)
             columns[name] = np.concatenate((axis, lo + (hi - lo) * draws[k::3]))
         order = np.lexsort((columns["v"], columns["x"], columns["t"]))
+        integrals = {}
         if self.strata:
-            dropped = None
+            # one memo for all strata: the mask only grows between them, as
+            # within one tree walk
+            sweep = _Sweep(columns, None)
             for stratum in self.strata:
-                size, dropped = evaluate_field(stratum.expr, columns, dropped)
-                dropped |= np.abs(size) <= stratum.radius
-            order = order[~dropped[order]]
+                size, _ = _values(stratum.expr, sweep)
+                sweep.bad |= np.abs(size) <= stratum.radius
+            order = order[~sweep.bad[order]]
+            integrals = sweep.integrals_at(order)
         if not order.size:
             raise EmptyDomainError("no sample points survive the exclusions")
-        return {name: column[order] for name, column in columns.items()}
+        return {name: column[order] for name, column in columns.items()}, integrals
 
     def sample_points(self) -> list:
         """The samples of :meth:`sample_columns` as (x, v, t) tuples."""
@@ -256,13 +278,15 @@ def _energy(jet, v):
     return v * jet.gv - jet.f
 
 
-def _acceleration_jet_field(L: Lagrangian, state: dict, bad=None) -> tuple:
+def _acceleration_jet_field(L: Lagrangian, state: dict, bad=None,
+                            integrals=None) -> tuple:
     """The jet field of ``L``, its mask and its implied accelerations.
 
     The accelerations mean nothing where the mask is set or
-    |L_vv| < EPS_REG.
+    |L_vv| < EPS_REG.  ``integrals`` are known integral values over the
+    points (see :meth:`DomainBox._sample`).
     """
-    jet, bad = jet_field(L.expr, state, bad)
+    jet, bad = _jets(L.expr, _Sweep(state, bad, integrals=integrals))
     with np.errstate(all="ignore"):
         accels = _acceleration(jet, state["v"])
     return jet, bad, accels
@@ -348,10 +372,10 @@ def verify_lagrangian(L: Lagrangian, ode: OdeSpec, box: DomainBox,
     the first one in sample order is its argmax.
     """
     # the rhs first, then the jet where the rhs is defined, in the order of
-    # the scalar evaluations at one point
-    state = box.sample_columns()
-    rhs, bad = evaluate_field(ode.rhs, state)
-    jet, bad, accels = _acceleration_jet_field(L, state, bad)
+    # the scalar evaluations at one point; both read the strata's integrals
+    state, integrals = box._sample()
+    rhs, bad = _values(ode.rhs, _Sweep(state, None, integrals=integrals))
+    jet, bad, accels = _acceleration_jet_field(L, state, bad, integrals)
     with np.errstate(all="ignore"):
         field_residuals = _residual(accels, rhs)
 
@@ -539,9 +563,9 @@ def invariant_drift(quantity: Expr, ode: OdeSpec, box: DomainBox) -> float:
     is normalized by 1 + |I|.  Points outside the domain are skipped; a NaN
     rate at a usable point makes the result NaN.
     """
-    state = box.sample_columns()
-    f, bad = evaluate_field(ode.rhs, state)
-    jet, bad = jet_field(quantity, state, bad)
+    state, integrals = box._sample()
+    f, bad = _values(ode.rhs, _Sweep(state, None, integrals=integrals))
+    jet, bad = _jets(quantity, _Sweep(state, bad, integrals=integrals))
     with np.errstate(all="ignore"):
         rates = (np.abs(jet.gx * state["v"] + jet.gv * f + jet.gt)
                  / (1.0 + np.abs(jet.f)))

@@ -5,6 +5,8 @@ artifacts are all observable without spawning subprocesses.
 """
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -749,3 +751,62 @@ class TestAtomicWrite:
         monkeypatch.undo()
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+class TestDurableRun:
+    """A run fsyncs its output directory once, after its last rename."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """("replace", target name) and ("fsync", "file" or a directory's
+        path), in the order the run made them."""
+        seen = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                seen.append(("fsync", (info.st_dev, info.st_ino)))
+            else:
+                seen.append(("fsync", "file"))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            seen.append(("replace", os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "fsync", fsync)
+        monkeypatch.setattr(cli.os, "replace", replace)
+        return seen
+
+    @staticmethod
+    def _directory(path):
+        info = os.stat(path)
+        return ("fsync", (info.st_dev, info.st_ino))
+
+    def test_a_demo_syncs_its_directory_after_the_last_rename(self, tmp_path, steps):
+        out = tmp_path / "out"
+        assert main(["demo", "free-particle", "--out", str(out)]) == EXIT_OK
+        renamed = [name for step, name in steps if step == "replace"]
+        assert renamed[-1] == "run_meta.json"
+        assert sorted(renamed) == sorted(p.name for p in out.iterdir())
+        # every file is fsynced before its rename, the directory once, last
+        assert steps.count(("fsync", "file")) == len(renamed)
+        assert steps[-1] == self._directory(out)
+        assert steps.count(self._directory(out)) == 1
+
+    def test_a_task_syncs_its_directory_once(self, tmp_path, steps):
+        spec = write_spec(tmp_path, PRESETS["free-particle"])
+        out = tmp_path / "out"
+        assert run("build", spec, out) == EXIT_OK
+        assert [s for s in steps if s[0] == "replace"] == [
+            ("replace", "report.json"), ("replace", "run_meta.json")]
+        assert steps[-1] == self._directory(out)
+        assert steps.count(self._directory(out)) == 1
+
+    def test_an_unreadable_spec_report_is_synced(self, tmp_path, steps):
+        out = tmp_path / "out"
+        missing = str(tmp_path / "missing.json")
+        assert run("verify", missing, out) == EXIT_INPUT_ERROR
+        assert steps == [("fsync", "file"), ("replace", "report.json"),
+                         self._directory(out)]
