@@ -28,6 +28,7 @@ import platform
 import sys
 import tempfile
 import time
+from contextlib import ExitStack
 from functools import cache, cached_property
 from importlib import resources
 from itertools import repeat
@@ -122,34 +123,63 @@ _INAPPLICABLE_ERRORS = (
     EmptyDomainError,
 )
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, whole or not at all.
+def _commit(out_dir: Path, files: dict) -> None:
+    """Write each ``name -> text`` of ``files`` into ``out_dir`` as UTF-8,
+    durably, each file whole or not at all.
 
-    The text goes to a hidden temporary file (mode 0600) beside ``path``,
-    which is fsynced, then renamed over ``path``; on any failure the
-    temporary file is removed and ``path`` keeps its old content.  The
-    directory is made only when it is missing.  The rename is durable once
-    the directory is fsynced too, which a CLI run does once, after its last
-    write (:func:`_sync_directory`): a run's artifacts are durable once the
-    command returns.
+    Every text goes to a hidden temporary file (mode 0600) beside its
+    target.  Where the platform has ``posix_fadvise``, each file's writeback
+    is then started, so the device writes and journal commits of all the
+    files overlap instead of queuing behind one fsync at a time.  Each file
+    is fsynced, then renamed over its target in the order of ``files``, and
+    the directory is fsynced once, last, so the renames survive a power
+    failure too.  If anything fails before a file's rename, its temporary
+    file is removed, its target keeps its old content, and the error is
+    raised again.  The directory is made only when it is missing.
     """
+    if not files:
+        return
+    temps = []
+    renamed = 0
     try:
-        fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with open(fd, "wb") as handle:
-            handle.write(text.encode("utf-8"))
-            handle.flush()
-            os.fsync(fd)
-        os.replace(name, path)
+        with ExitStack() as stack:
+            handles = []
+            for name in files:
+                try:
+                    fd, temp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+                except FileNotFoundError:
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                    fd, temp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
+                temps.append(temp)
+                handle = stack.enter_context(open(fd, "wb"))
+                handle.write(files[name].encode("utf-8"))
+                handle.flush()
+                handles.append(handle)
+            # on a dirty range, POSIX_FADV_DONTNEED starts its writeback and
+            # returns; pages still dirty or under writeback stay cached
+            start_writeback = getattr(os, "posix_fadvise", None)
+            if start_writeback is not None:
+                for handle in handles:
+                    start_writeback(handle.fileno(), 0, 0,
+                                    os.POSIX_FADV_DONTNEED)
+            for handle in handles:
+                os.fsync(handle.fileno())
+        for name, temp in zip(files, temps):
+            os.replace(temp, out_dir / name)
+            renamed += 1
     except BaseException:
-        try:
-            os.unlink(name)
-        except OSError:
-            pass
+        for temp in temps[renamed:]:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
         raise
+    _sync_directory(out_dir)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``: a :func:`_commit` of one file."""
+    _commit(path.parent, {path.name: text})
 
 
 def _sync_directory(path: Path) -> None:
@@ -211,16 +241,21 @@ def _json_text(value, newline: str = "\n") -> str:
                     "is not JSON serializable")
 
 
+def _json_file(payload: dict) -> str:
+    """The text of a JSON file holding ``payload``."""
+    return _json_text(payload) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, _json_text(payload) + "\n")
+    _atomic_write(path, _json_file(payload))
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _csv_text(header: list, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _cells(values) -> list:
@@ -869,19 +904,21 @@ def _verification_payload(report) -> dict:
     }
 
 
-def cmd_classify(spec: dict, out_dir: Path, builds: dict):
+# Each command returns its report payload, its CSV files (name -> text) and
+# its exit code; the run writes every file of every task in one commit.
+
+def cmd_classify(spec: dict, builds: dict):
     f = _target(spec)
     entries = classify_equation(f, spec["domain"])
     rows = [[e["family"], "yes" if e["applicable"] else "no",
              "" if e["residual"] is None else repr(e["residual"]),
              e["reason"]] for e in entries]
-    _write_csv(out_dir / "families.csv",
-               ["family", "applicable", "residual", "reason"], rows)
+    csv_text = _csv_text(["family", "applicable", "residual", "reason"], rows)
     payload = {"rhs": str(f), "classification": entries}
-    return payload, {"families_csv": "families.csv"}, EXIT_OK
+    return payload, {"families.csv": csv_text}, EXIT_OK
 
 
-def cmd_build(spec: dict, out_dir: Path, builds: dict):
+def cmd_build(spec: dict, builds: dict):
     if "family" not in spec["equation"]:
         raise InapplicableFamilyError(
             "build needs a family block; run classify to see candidates")
@@ -899,7 +936,7 @@ def cmd_build(spec: dict, out_dir: Path, builds: dict):
     return payload, {}, EXIT_OK
 
 
-def cmd_verify(spec: dict, out_dir: Path, builds: dict):
+def cmd_verify(spec: dict, builds: dict):
     problem = _problem(spec, builds)
     if not problem.members:
         raise InapplicableFamilyError(
@@ -917,8 +954,7 @@ def cmd_verify(spec: dict, out_dir: Path, builds: dict):
         rows.extend(zip(*(_cells(report.columns[c]) for c in "xvt"),
                         repeat(name),
                         _field_cells(report.residual_field, ~report.scored)))
-    _write_csv(out_dir / "residuals.csv",
-               ["x", "v", "t", "member", "residual"], rows)
+    csv_text = _csv_text(["x", "v", "t", "member", "residual"], rows)
     payload = {
         "family": spec["equation"].get("family", "user"),
         "rhs": str(problem.ode.rhs),
@@ -926,7 +962,7 @@ def cmd_verify(spec: dict, out_dir: Path, builds: dict):
         "verification": reports,
         "discrepancy_notes": problem.notes,
     }
-    return payload, {"residuals_csv": "residuals.csv"}, code
+    return payload, {"residuals.csv": csv_text}, code
 
 
 def _field_cells(values, bad) -> list:
@@ -937,7 +973,7 @@ def _field_cells(values, bad) -> list:
     return cells
 
 
-def cmd_integrate(spec: dict, out_dir: Path, builds: dict):
+def cmd_integrate(spec: dict, builds: dict):
     problem = _problem(spec, builds)
     ode = problem.ode
     L = problem.primary if problem.members else None
@@ -958,8 +994,7 @@ def cmd_integrate(spec: dict, out_dir: Path, builds: dict):
             energy = _energy(jet, state["v"])
         cells["E"] = _field_cells(energy, bad)
         cells["p"] = _field_cells(jet.gv, bad)
-    _write_csv(out_dir / "trajectory.csv", columns,
-               zip(*(cells[c] for c in columns)))
+    csv_text = _csv_text(columns, zip(*(cells[c] for c in columns)))
     payload = {
         "rhs": str(ode.rhs),
         "integration": {
@@ -971,10 +1006,10 @@ def cmd_integrate(spec: dict, out_dir: Path, builds: dict):
             "columns": columns,
         },
     }
-    return payload, {"trajectory_csv": "trajectory.csv"}, EXIT_OK
+    return payload, {"trajectory.csv": csv_text}, EXIT_OK
 
 
-def cmd_compare(spec: dict, out_dir: Path, builds: dict):
+def cmd_compare(spec: dict, builds: dict):
     options = _options(spec)
     control = None
     if "members" in spec:
@@ -1015,7 +1050,7 @@ def cmd_compare(spec: dict, out_dir: Path, builds: dict):
         matrix[i][j] = matrix[j][i] = gap
     rows = [[names[i]] + [repr(matrix[i][j]) for j in range(len(names))]
             for i in range(len(names))]
-    _write_csv(out_dir / "matrix.csv", ["member"] + names, rows)
+    csv_text = _csv_text(["member"] + names, rows)
     worst = largest(gaps)
     max_gap = 0.0 if worst is None else worst[0]
     payload = {
@@ -1034,7 +1069,7 @@ def cmd_compare(spec: dict, out_dir: Path, builds: dict):
             "gap_vs_first_member": control_gap,
             "separates": control_gap > tol,
         }
-    return payload, {"matrix_csv": "matrix.csv"}, \
+    return payload, {"matrix.csv": csv_text}, \
         EXIT_OK if max_gap <= tol else EXIT_VERIFY_FAIL
 
 
@@ -1064,10 +1099,13 @@ def _classified_error(exc: Exception):
 
 def run_command(command: str, spec: dict, out_dir: Path, builds: dict,
                 tol: float | None = None, seed: int | None = None,
-                report_name: str = "report.json") -> int:
-    """Run one task and write its report; the exit code is returned.
+                report_name: str = "report.json") -> tuple:
+    """Run one task and render its report, writing nothing.
 
-    ``builds`` is the run's memo of built problems (see :func:`_build_block`).
+    Returns the exit code, the task's files (name -> text: the report named
+    ``report_name`` after the command's CSV files) and the status line to
+    print once the files are in ``out_dir``.  ``builds`` is the run's memo
+    of built problems (see :func:`_build_block`).
     """
     normalized = normalize_spec(spec)
     if seed is not None:
@@ -1087,22 +1125,21 @@ def run_command(command: str, spec: dict, out_dir: Path, builds: dict,
             raise SpecValidationError(
                 f"spec allows tasks {allowed}, not {command!r}")
         _box(normalized)  # a bad domain is an input error for every command
-        payload, artifacts, code = _COMMANDS[command](normalized, out_dir,
-                                                      builds)
+        payload, files, code = _COMMANDS[command](normalized, builds)
         report.update(payload)
-        report["artifacts"] = artifacts
+        report["artifacts"] = {name.replace(".", "_"): name for name in files}
     except Exception as exc:  # noqa: BLE001 - re-raised unless classified
         code, detail = _classified_error(exc)
         report["error"] = detail
+        files = {}
     report["exit_code"] = code
-    _write_json(out_dir / report_name, report)
+    files[report_name] = _json_file(report)
     status = {EXIT_OK: "ok", EXIT_VERIFY_FAIL: "verification-failure",
               EXIT_INAPPLICABLE: "inapplicable",
               EXIT_INPUT_ERROR: "input-error"}[code]
     message = report["error"]["message"] if report["error"] else \
         f"artifacts in {out_dir}"
-    print(f"{command}: {status} ({message})")
-    return code
+    return code, files, f"{command}: {status} ({message})"
 
 
 def run_tasks(spec: dict, out_dir: Path, tasks: list,
@@ -1114,22 +1151,34 @@ def run_tasks(spec: dict, out_dir: Path, tasks: list,
     error), and later tasks reuse the outcome.  The memo is dropped on
     return.  One ``run_meta.json`` records the package, Python and numpy
     versions once, and every task's command, report and elapsed seconds;
-    a build's time counts in the first task that needs it.
+    a build's time counts in the first task that needs it.  Writing is not
+    timed: every file of the run (``run_meta.json`` last) is written in one
+    :func:`_commit` after the last task, and only then are the tasks'
+    status lines printed.  A task that raises an unclassified error still
+    has what earlier tasks rendered written and their lines printed before
+    the error propagates; no ``run_meta.json`` is written then.
     """
-    worst, records, builds = EXIT_OK, [], {}
-    for command, report_name in tasks:
-        started = time.perf_counter()
-        code = run_command(command, spec, out_dir, builds, tol=tol, seed=seed,
-                           report_name=report_name)
-        records.append({"command": command, "report": report_name,
-                        "elapsed_seconds": time.perf_counter() - started})
-        worst = max(worst, code)
-    environment = {"package_version": __version__,
-                   "python_version": platform.python_version(),
-                   "numpy_version": np.__version__}
-    _write_json(out_dir / "run_meta.json",
-                {"environment": environment, "tasks": records})
-    _sync_directory(out_dir)
+    worst, records, builds, files, lines = EXIT_OK, [], {}, {}, []
+    try:
+        for command, report_name in tasks:
+            started = time.perf_counter()
+            code, task_files, line = run_command(
+                command, spec, out_dir, builds, tol=tol, seed=seed,
+                report_name=report_name)
+            records.append({"command": command, "report": report_name,
+                            "elapsed_seconds": time.perf_counter() - started})
+            files.update(task_files)
+            lines.append(line)
+            worst = max(worst, code)
+        environment = {"package_version": __version__,
+                       "python_version": platform.python_version(),
+                       "numpy_version": np.__version__}
+        files["run_meta.json"] = _json_file(
+            {"environment": environment, "tasks": records})
+    finally:
+        _commit(out_dir, files)
+        for line in lines:
+            print(line)
     return worst
 
 
@@ -1190,7 +1239,6 @@ def main(argv=None) -> int:
             "error": {"code": "input-error", "message": str(exc)},
             "exit_code": EXIT_INPUT_ERROR,
         })
-        _sync_directory(out_dir)
         print(f"{args.command}: input-error ({exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return run_tasks(spec, out_dir, [(args.command, "report.json")],

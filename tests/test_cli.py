@@ -4,9 +4,11 @@ Commands run in-process through ``main`` so exit codes, reports, and CSV
 artifacts are all observable without spawning subprocesses.
 """
 import csv
+import hashlib
 import json
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -754,7 +756,8 @@ class TestAtomicWrite:
 
 
 class TestDurableRun:
-    """A run fsyncs its output directory once, after its last rename."""
+    """A run fsyncs its output directory once, after its last rename, and
+    fsyncs every file before it renames any."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
@@ -810,3 +813,64 @@ class TestDurableRun:
         assert run("verify", missing, out) == EXIT_INPUT_ERROR
         assert steps == [("fsync", "file"), ("replace", "report.json"),
                          self._directory(out)]
+
+    def test_a_run_syncs_every_file_before_its_first_rename(self, tmp_path,
+                                                            steps):
+        out = tmp_path / "out"
+        assert main(["demo", "damped-oscillator", "--out", str(out)]) == EXIT_OK
+        produced = ["families.csv", "report_classify.json",
+                    "report_build.json", "residuals.csv", "report_verify.json",
+                    "trajectory.csv", "report_integrate.json", "run_meta.json"]
+        assert steps == [("fsync", "file")] * len(produced) \
+            + [("replace", name) for name in produced] + [self._directory(out)]
+
+    def test_a_failed_fsync_keeps_every_old_file(self, tmp_path, monkeypatch,
+                                                 capsys):
+        out = tmp_path / "out"
+        assert main(["demo", "free-particle", "--out", str(out)]) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        calls = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if not stat.S_ISDIR(os.fstat(fd).st_mode):
+                calls.append(fd)
+                if len(calls) == 3:
+                    raise OSError("fsync failed")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(cli.os, "fsync", fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            main(["demo", "free-particle", "--seed", "7", "--out", str(out)])
+        monkeypatch.undo()
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == \
+            before
+        # no status line claims artifacts that did not land
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name", ["free-particle", "airy"])
+    def test_without_posix_fadvise_the_artifacts_are_unchanged(
+            self, tmp_path, monkeypatch, name):
+        monkeypatch.delattr(os, "posix_fadvise", raising=False)
+        golden = json.loads((Path(__file__).parent / "data"
+                             / "demo_golden.json").read_text())[f"{name}/0"]
+        out = tmp_path / "out"
+        code = main(["demo", name, "--seed", "0", "--out", str(out)])
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out.iterdir() if path.name != "run_meta.json"}
+        assert {"exit_code": code, "files": digests} == golden
+
+    def test_an_unclassified_error_keeps_what_earlier_tasks_rendered(
+            self, tmp_path, monkeypatch, capsys):
+        def broken(spec, *args):
+            raise RuntimeError("verify broke")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="verify broke"):
+            main(["demo", "free-particle", "--out", str(out)])
+        assert sorted(path.name for path in out.iterdir()) == \
+            ["report_build.json"]
+        assert load_report(out, "report_build.json")["exit_code"] == EXIT_OK
+        assert capsys.readouterr().out == f"build: ok (artifacts in {out})\n"

@@ -128,15 +128,27 @@ def test_what_the_stdlib_refuses_raises_type_error(value):
 
 
 def _recorded_writes(monkeypatch) -> list:
-    """The (path, payload) of every report the CLI writes from now on."""
-    writes = []
-    real = cli._write_json
+    """The (path, payload) of every report the CLI writes from now on.
 
-    def recording(path, payload):
-        writes.append((path, payload))
-        real(path, payload)
+    A run renders its reports first and writes all of its files in one
+    ``_commit``, so each JSON file committed is paired with the payload that
+    was rendered to its text.
+    """
+    writes, rendered = [], {}
+    real_render, real_commit = cli._json_file, cli._commit
 
-    monkeypatch.setattr(cli, "_write_json", recording)
+    def render(payload):
+        text = real_render(payload)
+        rendered[text] = payload
+        return text
+
+    def commit(out_dir, files):
+        real_commit(out_dir, files)
+        writes.extend((out_dir / name, rendered[text])
+                      for name, text in files.items() if name.endswith(".json"))
+
+    monkeypatch.setattr(cli, "_json_file", render)
+    monkeypatch.setattr(cli, "_commit", commit)
     return writes
 
 
