@@ -30,12 +30,10 @@ import tempfile
 import time
 from contextlib import ExitStack
 from functools import cache, cached_property
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -266,16 +264,37 @@ def _cells(values) -> list:
 # --- spec loading -------------------------------------------------------------
 
 def _schema() -> dict:
+    """The problem-spec JSON schema, read afresh from the package data."""
+    from importlib import resources
+
     text = (
         resources.files("lagrangeforge.schema") / "problem_spec.schema.json"
     ).read_text()
     return json.loads(text)
 
 
+@cache
+def _validator():
+    """The spec validator, built on first use and kept for the process.
+
+    ``jsonschema`` is imported here, not at module level: ``demo`` runs the
+    bundled presets without validating them, so a process that never reads
+    a spec never pays for loading it.
+    """
+    import jsonschema
+
+    return jsonschema.Draft7Validator(_schema())
+
+
 def validate_spec(doc: dict) -> None:
-    """Schema validation with a readable location on failure."""
-    validator = jsonschema.Draft7Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    """Check ``doc`` against the problem-spec schema.
+
+    Raises ``SpecValidationError`` naming the first failing location, in
+    path order (``<root>`` for the document itself).  The schema and its
+    validator load on the first call in a process and are reused after.
+    """
+    errors = sorted(_validator().iter_errors(doc),
+                    key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         where = "/".join(str(part) for part in err.absolute_path) or "<root>"
@@ -283,11 +302,21 @@ def validate_spec(doc: dict) -> None:
 
 
 def load_spec(path: str) -> dict:
+    """Read, unwrap and validate a spec file (or a previous report).
+
+    A file that cannot be opened or read, or is not UTF-8 JSON, raises
+    ``SpecValidationError`` like any other invalid input.
+    """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except FileNotFoundError as exc:
         raise SpecValidationError(f"spec file not found: {path}") from exc
+    except OSError as exc:
+        raise SpecValidationError(
+            f"cannot read spec {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecValidationError(f"spec is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecValidationError(f"spec is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "normalized_spec" in doc:

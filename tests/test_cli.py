@@ -85,6 +85,26 @@ class TestSpecValidation:
         assert run("build", str(tmp_path / "nope.json"),
                    tmp_path / "out") == EXIT_INPUT_ERROR
 
+    def test_a_directory_is_input_error(self, tmp_path):
+        spec = tmp_path / "spec"
+        spec.mkdir()
+        out = tmp_path / "out"
+        assert run("verify", str(spec), out) == EXIT_INPUT_ERROR
+        assert load_report(out)["error"] == {
+            "code": "input-error",
+            "message": f"cannot read spec {spec}: Is a directory"}
+
+    def test_a_spec_not_in_utf8_is_input_error(self, tmp_path):
+        # UTF-16 with a byte-order mark, as some Windows editors save JSON
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(DAMPED).encode("utf-16-le"))
+        out = tmp_path / "out"
+        assert run("verify", str(path), out) == EXIT_INPUT_ERROR
+        assert load_report(out)["error"] == {
+            "code": "input-error",
+            "message": "spec is not UTF-8 text: 'utf-8' codec can't decode "
+                       "byte 0xff in position 0: invalid start byte"}
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
