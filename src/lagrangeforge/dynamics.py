@@ -41,8 +41,12 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
+        if not (math.isfinite(self.rel_tol) and math.isfinite(self.abs_tol)):
+            raise ValueError("tolerances must be finite")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.overflow_guard) and self.overflow_guard > 0):
+            raise ValueError("overflow_guard must be finite and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
@@ -75,6 +79,9 @@ class Trajectory:
         lo_t, hi_t = (times[0], times[-1]) if ascending else (times[-1], times[0])
         if not (lo_t <= t <= hi_t):
             raise ValueError(f"time {t!r} outside trajectory range")
+        if len(times) == 1:
+            # a zero-width trajectory: t is its one time
+            return self.states[0]
         if ascending:
             i = bisect.bisect_right(times, t) - 1
         else:

@@ -447,31 +447,6 @@ class _Zero(float):
 ZERO = float.__new__(_Zero, 0.0)
 
 
-def _times(a, b):
-    """``a * b``, or ZERO when either factor is ZERO."""
-    if a is ZERO or b is ZERO:
-        return ZERO
-    return a * b
-
-
-def _plus(a, b):
-    """``a + b`` with a ZERO term dropped; ZERO when both are."""
-    if a is ZERO:
-        return b
-    return a if b is ZERO else a + b
-
-
-def _minus(a, b):
-    """``a - b`` with a ZERO term dropped; ZERO when both are."""
-    if b is ZERO:
-        return a
-    return -b if a is ZERO else a - b
-
-
-def _negated(a):
-    return a if a is ZERO else -a
-
-
 class Jet2:
     """Value, gradient and the second derivatives that the Euler-Lagrange
     operator reads, with respect to ``(x, v, t)``.
@@ -518,57 +493,125 @@ class Jet2:
     def __repr__(self):
         return (f"Jet2(f={self.f!r}, grad=({self.gx!r}, {self.gv!r}, {self.gt!r}))")
 
+    # The arithmetic tests for ZERO inline: a term with a ZERO factor is
+    # dropped, a slot with no term left is ZERO, and the other terms are
+    # computed and summed left to right in the order of the full formulas.
+
     def __add__(self, other):
         u, w = self, other
-        return Jet2(
-            u.f + w.f,
-            _plus(u.gx, w.gx), _plus(u.gv, w.gv), _plus(u.gt, w.gt),
-            _plus(u.hxv, w.hxv), _plus(u.hvv, w.hvv), _plus(u.hvt, w.hvt),
-        )
+        a, b = u.gx, w.gx
+        gx = b if a is ZERO else a if b is ZERO else a + b
+        a, b = u.gv, w.gv
+        gv = b if a is ZERO else a if b is ZERO else a + b
+        a, b = u.gt, w.gt
+        gt = b if a is ZERO else a if b is ZERO else a + b
+        a, b = u.hxv, w.hxv
+        hxv = b if a is ZERO else a if b is ZERO else a + b
+        a, b = u.hvv, w.hvv
+        hvv = b if a is ZERO else a if b is ZERO else a + b
+        a, b = u.hvt, w.hvt
+        hvt = b if a is ZERO else a if b is ZERO else a + b
+        return Jet2(u.f + w.f, gx, gv, gt, hxv, hvv, hvt)
 
     def __sub__(self, other):
         u, w = self, other
-        return Jet2(
-            u.f - w.f,
-            _minus(u.gx, w.gx), _minus(u.gv, w.gv), _minus(u.gt, w.gt),
-            _minus(u.hxv, w.hxv), _minus(u.hvv, w.hvv), _minus(u.hvt, w.hvt),
-        )
+        a, b = u.gx, w.gx
+        gx = a if b is ZERO else -b if a is ZERO else a - b
+        a, b = u.gv, w.gv
+        gv = a if b is ZERO else -b if a is ZERO else a - b
+        a, b = u.gt, w.gt
+        gt = a if b is ZERO else -b if a is ZERO else a - b
+        a, b = u.hxv, w.hxv
+        hxv = a if b is ZERO else -b if a is ZERO else a - b
+        a, b = u.hvv, w.hvv
+        hvv = a if b is ZERO else -b if a is ZERO else a - b
+        a, b = u.hvt, w.hvt
+        hvt = a if b is ZERO else -b if a is ZERO else a - b
+        return Jet2(u.f - w.f, gx, gv, gt, hxv, hvv, hvt)
 
     def __neg__(self):
         u = self
-        return Jet2(
-            -u.f,
-            _negated(u.gx), _negated(u.gv), _negated(u.gt),
-            _negated(u.hxv), _negated(u.hvv), _negated(u.hvt),
-        )
+        gx, gv, gt, hxv, hvv, hvt = u.gx, u.gv, u.gt, u.hxv, u.hvv, u.hvt
+        return Jet2(-u.f,
+                    gx if gx is ZERO else -gx, gv if gv is ZERO else -gv,
+                    gt if gt is ZERO else -gt, hxv if hxv is ZERO else -hxv,
+                    hvv if hvv is ZERO else -hvv, hvt if hvt is ZERO else -hvt)
 
     def __mul__(self, other):
         u, w = self, other
         uf, wf = u.f, w.f
-        return Jet2(
-            uf * wf,
-            _plus(_times(u.gx, wf), _times(uf, w.gx)),
-            _plus(_times(u.gv, wf), _times(uf, w.gv)),
-            _plus(_times(u.gt, wf), _times(uf, w.gt)),
-            _plus(_plus(_plus(_times(u.hxv, wf), _times(u.gx, w.gv)),
-                        _times(u.gv, w.gx)), _times(uf, w.hxv)),
-            _plus(_plus(_times(u.hvv, wf), _times(_times(2.0, u.gv), w.gv)),
-                  _times(uf, w.hvv)),
-            _plus(_plus(_plus(_times(u.hvt, wf), _times(u.gv, w.gt)),
-                        _times(u.gt, w.gv)), _times(uf, w.hvt)),
-        )
+        uz, wz = uf is ZERO, wf is ZERO
+        ugx, ugv, ugt = u.gx, u.gv, u.gt
+        wgx, wgv, wgt = w.gx, w.gv, w.gt
+        # first derivatives: u_q w + u w_q
+        a = ZERO if ugx is ZERO or wz else ugx * wf
+        b = ZERO if uz or wgx is ZERO else uf * wgx
+        gx = b if a is ZERO else a if b is ZERO else a + b
+        a = ZERO if ugv is ZERO or wz else ugv * wf
+        b = ZERO if uz or wgv is ZERO else uf * wgv
+        gv = b if a is ZERO else a if b is ZERO else a + b
+        a = ZERO if ugt is ZERO or wz else ugt * wf
+        b = ZERO if uz or wgt is ZERO else uf * wgt
+        gt = b if a is ZERO else a if b is ZERO else a + b
+        # u_xv w + u_x w_v + u_v w_x + u w_xv, summed as s
+        a = u.hxv
+        s = ZERO if a is ZERO or wz else a * wf
+        b = ZERO if ugx is ZERO or wgv is ZERO else ugx * wgv
+        s = b if s is ZERO else s if b is ZERO else s + b
+        b = ZERO if ugv is ZERO or wgx is ZERO else ugv * wgx
+        s = b if s is ZERO else s if b is ZERO else s + b
+        b = w.hxv
+        b = ZERO if uz or b is ZERO else uf * b
+        hxv = b if s is ZERO else s if b is ZERO else s + b
+        # u_vv w + 2 u_v w_v + u w_vv
+        a = u.hvv
+        s = ZERO if a is ZERO or wz else a * wf
+        # 2 u_v is formed even where w_v is ZERO (see the class docstring)
+        b = ZERO if ugv is ZERO else 2.0 * ugv
+        b = ZERO if b is ZERO or wgv is ZERO else b * wgv
+        s = b if s is ZERO else s if b is ZERO else s + b
+        b = w.hvv
+        b = ZERO if uz or b is ZERO else uf * b
+        hvv = b if s is ZERO else s if b is ZERO else s + b
+        # u_vt w + u_v w_t + u_t w_v + u w_vt
+        a = u.hvt
+        s = ZERO if a is ZERO or wz else a * wf
+        b = ZERO if ugv is ZERO or wgt is ZERO else ugv * wgt
+        s = b if s is ZERO else s if b is ZERO else s + b
+        b = ZERO if ugt is ZERO or wgv is ZERO else ugt * wgv
+        s = b if s is ZERO else s if b is ZERO else s + b
+        b = w.hvt
+        b = ZERO if uz or b is ZERO else uf * b
+        hvt = b if s is ZERO else s if b is ZERO else s + b
+        return Jet2(uf * wf, gx, gv, gt, hxv, hvv, hvt)
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Compose with a scalar function given its value and two derivatives."""
         u = self
         gx, gv, gt = u.gx, u.gv, u.gt
-        return Jet2(
-            f0,
-            _times(f1, gx), _times(f1, gv), _times(f1, gt),
-            _plus(_times(f1, u.hxv), _times(_times(f2, gx), gv)),
-            _plus(_times(f1, u.hvv), _times(_times(f2, gv), gv)),
-            _plus(_times(f1, u.hvt), _times(_times(f2, gv), gt)),
-        )
+        z1, z2 = f1 is ZERO, f2 is ZERO
+        # f1 u_q, for q = x, v, t
+        cx = ZERO if z1 or gx is ZERO else f1 * gx
+        cv = ZERO if z1 or gv is ZERO else f1 * gv
+        ct = ZERO if z1 or gt is ZERO else f1 * gt
+        # f1 u_qr + (f2 u_q) u_r, for qr = xv, vv, vt; f2 u_q is formed even
+        # where u_r is ZERO (see the class docstring)
+        a = u.hxv
+        a = ZERO if z1 or a is ZERO else f1 * a
+        b = ZERO if z2 or gx is ZERO else f2 * gx
+        b = ZERO if b is ZERO or gv is ZERO else b * gv
+        hxv = b if a is ZERO else a if b is ZERO else a + b
+        a = u.hvv
+        a = ZERO if z1 or a is ZERO else f1 * a
+        b = ZERO if z2 or gv is ZERO else f2 * gv
+        b = ZERO if b is ZERO or gv is ZERO else b * gv
+        hvv = b if a is ZERO else a if b is ZERO else a + b
+        a = u.hvt
+        a = ZERO if z1 or a is ZERO else f1 * a
+        b = ZERO if z2 or gv is ZERO else f2 * gv
+        b = ZERO if b is ZERO or gt is ZERO else b * gt
+        hvt = b if a is ZERO else a if b is ZERO else a + b
+        return Jet2(f0, cx, cv, ct, hxv, hvv, hvt)
 
 
 # --- derivative rules: (f, f', f'') at the operand value ---------------------
@@ -662,10 +705,17 @@ def _pow_rule(u, n: float, on) -> tuple:
     """(f, f', f'') of u**n for a constant exponent n, a float."""
     # skip undefined derivative terms whose coefficients vanish, so x**2 is
     # fine at x = 0
-    f0 = on.value(Pow, u, n)
-    f1 = 0.0 if n == 0.0 else n * on.value(Pow, u, n - 1.0)
-    f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * on.value(Pow, u, n - 2.0)
+    f0 = _power(u, n, on)
+    f1 = 0.0 if n == 0.0 else n * _power(u, n - 1.0, on)
+    f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * _power(u, n - 2.0, on)
     return f0, f1, f2
+
+
+def _power(u, n: float, on):
+    """u**n by ``on``'s value rule; 1.0 at exponent zero, which is u**0.0 for
+    every float u, NaN and infinities included, and where no domain rule
+    masks a point."""
+    return 1.0 if n == 0.0 else on.value(Pow, u, n)
 
 
 _JET_BINARY = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__}

@@ -9,6 +9,7 @@ normalized residual.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -159,6 +160,41 @@ def _axis_column(lo: float, hi: float, n: int) -> np.ndarray:
 _STATE = ("x", "v", "t")
 
 
+# Box geometries whose unstratified samples _geometry keeps.  An entry holds
+# four float64 or int64 arrays of one element per sample point, 32 bytes a
+# point: 14 KB for the default box's 443 points.
+_GEOMETRY_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE, typed=True)
+def _geometry(bounds: tuple, grid: tuple, n_random: int, seed) -> tuple:
+    """A box's x, v and t columns before any stratum, and their (t, x, v)
+    order, as read-only arrays.
+
+    ``bounds`` holds the ends of the x, v and t intervals as ``float.hex``
+    strings, so that a -0.0 end and a 0.0 end, whose columns can differ in
+    the sign of a zero, are different keys.  Seeds of different types are
+    different keys too: ``random.Random`` seeds an int by its value and a
+    float by its hash, so 2**70 and 2.0**70 draw differently.
+    """
+    ends = [float.fromhex(b) for b in bounds]
+    intervals = (ends[0:2], ends[2:4], ends[4:6])
+    nx, nv, nt = grid
+    axes = (np.repeat(_axis_column(*intervals[0], nx), nv * nt),
+            np.tile(np.repeat(_axis_column(*intervals[1], nv), nt), nx),
+            np.tile(_axis_column(*intervals[2], nt), nx * nv))
+    count = 3 * n_random
+    draws = np.fromiter(starmap(random.Random(seed).random,
+                                repeat((), count)), float, count)
+    columns = [np.concatenate((axis, lo + (hi - lo) * draws[k::3]))
+               for k, (axis, (lo, hi)) in enumerate(zip(axes, intervals))]
+    xs, vs, ts = columns
+    order = np.lexsort((vs, xs, ts))
+    for array in (xs, vs, ts, order):
+        array.setflags(write=False)
+    return xs, vs, ts, order
+
+
 @dataclass(frozen=True)
 class DomainBox:
     """Sampling plan over a box in (x, v, t): tensor grid plus random fill.
@@ -193,6 +229,10 @@ class DomainBox:
         object.__setattr__(self, "grid", tuple(int(n) for n in self.grid))
         if self.n_random < 0:
             raise ValueError("n_random must be non-negative")
+        if self.seed is None:
+            # random.Random(None) draws from the system's entropy, which
+            # _geometry would then keep for later calls
+            raise ValueError("seed must not be None")
         object.__setattr__(self, "strata", tuple(self.strata))
 
     def sample_columns(self) -> dict:
@@ -211,6 +251,8 @@ class DomainBox:
     def _sample(self) -> tuple:
         """:meth:`sample_columns` and the integrals its strata computed.
 
+        The columns before any stratum and their order come from
+        :func:`_geometry`, kept per geometry; the strata run on every call.
         All strata run in one sweep, so an integral that several of them
         hold is integrated once.  Returns ``(columns, integrals)``:
         ``integrals`` maps each integral node of the strata to its values at
@@ -218,18 +260,10 @@ class DomainBox:
         that sweep, so every value there is exact, and a later sweep over
         the columns reads them instead of integrating again.
         """
-        nx, nv, nt = self.grid
-        grid = (np.repeat(_axis_column(*self.x, nx), nv * nt),
-                np.tile(np.repeat(_axis_column(*self.v, nv), nt), nx),
-                np.tile(_axis_column(*self.t, nt), nx * nv))
-        count = 3 * self.n_random
-        draws = np.fromiter(starmap(random.Random(self.seed).random,
-                                    repeat((), count)), float, count)
-        columns = {}
-        for k, (name, axis) in enumerate(zip(_STATE, grid)):
-            lo, hi = getattr(self, name)
-            columns[name] = np.concatenate((axis, lo + (hi - lo) * draws[k::3]))
-        order = np.lexsort((columns["v"], columns["x"], columns["t"]))
+        xs, vs, ts, order = _geometry(
+            tuple(map(float.hex, self.x + self.v + self.t)),
+            self.grid, self.n_random, self.seed)
+        columns = {"x": xs, "v": vs, "t": ts}
         integrals = {}
         if self.strata:
             # one memo for all strata: the mask only grows between them, as

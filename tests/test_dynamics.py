@@ -52,6 +52,12 @@ class TestEndpointOracles:
         assert traj.times == (1.0,)
         assert traj.final_state == (0.3, 0.7)
 
+    def test_zero_width_interval_samples_its_one_state(self):
+        traj = integrate_ode(HARMONIC, 0.3, 0.7, 1.0, 1.0)
+        assert traj.sample(1.0) == (0.3, 0.7)
+        with pytest.raises(ValueError, match="outside trajectory range"):
+            traj.sample(1.5)
+
 
 class TestDenseOutput:
     def test_nodes_are_exact(self):
@@ -113,6 +119,26 @@ class TestFailureModes:
         ode = OdeSpec(parse_expression("ln(x)"))
         with pytest.raises(IntegrationError):
             integrate_ode(ode, -1.0, 0.0, 0.0, 1.0)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_tolerance_must_be_finite(self, field, value):
+        # abs_tol=inf would pass every step (x'' = -x over [0, 1] in 3
+        # steps); rel_tol=nan would fail only later, as a step underflow
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_the_overflow_guard_must_be_finite_and_positive(self, value):
+        # nan would switch the guard off: no comparison with it is true
+        with pytest.raises(ValueError, match="overflow_guard"):
+            IntegratorConfig(overflow_guard=value)
+
+    def test_the_defaults_are_accepted(self):
+        IntegratorConfig()
+        IntegratorConfig(rel_tol=1e-6, abs_tol=1e-300, overflow_guard=1e300)
 
 
 class TestMonitor:
