@@ -77,6 +77,7 @@ from .errors import (
     ExpressionError,
     InadmissibleCoefficientsError,
     InapplicableFamilyError,
+    IntegrationError,
     NotInvariantError,
     SpecValidationError,
     ZeroCrossingError,
@@ -87,6 +88,7 @@ from .expressions import (
     Neg,
     Var,
     differentiate,
+    free_vars,
     parse_expression,
     simplify,
     substitute,
@@ -119,6 +121,7 @@ _INAPPLICABLE_ERRORS = (
     ZeroCrossingError,
     NotInvariantError,
     EmptyDomainError,
+    IntegrationError,  # a trajectory that cannot be integrated over the span
 )
 
 def _commit(out_dir: Path, files: dict) -> None:
@@ -1006,6 +1009,11 @@ def cmd_integrate(spec: dict, builds: dict):
     problem = _problem(spec, builds)
     ode = problem.ode
     L = problem.primary if problem.members else None
+    unbound = free_vars(ode.rhs) - {"x", "v", "t"}
+    if unbound:
+        raise SpecValidationError(
+            f"the rhs depends on {sorted(unbound)}; "
+            "a trajectory's rhs may depend only on x, v and t")
     cfg = spec["integrate"]
     traj = integrate_ode(ode, cfg["x0"], cfg["v0"], cfg["t0"], cfg["t1"])
     columns = [c for c in ("t", "x", "v", "L", "E", "p") if c in cfg["columns"]]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Union
 
@@ -56,18 +56,27 @@ ABS_DERIVATIVE_NOTE = (
 
 ExprLike = Union["Expr", float, int]
 
+# assigns to a slot of a frozen node
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Expr:
     """Base class for all expression nodes."""
 
-    # ``_hash``: the node's structural hash, stored on first use (see
+    # ``_hash``: the node's structural hash, None until its first use (see
     # ``_node``).  ``_simplified``: set by ``simplify`` on a node it found to
     # be its own simplification; a marked node is returned as it is, so
     # ``simplify(node) is node`` for every marked node.  ``_text``: the
     # node's text and the precedence of its outermost operator, stored at
     # its first rendering (see ``_format``).
     __slots__ = ("_hash", "_simplified", "_text")
+
+    def __post_init__(self):
+        # the two memos read on every hash and every simplify visit start
+        # empty, so reading them never pays a missing-attribute lookup
+        _set(self, "_hash", None)
+        _set(self, "_simplified", False)
 
     def __add__(self, other: ExprLike) -> "Expr":
         return Add(self, as_expr(other))
@@ -107,12 +116,22 @@ class Expr:
 
 
 def _memo_hash(self: Expr) -> int:
-    try:
-        return self._hash
-    except AttributeError:
+    h = self._hash
+    if h is None:
         h = self._structural_hash()
-        object.__setattr__(self, "_hash", h)
-        return h
+        _set(self, "_hash", h)
+    return h
+
+
+def _set_state(self: Expr, state: list) -> None:
+    """Unpickling and copying: the fields from ``state``, the memos empty.
+
+    Only the fields are pickled (the stored hash depends on the hash seed
+    of the process that computed it), so the memos start over.
+    """
+    for field, value in zip(fields(self), state):
+        _set(self, field.name, value)
+    Expr.__post_init__(self)
 
 
 def _refuse_setattr(self: Expr, name: str, value) -> None:
@@ -129,11 +148,13 @@ def _node(cls: type) -> type:
 
     Without the memo every hash of a tree walks the whole tree, and the
     ``lru_cache``s and the field walks' per-sweep memo hash their keys at
-    every request.
+    every request.  Every way a node comes to be (construction, unpickling,
+    ``copy``) leaves ``_hash`` None and ``_simplified`` False.
     """
     cls = dataclass(frozen=True, slots=True)(cls)
     cls._structural_hash = cls.__hash__
     cls.__hash__ = _memo_hash
+    cls.__setstate__ = _set_state
     # the generated guards name the class that ``slots=True`` replaced: they
     # raise TypeError for a name that is not a field, and keep that class
     # alive among ``Expr.__subclasses__()``
@@ -152,7 +173,8 @@ class Const(Expr):
             raise ExpressionError(f"constant must be finite, got {val!r}")
         if val == 0.0:
             val = 0.0  # normalize -0.0
-        object.__setattr__(self, "value", val)
+        _set(self, "value", val)
+        Expr.__post_init__(self)
 
 
 @_node
@@ -164,6 +186,7 @@ class Var(Expr):
             raise ExpressionError(f"invalid variable name {self.name!r}")
         if self.name in RESERVED_NAMES:
             raise ExpressionError(f"{self.name!r} is a reserved function name")
+        Expr.__post_init__(self)
 
 
 @_node
@@ -252,12 +275,13 @@ class Antideriv(Expr):
             raise ExpressionError("integration base must be finite")
         if base == 0.0:
             base = 0.0  # normalize -0.0, as Const does: equal nodes agree
-        object.__setattr__(self, "base", base)
+        _set(self, "base", base)
         if antideriv_depth(self.integrand) >= MAX_ANTIDERIV_DEPTH:
             raise ExpressionError(
                 f"antiderivative nesting deeper than {MAX_ANTIDERIV_DEPTH} "
                 "is not supported"
             )
+        Expr.__post_init__(self)
 
 
 _UNARY_CLASSES = {"exp": Exp, "ln": Ln, "abs": Abs, "sqrt": Sqrt,
@@ -545,7 +569,7 @@ def _format(expr: Expr, min_prec: int) -> str:
             raise ExpressionError(
                 f"cannot format {type(expr).__name__}") from None
         pair = rule(expr)
-        object.__setattr__(expr, "_text", pair)
+        _set(expr, "_text", pair)
         text, prec = pair
     return text if prec >= min_prec else f"({text})"
 
@@ -598,27 +622,52 @@ def _rebuild(expr: Expr, f) -> Expr:
     """``expr`` with ``f`` applied to each child; ``expr`` itself when ``f``
     returns every child unchanged, so unchanged subtrees keep their identity
     and their stored hash."""
-    if isinstance(expr, (Const, Var)):
-        return expr
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        left, right = f(expr.left), f(expr.right)
-        if left is expr.left and right is expr.right:
-            return expr
-        return type(expr)(left, right)
-    if isinstance(expr, Pow):
-        base, exponent = f(expr.base), f(expr.exponent)
-        if base is expr.base and exponent is expr.exponent:
-            return expr
-        return Pow(base, exponent)
-    if isinstance(expr, (Neg, Exp, Ln, Abs, Sqrt, Sin, Cos)):
-        operand = f(expr.operand)
-        return expr if operand is expr.operand else type(expr)(operand)
-    if isinstance(expr, Antideriv):
-        integrand = f(expr.integrand)
-        if integrand is expr.integrand:
-            return expr
-        return Antideriv(integrand, expr.var, expr.base)
+    return _REBUILD_RULES.get(type(expr), _cannot_rebuild)(expr, f)
+
+
+def _cannot_rebuild(expr: Expr, f) -> Expr:
     raise ExpressionError(f"cannot rebuild {type(expr).__name__}")
+
+
+def _rebuild_leaf(expr: Expr, f) -> Expr:
+    return expr
+
+
+def _rebuild_binary(expr: Expr, f) -> Expr:
+    left, right = f(expr.left), f(expr.right)
+    if left is expr.left and right is expr.right:
+        return expr
+    return type(expr)(left, right)
+
+
+def _rebuild_pow(expr: Expr, f) -> Expr:
+    base, exponent = f(expr.base), f(expr.exponent)
+    if base is expr.base and exponent is expr.exponent:
+        return expr
+    return Pow(base, exponent)
+
+
+def _rebuild_unary(expr: Expr, f) -> Expr:
+    operand = f(expr.operand)
+    return expr if operand is expr.operand else type(expr)(operand)
+
+
+def _rebuild_antideriv(expr: Expr, f) -> Expr:
+    integrand = f(expr.integrand)
+    if integrand is expr.integrand:
+        return expr
+    return Antideriv(integrand, expr.var, expr.base)
+
+
+# each node type's rule for rebuilding it over new children
+_REBUILD_RULES = {
+    Const: _rebuild_leaf,
+    Var: _rebuild_leaf,
+    **dict.fromkeys((Add, Sub, Mul, Div), _rebuild_binary),
+    Pow: _rebuild_pow,
+    **dict.fromkeys((Neg, *_UNARY_CLASSES.values()), _rebuild_unary),
+    Antideriv: _rebuild_antideriv,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -664,61 +713,91 @@ def simplify(expr: Expr) -> Expr:
     done: dict = {}
 
     def once(e: Expr) -> Expr:
-        if getattr(e, "_simplified", False):
+        if e._simplified:
             return e
-        out = done.get(id(e))
+        key = id(e)
+        out = done.get(key)
         if out is None:
-            out = done[id(e)] = _simplify_node(_rebuild(e, once))
+            # _rebuild's lookup, inlined: one call less per node visited
+            rebuild = _REBUILD_RULES.get(type(e), _cannot_rebuild)
+            out = done[key] = _simplify_node(rebuild(e, once))
             if out is e:
-                object.__setattr__(e, "_simplified", True)
+                _set(e, "_simplified", True)
         return out
 
     return once(expr)
 
 
+def _simplify_leaf(expr: Expr) -> Expr:
+    return expr
+
+
+def _simplify_add(expr: Add) -> Expr:
+    l, r = expr.left, expr.right
+    lc, rc = isinstance(l, Const), isinstance(r, Const)
+    if lc and l.value == 0.0:
+        return r
+    if rc and r.value == 0.0:
+        return l
+    if lc and rc:
+        folded = _fold_binary(lambda a, b: a + b, l.value, r.value)
+        if folded is not None:
+            return folded
+    return expr
+
+
+def _simplify_sub(expr: Sub) -> Expr:
+    l, r = expr.left, expr.right
+    lc, rc = isinstance(l, Const), isinstance(r, Const)
+    if rc and r.value == 0.0:
+        return l
+    if lc and l.value == 0.0:
+        return Const(-r.value) if rc else Neg(r)
+    if lc and rc:
+        folded = _fold_binary(lambda a, b: a - b, l.value, r.value)
+        if folded is not None:
+            return folded
+    if l == r:
+        return ZERO
+    return expr
+
+
+def _simplify_mul(expr: Mul) -> Expr:
+    l, r = expr.left, expr.right
+    lc, rc = isinstance(l, Const), isinstance(r, Const)
+    if (lc and l.value == 0.0) or (rc and r.value == 0.0):
+        return ZERO
+    if lc and l.value == 1.0:
+        return r
+    if rc and r.value == 1.0:
+        return l
+    if lc and l.value == -1.0:
+        return Const(-r.value) if rc else Neg(r)
+    if rc and r.value == -1.0:
+        return Const(-l.value) if lc else Neg(l)
+    if lc and rc:
+        folded = _fold_binary(lambda a, b: a * b, l.value, r.value)
+        if folded is not None:
+            return folded
+    return expr
+
+
+# the node types whose rules are looked up, not reached through the
+# isinstance chain of ``_simplify_node``: the most frequent ones
+_SIMPLIFY_RULES = {
+    Const: _simplify_leaf,
+    Var: _simplify_leaf,
+    Add: _simplify_add,
+    Sub: _simplify_sub,
+    Mul: _simplify_mul,
+}
+
+
 def _simplify_node(expr: Expr) -> Expr:
     """The local rules at one node whose operands are already simplified."""
-    if isinstance(expr, Add):
-        l, r = expr.left, expr.right
-        if _is_const(l, 0.0):
-            return r
-        if _is_const(r, 0.0):
-            return l
-        if isinstance(l, Const) and isinstance(r, Const):
-            folded = _fold_binary(lambda a, b: a + b, l.value, r.value)
-            if folded is not None:
-                return folded
-        return expr
-    if isinstance(expr, Sub):
-        l, r = expr.left, expr.right
-        if _is_const(r, 0.0):
-            return l
-        if _is_const(l, 0.0):
-            return Const(-r.value) if isinstance(r, Const) else Neg(r)
-        if isinstance(l, Const) and isinstance(r, Const):
-            folded = _fold_binary(lambda a, b: a - b, l.value, r.value)
-            if folded is not None:
-                return folded
-        if l == r:
-            return ZERO
-        return expr
-    if isinstance(expr, Mul):
-        l, r = expr.left, expr.right
-        if _is_const(l, 0.0) or _is_const(r, 0.0):
-            return ZERO
-        if _is_const(l, 1.0):
-            return r
-        if _is_const(r, 1.0):
-            return l
-        if _is_const(l, -1.0):
-            return Const(-r.value) if isinstance(r, Const) else Neg(r)
-        if _is_const(r, -1.0):
-            return Const(-l.value) if isinstance(l, Const) else Neg(l)
-        if isinstance(l, Const) and isinstance(r, Const):
-            folded = _fold_binary(lambda a, b: a * b, l.value, r.value)
-            if folded is not None:
-                return folded
-        return expr
+    rule = _SIMPLIFY_RULES.get(type(expr))
+    if rule is not None:
+        return rule(expr)
     if isinstance(expr, Div):
         l, r = expr.left, expr.right
         if _is_const(r, 1.0):

@@ -227,8 +227,11 @@ class DomainBox:
         if len(self.grid) != 3 or any(int(n) < 1 for n in self.grid):
             raise ValueError("grid must have three positive counts")
         object.__setattr__(self, "grid", tuple(int(n) for n in self.grid))
-        if self.n_random < 0:
+        if int(self.n_random) < 0:
             raise ValueError("n_random must be non-negative")
+        # an integral float (32.0, which JSON Schema accepts as an integer)
+        # counts draws like the int; np.fromiter takes only an int count
+        object.__setattr__(self, "n_random", int(self.n_random))
         if self.seed is None:
             # random.Random(None) draws from the system's entropy, which
             # _geometry would then keep for later calls

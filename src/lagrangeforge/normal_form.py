@@ -53,6 +53,8 @@ def _round12(c: float) -> float:
     """Round to 12 significant digits so ulp noise cannot split term keys."""
     if c == 0.0 or not math.isfinite(c):
         return c
+    if -1e12 < c < 1e12 and c == int(c):
+        return c  # an integer of at most 12 digits: its own rounding
     return float(f"{c:.12g}")
 
 
@@ -76,10 +78,6 @@ def _atom_nf(atom, exponent=1.0):
     return ((1.0, ((atom, _round12(exponent)),), _ZERO_NF),)
 
 
-def _sort_terms(terms):
-    return tuple(sorted(terms, key=lambda term: (term[1], term[2], term[0])))
-
-
 def _expand_term(term):
     """Flatten sum-atoms raised to small positive integer powers.
 
@@ -101,26 +99,34 @@ def _expand_term(term):
 def _merge(terms):
     acc = {}
     scale = 0.0
-    flat = []
     for term in terms:
-        flat.extend(_expand_term(term))
-    for coeff, factors, exparg in flat:
-        key = (factors, exparg)
-        acc[key] = acc.get(key, 0.0) + coeff
-        scale = max(scale, abs(coeff))
+        flat = (term,)
+        for atom, _ in term[1]:
+            if atom[0] == "sum":  # only a term with a sum atom can expand
+                flat = _expand_term(term)
+                break
+        for coeff, factors, exparg in flat:
+            key = (factors, exparg)
+            acc[key] = acc.get(key, 0.0) + coeff
+            if abs(coeff) > scale:
+                scale = abs(coeff)
+    # cancellation down in the float noise counts as zero
+    noise = 1e-12 * scale
     out = []
-    for (factors, exparg), coeff in acc.items():
+    # terms in (factors, exparg) order; no two share a key
+    for (factors, exparg), coeff in sorted(acc.items()):
         coeff = _round12(coeff)
-        # cancellation down in the float noise counts as zero
-        if coeff == 0.0 or abs(coeff) <= 1e-12 * scale:
+        if coeff == 0.0 or abs(coeff) <= noise:
             continue
         out.append((coeff, factors, exparg))
     if len(out) > _MAX_TERMS:
         raise _Budget
-    return _sort_terms(out)
+    return tuple(out)
 
 
 def _nf_add(a, b):
+    if not a and not b:
+        return _ZERO_NF
     return _merge(a + b)
 
 
@@ -136,9 +142,8 @@ def _mul_term(t1, t2):
     powers = {}
     for atom, exponent in f1 + f2:
         powers[atom] = powers.get(atom, 0.0) + exponent
-    factors = tuple(sorted(
-        (atom, _round12(p)) for atom, p in powers.items() if _round12(p) != 0.0
-    ))
+    rounded = [(atom, _round12(p)) for atom, p in powers.items()]
+    factors = tuple(sorted(f for f in rounded if f[1] != 0.0))
     return (c1 * c2, factors, _nf_add(e1, e2))
 
 

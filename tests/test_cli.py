@@ -6,6 +6,7 @@ artifacts are all observable without spawning subprocesses.
 import csv
 import hashlib
 import json
+import math
 import os
 import stat
 from pathlib import Path
@@ -338,6 +339,21 @@ class TestVerify:
         assert sum(blank) == report["samples_skipped"] == 18
         assert max(float(row[4]) for row in rows if row[4]) == report["max_residual"]
 
+    def test_an_integral_float_n_random_draws_like_the_int(self, tmp_path):
+        # JSON Schema accepts 32.0 as an integer; the sampler counts it as 32
+        runs = {}
+        for n_random in (32, 32.0):
+            doc = {"version": 1,
+                   "equation": {"rhs": "-x", "lagrangian": "0.5*v^2 - 0.5*x^2"},
+                   "domain": {"n_random": n_random}}
+            out = tmp_path / repr(n_random)
+            assert run("verify", write_spec(tmp_path, doc), out) == EXIT_OK
+            runs[n_random] = (load_report(out)["verification"],
+                              (out / "residuals.csv").read_bytes())
+        assert runs[32.0] == runs[32]
+        grid = normalize_spec(doc)["domain"]["grid"]
+        assert runs[32][0]["user"]["samples_used"] == math.prod(grid) + 32
+
     def test_bare_rhs_without_lagrangian_is_inapplicable(self, tmp_path):
         spec = write_spec(tmp_path, FREE_RHS)
         assert run("verify", spec, tmp_path / "out") == EXIT_INAPPLICABLE
@@ -391,6 +407,28 @@ class TestIntegrate:
         for row in rows:
             assert float(row[1]) == pytest.approx(0.5 * 1.5**2, rel=1e-9)
             assert float(row[2]) == pytest.approx(1.5, rel=1e-9)
+
+
+    @pytest.mark.parametrize("rhs, x0, code, message", [
+        ("ln(0)", 1.0, EXIT_INAPPLICABLE, "log of non-positive value 0.0"),
+        ("-x", 1e308, EXIT_INAPPLICABLE, "state overflow"),
+        ("-x + integral(s, 0, s)", 1.0, EXIT_INPUT_ERROR, "depends on ['s']"),
+    ])
+    def test_a_trajectory_that_cannot_run_still_gets_a_report(
+            self, tmp_path, rhs, x0, code, message):
+        doc = {"version": 1, "equation": {"rhs": rhs},
+               "integrate": {"x0": x0, "v0": 0.0, "t0": 0.0, "t1": 1.0}}
+        out = tmp_path / "out"
+        assert run("integrate", write_spec(tmp_path, doc), out) == code
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"),
+                            parse_constant=refuse)
+        assert report["exit_code"] == code
+        assert message in report["error"]["message"]
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestCompare:

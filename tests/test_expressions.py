@@ -45,6 +45,7 @@ from lagrangeforge import (
 from lagrangeforge.expressions import _FORMAT_RULES, _diff_cached, _memo_hash
 
 X, V, T = Var("x"), Var("v"), Var("t")
+UNSET = object()  # getattr's default for a slot that holds no value
 
 
 class TestParsing:
@@ -467,14 +468,17 @@ class TestNodeHash:
         assert calls == []
 
     def test_memo_stays_out_of_fields_repr_eq_and_pickle(self):
-        # each memo slot, the call that fills it, and a forged value
-        for slot, fill, forged_value in (("_hash", hash, 0),
-                                         ("_simplified", simplify, True),
-                                         ("_text", str, ("forged", 5))):
+        # each memo slot, the call that fills it, a forged value, and the
+        # slot's empty value (``_text`` stays unset until the first render)
+        for slot, fill, forged_value, empty in (
+                ("_hash", hash, 0, None),
+                ("_simplified", simplify, True, False),
+                ("_text", str, ("forged", 5), UNSET)):
             tree = parse_expression(ALL_NODES, params=("s",))
+            assert getattr(tree, slot, UNSET) is empty
             text = repr(tree)
             fill(tree)
-            assert hasattr(tree, slot)
+            assert getattr(tree, slot, UNSET) is not empty
             assert repr(tree) == text and slot not in text
             for node in _nodes(tree):
                 assert slot not in {f.name for f in dataclasses.fields(node)}
@@ -482,7 +486,7 @@ class TestNodeHash:
             object.__setattr__(forged, slot, forged_value)
             assert forged == tree
             restored = pickle.loads(pickle.dumps(tree))
-            assert not hasattr(restored, slot)
+            assert getattr(restored, slot, UNSET) is empty
             assert restored == tree and hash(restored) == hash(tree)
             assert str(restored) == str(tree)
 
@@ -512,7 +516,7 @@ class TestNodeHash:
             node.left = T
         with pytest.raises(dataclasses.FrozenInstanceError):
             node._hash = 0
-        assert node.left == X and not hasattr(node, "_hash")
+        assert node.left == X and node._hash is None
 
 
 def test_symbolic_caches_are_bounded():
