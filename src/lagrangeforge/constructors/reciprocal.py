@@ -9,8 +9,8 @@ Specializations built here:
   and G = 3 c F / b.  Helpers generate compatible coefficient triples from
   two of the three functions.
 * time-dependent linear: x'' + b(t) x' + c(t) x = 0 via F = f(t), G = g(t) x
-  with f = w^3 for an auxiliary oscillation w; solved numerically and
-  represented as a fitted polynomial, then verified.
+  with f = w^3 for an auxiliary oscillation w, an ODE-solution node whose
+  derivatives come from its equation; then verified.
 * quadratic drag with separated damping: x'' + a(x) x'^2 + b(t) x' = 0 via
   nu = 2 with F = exp(2 int a + 3 int b), G = exp(int b).
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from ..errors import (
     BadExponentError,
@@ -36,12 +35,12 @@ from ..expressions import (
     Exp,
     Expr,
     Neg,
+    OdeSolution,
     Pow,
     Var,
     differentiate,
     simplify,
 )
-from ..dynamics import IntegratorConfig, integrate_ode
 from ..lagrangian import (
     DomainBox,
     Lagrangian,
@@ -211,80 +210,6 @@ def build_reciprocal_autonomous(a: Expr, b: Expr, c: Expr,
 
 # --- time-dependent linear dynamics -------------------------------------------
 
-def _cheb_nodes(n: int, lo: float, hi: float) -> np.ndarray:
-    tau = npcheb.chebpts2(n)
-    return 0.5 * (hi - lo) * (tau + 1.0) + lo
-
-
-def _poly_expr_in_time(coeffs: np.ndarray, lo: float, hi: float) -> Expr:
-    """Horner form of a tau-polynomial, tau = (2t - lo - hi)/(hi - lo)."""
-    tau = simplify(
-        Div(Const(2.0) * _T - Const(lo + hi), Const(hi - lo))
-    )
-    acc: Expr = Const(float(coeffs[-1]))
-    for ck in coeffs[-2::-1]:
-        acc = Const(float(ck)) + tau * acc
-    return acc
-
-
-def _fit_time_function(samples_fn, lo: float, hi: float,
-                       ladder=(12, 16, 20, 24, 28, 32),
-                       fit_tol: float = 5e-8):
-    """Fit a smooth scalar function of t on [lo, hi] by one polynomial.
-
-    ``samples_fn(ts)`` must return function values at the sorted points
-    ``ts``.  Returns (expr, worst_check_error).
-    """
-    best = None
-    for n in ladder:
-        nodes = _cheb_nodes(n, lo, hi)
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        ts = np.sort(np.concatenate([nodes, mids]))
-        values = dict(zip(ts.tolist(), samples_fn(ts.tolist())))
-        node_vals = np.array([values[t] for t in nodes.tolist()])
-        tau = npcheb.chebpts2(n)
-        series = npcheb.chebfit(tau, node_vals, n - 1)
-        poly = npcheb.cheb2poly(series)
-        scale = max(1.0, float(np.max(np.abs(node_vals))))
-        # check against held-out midpoints
-        tau_mid = (2.0 * mids - lo - hi) / (hi - lo)
-        fit_mid = np.polynomial.polynomial.polyval(tau_mid, poly)
-        err = float(np.max(np.abs(
-            fit_mid - np.array([values[t] for t in mids.tolist()])
-        ))) / scale
-        if best is None or err < best[1]:
-            best = (_poly_expr_in_time(poly, lo, hi), err)
-        if err <= fit_tol:
-            break
-    return best
-
-
-def _ode_time_samples(rhs: Expr, lo: float, init: tuple):
-    """Sampler solving w'' = rhs(w, w', t) to the requested times in turn.
-
-    Every call starts again from ``init`` at ``lo``, so each rung of the
-    fit ladder integrates its own points from the start; all calls share
-    one :class:`OdeSpec`, and so one compiled right-hand side.
-    """
-    ode = OdeSpec(rhs)
-    config = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
-
-    def samples(ts):
-        t, (w, dw) = lo, init
-        out = []
-        for t_target in ts:
-            if t_target < t - 1e-12:
-                raise ValueError("time samples must be non-decreasing")
-            if t_target > t:
-                traj = integrate_ode(ode, w, dw, t, t_target, config)
-                w, dw = traj.final_state
-                t = t_target
-            out.append(w)
-        return out
-
-    return samples
-
-
 def reciprocal_linear_rhs(b: Expr, c: Expr) -> Expr:
     """Acceleration -(b(t) x' + c(t) x) of the time-dependent linear family."""
     return simplify(-(b * _V + c * _X))
@@ -297,9 +222,11 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
 
     Uses f = w^3 where w solves the auxiliary equation
         w'' = (b/3) w' + ((2/3) b' + (2/9) b^2 - c) w
-    and g = (2 f b - f') / 3, which reproduces the damping exactly and the
-    stiffness to the accuracy of the numerically represented w.  Always
-    verifies the result; raises on residuals above the tolerance.
+    and g = (2 f b - f') / 3.  w is an ODE-solution node: its derivatives
+    come from the auxiliary equation, at the node's own (w, w'), so the
+    Lagrangian reproduces the dynamics up to rounding, whatever the
+    integration error of w.  Always verifies the result; raises on
+    residuals above the tolerance.
     """
     require_free_of(b, ("x", "v"), "coefficient b")
     require_free_of(c, ("x", "v"), "coefficient c")
@@ -315,8 +242,7 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
             - c
         ) * _X
     )
-    W, fit_err = _fit_time_function(_ode_time_samples(aux_rhs, lo, w_init),
-                                    lo, hi)
+    W = OdeSolution(aux_rhs, lo, hi, *w_init)
 
     w_min = min_abs_in_time(W, lo, hi)
     if not w_min >= 1e-8:
@@ -332,8 +258,7 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
     L = simplify(Div(Const(1.0), denom))
     lagr = Lagrangian(
         L, family="reciprocal-linear",
-        gauge=f"w({lo}) = {w_init[0]}, w'({lo}) = {w_init[1]}; "
-              f"polynomial fit error {fit_err:.1e}",
+        gauge=f"w({lo}) = {W.w0}, w'({lo}) = {W.dw0}",
         domain_note=f"t in [{lo}, {hi}]",
     )
     box = options.verify_box or DomainBox(
@@ -341,9 +266,8 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
         grid=(4, 4, 6), n_random=40, seed=23,
         strata=(relative_stratum(simplify(denom)),),
     )
-    opts = replace(options, verify=True,
-                   verify_tol=max(options.verify_tol, 1e-5))
-    return post_verify(lagr, OdeSpec(reciprocal_linear_rhs(b, c)), box, opts)
+    return post_verify(lagr, OdeSpec(reciprocal_linear_rhs(b, c)), box,
+                       replace(options, verify=True))
 
 
 def build_reciprocal_linear_variant(b: Expr, c: Expr, t_span: tuple,
@@ -366,10 +290,7 @@ def build_reciprocal_linear_variant(b: Expr, c: Expr, t_span: tuple,
     aux_rhs = simplify(
         Const(2.0) * differentiate(b, "t") - c - b * _V
     )
-    Phi_expr, _ = _fit_time_function(
-        _ode_time_samples(aux_rhs, lo, (0.0, 0.0)), lo, hi
-    )
-    f = Exp(Phi_expr)
+    f = Exp(OdeSolution(aux_rhs, lo, hi, 0.0, 0.0))
     g = simplify(Const(2.0) * f * b - differentiate(f, "t"))
     denom = f * _V + g * _X
     L = simplify(Div(Const(1.0), denom))

@@ -21,7 +21,8 @@ from .errors import (
     OverflowGuardError,
     StepUnderflowError,
 )
-from .evaluation import compile_callable, evaluate_points
+from . import evaluation
+from .evaluation import compile_callable, evaluate_points, hermite
 from .expressions import Expr, as_expr, free_vars
 from .lagrangian import _COMPILED_RHS, OdeSpec
 
@@ -93,18 +94,10 @@ class Trajectory:
         if h == 0.0:
             return self.states[i]
         theta = (t - t0) / h
-        th2 = theta * theta
-        th3 = th2 * theta
-        h00 = 2.0 * th3 - 3.0 * th2 + 1.0
-        h10 = th3 - 2.0 * th2 + theta
-        h01 = -2.0 * th3 + 3.0 * th2
-        h11 = th3 - th2
         y0, y1 = self.states[i], self.states[i + 1]
         d0, d1 = self.derivs[i], self.derivs[i + 1]
-        return tuple(
-            h00 * y0[k] + h10 * h * d0[k] + h01 * y1[k] + h11 * h * d1[k]
-            for k in range(2)
-        )
+        return tuple(hermite(theta, h, y0[k], d0[k], y1[k], d1[k])
+                     for k in range(2))
 
 
 def _rhs_callable(ode: OdeSpec) -> Callable:
@@ -159,6 +152,8 @@ _B41, _B42, _B43, _B44, _B45, _B46, _B47 = _DP_B4
 
 
 def _integrate_dp45(f, x0, v0, t0, t1, cfg):
+    max_steps, limit = cfg.max_steps, cfg.overflow_guard
+    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     times = [t0]
@@ -174,9 +169,9 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
     steps = 0
     rejected = 0
     while direction * (t1 - t) > 0.0:
-        if steps + rejected >= cfg.max_steps:
+        if steps + rejected >= max_steps:
             raise IntegrationError(
-                f"step limit {cfg.max_steps} reached at t = {t!r}"
+                f"step limit {max_steps} reached at t = {t!r}"
             )
         if abs(h) > abs(t1 - t):
             h = t1 - t
@@ -224,9 +219,11 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
                       + _B45 * q5 + _B46 * q6 + _B47 * q7)
 
         if not (math.isfinite(x5) and math.isfinite(v5)):
-            _guard(x5, v5, t + h, cfg.overflow_guard)
-        scale_x = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(x5))
-        scale_v = cfg.abs_tol + cfg.rel_tol * max(abs(v), abs(v5))
+            _guard(x5, v5, t + h, limit)
+        # x5 and v5 are finite here, so a comparison picks max()'s operand
+        ax, ax5, av, av5 = abs(x), abs(x5), abs(v), abs(v5)
+        scale_x = abs_tol + rel_tol * (ax5 if ax5 > ax else ax)
+        scale_v = abs_tol + rel_tol * (av5 if av5 > av else av)
         err = math.sqrt(0.5 * (
             ((x5 - x4) / scale_x) ** 2 + ((v5 - v4) / scale_v) ** 2
         ))
@@ -234,7 +231,8 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
         if err <= 1.0:
             t = t + h
             x, v = x5, v5
-            _guard(x, v, t, cfg.overflow_guard)
+            if not (ax5 <= limit and av5 <= limit):
+                _guard(x, v, t, limit)
             k1 = (p7, q7)  # FSAL: last stage sits at (t + h, y5)
             times.append(t)
             states.append((x, v))
@@ -274,6 +272,14 @@ def integrate_ode(ode: OdeSpec, x0: float, v0: float, t0: float, t1: float,
         raise IntegrationError(
             f"dynamics evaluation failed: {err}"
         ) from err
+
+
+# ODE-solution nodes are solved by this integrator, at these tolerances;
+# evaluation cannot import this module, which imports it (see evaluation's
+# "ODE-solution nodes")
+evaluation.integrate_ode = integrate_ode
+evaluation._SPEC_TYPE = OdeSpec
+evaluation._SOLUTION_CONFIG = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-13)
 
 
 def monitor_quantity(traj: Trajectory, quantity: Expr) -> list:

@@ -60,9 +60,18 @@ its cached symbolic derivatives from
 :func:`~lagrangeforge.expressions.differentiate`, which applies the
 fundamental theorem of calculus in the integration variable and
 differentiates under the integral sign in the others.
+
+An ODE-solution node reads one trajectory of its equation, integrated once
+over its whole span and kept (``_solution_table``), through the cubic
+Hermite dense output that :meth:`~lagrangeforge.dynamics.Trajectory.sample`
+uses (:func:`hermite`).  Every entry point reads it through one array
+routine, a single time as an array of one, so they agree bit for bit.  Its
+jet, like an integral's, evaluates its symbolic derivatives: the rate node,
+and for the rate the equation's right-hand side.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Callable, Mapping, Sequence
@@ -82,6 +91,7 @@ from .expressions import (
     Ln,
     Mul,
     Neg,
+    OdeSolution,
     Pow,
     Sin,
     Sqrt,
@@ -202,6 +212,10 @@ def evaluate(expr: Expr, binding: Binding) -> float:
                           evaluate(expr.exponent, binding))
     if kind is Antideriv:
         return _antideriv_point(expr, binding)
+    if kind is OdeSolution:
+        if "t" not in binding:
+            raise EvalDomainError("unbound variable 't'")
+        return _solution_at(expr, float(binding["t"]))
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
@@ -263,6 +277,9 @@ def _compile(expr, names):
         else:
             if kind is Antideriv:
                 text = f"{constant(_integral_call(node, names))}({', '.join(args)})"
+            elif kind is OdeSolution:
+                reader = functools.partial(_solution_at, node)
+                text = f"{constant(reader)}({args[names.index('t')]})"
             elif kind is Pow:
                 base = emit(node.base)
                 text = f"_pow_value({base}, {emit(node.exponent)})"
@@ -422,6 +439,103 @@ def definite_integral(
     """Integrate ``expr`` in ``var`` over [lo, hi], other variables frozen."""
     env = _point_env(expr, var, binding or {})
     return _integral_at(expr, var, float(lo), float(hi), env)
+
+
+# --- ODE-solution nodes ------------------------------------------------------
+#
+# dynamics imports this module, so this module cannot import the integrator.
+# dynamics sets these three names when it loads: the integrator, the spec
+# type it takes and the tolerances of a solve.  A solve looks
+# ``integrate_ode`` up here, in this module, so a wrapper bound in its place
+# (the benchmark's tracer wraps it in every module that binds it) sees it.
+integrate_ode = None
+_SPEC_TYPE = None
+_SOLUTION_CONFIG = None
+
+# How many trajectories _solution_table keeps.  An entry holds four float64
+# arrays of one element per accepted step: 3 KB for the 93 steps that a
+# reciprocal-linear build's auxiliary equation takes at the median.
+_SOLUTION_CACHE_SIZE = 16
+
+
+def hermite(theta, h, y0, d0, y1, d1):
+    """The cubic Hermite interpolant at ``theta`` in [0, 1] of a step of
+    width ``h`` from value ``y0`` and slope ``d0`` to ``y1`` and ``d1``.
+
+    Written once for floats and for arrays alike: numpy rounds each
+    operation as Python does, so both give the same bits.
+    """
+    th2 = theta * theta
+    th3 = th2 * theta
+    h00 = 2.0 * th3 - 3.0 * th2 + 1.0
+    h10 = th3 - 2.0 * th2 + theta
+    h01 = -2.0 * th3 + 3.0 * th2
+    h11 = th3 - th2
+    return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+
+
+@functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
+def _solution_table(rhs: Expr, t0: float, t1: float, w0: float,
+                    dw0: float) -> tuple:
+    """One trajectory of ``w'' = rhs(w, w', t)`` from ``(w0, dw0)`` at
+    ``t0`` to ``t1``, as read-only arrays: the accepted times, then w, w'
+    and w'' at them.
+
+    Keyed by the equation, the span and the initial data, so a solution
+    node and its rate share one solve.  Raises the integrator's
+    :class:`~lagrangeforge.errors.IntegrationError` where the solve fails.
+    """
+    traj = integrate_ode(_SPEC_TYPE(rhs), w0, dw0, t0, t1, _SOLUTION_CONFIG)
+    states, derivs = np.array(traj.states), np.array(traj.derivs)
+    table = (np.array(traj.times), states[:, 0], states[:, 1], derivs[:, 1])
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+def _solution_read(node: OdeSolution, t: np.ndarray) -> tuple:
+    """``node`` at the times ``t``, a float64 array, and where it is defined.
+
+    A time outside the node's span is undefined, up to a few units in the
+    last place of its ends: a box that spans the interval steps its grid
+    as ``lo + i * step``, whose last point can round past ``hi``.  Such a
+    time reads the end step's interpolant a hair outside it.
+    """
+    times, w, dw, ddw = _solution_table(node.rhs, node.t0, node.t1,
+                                        node.w0, node.dw0)
+    slack = 8.0 * math.ulp(max(abs(node.t0), abs(node.t1)))
+    inside = (t >= node.t0 - slack) & (t <= node.t1 + slack)
+    if not inside.all():
+        t = np.where(inside, t, node.t0)   # no work at a time outside
+    i = np.searchsorted(times, t, side="right") - 1
+    np.clip(i, 0, len(times) - 2, out=i)
+    y, d = (w, dw) if node.order == 0 else (dw, ddw)
+    start = times[i]
+    h = times[i + 1] - start
+    return hermite((t - start) / h, h, y[i], d[i], y[i + 1], d[i + 1]), inside
+
+
+def _solution_at(node: OdeSolution, t: float) -> float:
+    """:func:`evaluate` of a solution node at time ``t``: the field rule's
+    read, one time."""
+    values, inside = _solution_read(node, np.array([t]))
+    if not inside[0]:
+        raise EvalDomainError(
+            f"time {t!r} outside the solution's span [{node.t0!r}, {node.t1!r}]")
+    return values[0].item()
+
+
+def _solution_field(node: OdeSolution, sweep) -> np.ndarray:
+    """A solution node at every point of ``sweep``; masks times outside its span."""
+    t = sweep.columns.get("t")
+    if t is None:
+        sweep.fail(True, EvalDomainError, "unbound variable {!r}", "t")
+        return math.nan
+    t = _full(t, len(sweep.bad))
+    values, inside = _solution_read(node, t)
+    sweep.fail(~inside, EvalDomainError,
+               "time {!r} outside the solution's span", t)
+    return values
 
 
 # --- second-order jets ------------------------------------------------------
@@ -731,23 +845,25 @@ def _leaf(value, zero) -> Jet2:
 _HESSIAN_PAIRS = ((0, 1), (1, 1), (1, 2))
 
 
-def _antideriv_slots(node: Antideriv) -> tuple:
-    """The expressions of an integral's seven jet slots, in Jet2's order.
+def _antideriv_slots(node: Expr) -> tuple:
+    """The expressions of a node's seven jet slots, in Jet2's order: the
+    jet of an integral or an ODE solution, whose rules are symbolic.
 
     Each slot costs a symbolic derivative and, at every point, often one
     more integral, so only the slots :class:`Jet2` keeps are built; a point
     where only the integral of some other derivative is undefined is in the
     jet's domain.
     """
-    # differentiate applies the fundamental theorem of calculus in node.var
-    # and differentiates under the integral sign in the other variables.
+    # differentiate applies the fundamental theorem of calculus in an
+    # integral's variable and differentiates under the integral sign in the
+    # other variables; a solution's t derivative comes from its equation.
     first = [differentiate(node, q) for q in _STATE]
     second = [differentiate(first[i], _STATE[j]) for i, j in _HESSIAN_PAIRS]
     return (node, *first, *second)
 
 
 def _is_zero(slot: Expr) -> bool:
-    """Whether an integral's slot expression is the constant 0, a leaf zero."""
+    """Whether a symbolic slot expression is the constant 0, a leaf zero."""
     return type(slot) is Const and slot.value == 0.0
 
 
@@ -1131,6 +1247,8 @@ def _value_node(expr, sweep):
         return sweep.value(Pow, base, _value_walk(expr.exponent, sweep))
     if kind is Antideriv:
         return _antideriv_field(expr, sweep)
+    if kind is OdeSolution:
+        return _solution_field(expr, sweep)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
@@ -1273,7 +1391,7 @@ def _jet_node(expr, sweep):
         return arg.chain(*sweep.vetted(_exp_rule, _full(arg.f, n), sweep))
     if kind is Neg:
         return -_jet_walk(expr.operand, sweep)
-    if kind is Antideriv:
+    if kind is Antideriv or kind is OdeSolution:
         return Jet2(*sweep.vetted(_leaf_values, sweep, _antideriv_slots(expr),
                                   source=True))
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")

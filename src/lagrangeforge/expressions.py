@@ -1,9 +1,11 @@
 """Expression trees over position x, velocity v, time t, and named parameters.
 
 The node set is deliberately small: constants, variables, the four arithmetic
-operations, negation, powers, exp/ln/abs/sqrt/sin/cos, and a single-variable
+operations, negation, powers, exp/ln/abs/sqrt/sin/cos, a single-variable
 definite-integral node ``Antideriv`` whose value at a point is the integral of
-its integrand from a fixed base to the current value of its variable.
+its integrand from a fixed base to the current value of its variable, and an
+``OdeSolution`` node whose value at time t is the solution of a fixed
+second-order initial-value problem, or its rate.
 
 Text syntax accepted by :func:`parse_expression`::
 
@@ -15,7 +17,9 @@ Text syntax accepted by :func:`parse_expression`::
 
 ``^`` binds tighter than unary minus, so ``-x^2`` parses as ``-(x^2)``.
 Function calls are limited to exp, ln, abs, sqrt, sin, cos, plus the integral
-form ``integral(var, base, integrand)`` used to round-trip Antideriv nodes.
+form ``integral(var, base, integrand)`` used to round-trip Antideriv nodes and
+the form ``ode_solution(rhs, t0, t1, w0, dw0, order)`` used to round-trip
+OdeSolution nodes.
 Free identifiers other than x, v, t must be declared as parameters.
 
 Expressions are immutable; all manipulation functions return new trees.
@@ -37,7 +41,7 @@ from .errors import (
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
-    "Exp", "Ln", "Abs", "Sqrt", "Sin", "Cos", "Antideriv",
+    "Exp", "Ln", "Abs", "Sqrt", "Sin", "Cos", "Antideriv", "OdeSolution",
     "parse_expression", "format_expression", "differentiate",
     "differentiate_with_notes", "substitute", "free_vars", "simplify",
     "canonical", "antideriv_depth", "as_expr",
@@ -47,7 +51,8 @@ __all__ = [
 CORE_VARIABLES = ("x", "v", "t")
 FUNCTION_NAMES = ("exp", "ln", "abs", "sqrt", "sin", "cos")
 INTEGRAL_NAME = "integral"
-RESERVED_NAMES = frozenset(FUNCTION_NAMES) | {INTEGRAL_NAME}
+SOLUTION_NAME = "ode_solution"
+RESERVED_NAMES = frozenset(FUNCTION_NAMES) | {INTEGRAL_NAME, SOLUTION_NAME}
 MAX_ANTIDERIV_DEPTH = 2
 
 ABS_DERIVATIVE_NOTE = (
@@ -284,6 +289,51 @@ class Antideriv(Expr):
         Expr.__post_init__(self)
 
 
+@_node
+class OdeSolution(Expr):
+    """The solution ``w`` of ``w'' = rhs(w, w', t)`` with ``w(t0) = w0`` and
+    ``w'(t0) = dw0``, on the span ``[t0, t1]``; its rate ``w'`` when
+    ``order`` is 1.
+
+    Inside ``rhs``, x stands for w and v for w'.  The equation is a
+    parameter of the node, not a child: the node depends on t alone, and
+    every walk treats it as a leaf.  Its derivative in t is the node of
+    order 1, whose own derivative is ``rhs`` with x and v replaced by the
+    two nodes (see :func:`differentiate`).
+    """
+
+    rhs: Expr
+    t0: float
+    t1: float
+    w0: float
+    dw0: float
+    order: int = 0
+
+    def __post_init__(self):
+        numbers = []
+        for name in ("t0", "t1", "w0", "dw0"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ExpressionError(f"solution {name} must be finite")
+            numbers.append(0.0 if value == 0.0 else value)  # normalize -0.0
+        t0, t1, w0, dw0 = numbers
+        if not t0 < t1:
+            raise ExpressionError("solution span must be a non-empty interval")
+        if self.order not in (0, 1):
+            raise ExpressionError("solution order must be 0 or 1")
+        extra = free_vars(self.rhs) - {"x", "v", "t"}
+        if extra:
+            raise ExpressionError(
+                f"solution equation depends on {sorted(extra)}, not only "
+                "on x, v and t")
+        _set(self, "t0", t0)
+        _set(self, "t1", t1)
+        _set(self, "w0", w0)
+        _set(self, "dw0", dw0)
+        _set(self, "order", int(self.order))
+        Expr.__post_init__(self)
+
+
 _UNARY_CLASSES = {"exp": Exp, "ln": Ln, "abs": Abs, "sqrt": Sqrt,
                   "sin": Sin, "cos": Cos}
 
@@ -331,6 +381,8 @@ def free_vars(expr: Expr) -> frozenset[str]:
         return frozenset((expr.name,))
     if isinstance(expr, Antideriv):
         return free_vars(expr.integrand) | {expr.var}
+    if isinstance(expr, OdeSolution):
+        return frozenset(("t",))
     out: frozenset[str] = frozenset()
     for child in _children(expr):
         out |= free_vars(child)
@@ -487,7 +539,17 @@ class _Parser:
             return _UNARY_CLASSES[name](arg)
         if name == INTEGRAL_NAME:
             return self.parse_integral()
+        if name == SOLUTION_NAME:
+            return self.parse_solution()
         raise UnknownIdentifierError(name, offset)
+
+    def parse_number(self) -> float:
+        """A numeric literal with an optional leading minus."""
+        sign = 1.0
+        if self.peek().kind == "-":
+            self.advance()
+            sign = -1.0
+        return sign * float(self.expect("NUMBER").text)
 
     def parse_integral(self) -> Expr:
         # integral(var, base, integrand); var is bound inside the integrand
@@ -499,11 +561,7 @@ class _Parser:
                 var_tok.offset,
             )
         self.expect(",")
-        sign = 1.0
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1.0
-        base_tok = self.expect("NUMBER")
+        base = self.parse_number()
         self.expect(",")
         self.bound.append(var_tok.text)
         try:
@@ -511,7 +569,24 @@ class _Parser:
         finally:
             self.bound.pop()
         self.expect(")")
-        return Antideriv(integrand, var_tok.text, sign * float(base_tok.text))
+        return Antideriv(integrand, var_tok.text, base)
+
+    def parse_solution(self) -> Expr:
+        # ode_solution(rhs, t0, t1, w0, dw0, order); x and v inside rhs
+        # stand for the solution and its rate
+        self.expect("(")
+        rhs = self.parse_sum()
+        numbers = []
+        for _ in range(4):
+            self.expect(",")
+            numbers.append(self.parse_number())
+        self.expect(",")
+        order_tok = self.expect("NUMBER")
+        if order_tok.text not in ("0", "1"):
+            raise ExprSyntaxError("solution order must be 0 or 1",
+                                  order_tok.offset)
+        self.expect(")")
+        return OdeSolution(rhs, *numbers, int(order_tok.text))
 
 
 def parse_expression(text: str, params: Iterable[str] = ()) -> Expr:
@@ -601,6 +676,10 @@ _FORMAT_RULES = {
                     f"{_format(e.exponent, _PREC_NEG)}", _PREC_POW),
     Antideriv: lambda e: (f"integral({e.var}, {_format_number(e.base)}, "
                           f"{_format(e.integrand, 0)})", _PREC_ATOM),
+    OdeSolution: lambda e: (
+        f"{SOLUTION_NAME}({_format(e.rhs, 0)}, "
+        + ", ".join(map(_format_number, (e.t0, e.t1, e.w0, e.dw0)))
+        + f", {e.order})", _PREC_ATOM),
     **{cls: _call(name) for name, cls in _UNARY_CLASSES.items()},
 }
 
@@ -609,9 +688,14 @@ def canonical(expr: Expr) -> Expr:
     """Normal form reached by parsing formatted output.
 
     The only rewrite is folding negation of numeric literals into the literal,
-    applied bottom-up, which makes ``parse(format(e)) == canonical(e)`` hold
-    for every tree.
+    applied bottom-up, the equations of ODE-solution nodes included, which
+    makes ``parse(format(e)) == canonical(e)`` hold for every tree.
     """
+    if type(expr) is OdeSolution:
+        rhs = canonical(expr.rhs)
+        if rhs is expr.rhs:
+            return expr
+        return OdeSolution(rhs, expr.t0, expr.t1, expr.w0, expr.dw0, expr.order)
     expr = _rebuild(expr, canonical)
     if isinstance(expr, Neg) and isinstance(expr.operand, Const):
         return Const(-expr.operand.value)
@@ -663,6 +747,7 @@ def _rebuild_antideriv(expr: Expr, f) -> Expr:
 _REBUILD_RULES = {
     Const: _rebuild_leaf,
     Var: _rebuild_leaf,
+    OdeSolution: _rebuild_leaf,
     **dict.fromkeys((Add, Sub, Mul, Div), _rebuild_binary),
     Pow: _rebuild_pow,
     **dict.fromkeys((Neg, *_UNARY_CLASSES.values()), _rebuild_unary),
@@ -787,6 +872,7 @@ def _simplify_mul(expr: Mul) -> Expr:
 _SIMPLIFY_RULES = {
     Const: _simplify_leaf,
     Var: _simplify_leaf,
+    OdeSolution: _simplify_leaf,
     Add: _simplify_add,
     Sub: _simplify_sub,
     Mul: _simplify_mul,
@@ -964,7 +1050,20 @@ def _diff(expr: Expr, var: str, notes: set[str]) -> Expr:
         if _is_const(inner, 0.0):
             return ZERO
         return Antideriv(simplify(inner), expr.var, expr.base)
+    if isinstance(expr, OdeSolution):
+        # var is t, the node's one free variable
+        return _solution_rate(expr)
     raise ExpressionError(f"cannot differentiate {type(expr).__name__}")
+
+
+def _solution_rate(node: OdeSolution) -> Expr:
+    """The t derivative of a solution node: the rate node for the solution,
+    and the equation at (solution, rate, t) for the rate."""
+    rate = OdeSolution(node.rhs, node.t0, node.t1, node.w0, node.dw0, 1)
+    if node.order == 0:
+        return rate
+    solution = OdeSolution(node.rhs, node.t0, node.t1, node.w0, node.dw0, 0)
+    return substitute(substitute(node.rhs, "x", solution), "v", rate)
 
 
 @lru_cache(maxsize=1024)
@@ -980,6 +1079,8 @@ def differentiate(expr: Expr, var: str) -> Expr:
     For Antideriv nodes the derivative with respect to the integration
     variable is the integrand (fundamental theorem of calculus); derivatives
     with respect to other variables differentiate under the integral sign.
+    An OdeSolution's t derivative comes from its equation, so a second
+    derivative of the solution is the equation's right-hand side.
     """
     return _diff_cached(expr, var)[0]
 
@@ -1019,6 +1120,9 @@ def substitute(expr: Expr, name: str, replacement: ExprLike) -> Expr:
             if name not in free_vars(node.integrand):
                 return node
             return Antideriv(walk(node.integrand), node.var, node.base)
+        if isinstance(node, OdeSolution):
+            raise SubstitutionError(
+                "cannot substitute the time of an ODE solution")
         if isinstance(node, (Const,)):
             return node
         return _rebuild(node, walk)

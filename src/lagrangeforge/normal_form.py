@@ -12,6 +12,10 @@ a relative tolerance.
 This is deliberately not a general simplifier: identities that need more than
 distribution and exponent bookkeeping (for example ``sin^2 + cos^2 = 1``) are
 out of scope, and structurally different atoms never compare equal.
+
+A form the floats cannot hold is refused: a coefficient that is not finite,
+or a power that overflows, ends the expansion as the size budget does, and
+:func:`normal_form` returns None.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from .expressions import (
     Ln,
     Mul,
     Neg,
+    OdeSolution,
     Pow,
     Sin,
     Sqrt,
@@ -115,6 +120,8 @@ def _merge(terms):
     out = []
     # terms in (factors, exparg) order; no two share a key
     for (factors, exparg), coeff in sorted(acc.items()):
+        if not math.isfinite(coeff):
+            raise _Budget  # an overflowed coefficient is not a form
         coeff = _round12(coeff)
         if coeff == 0.0 or abs(coeff) <= noise:
             continue
@@ -168,11 +175,21 @@ def _term_pow(term, n):
     coeff, factors, exparg = term
     if coeff < 0.0 and n != round(n):
         raise _Budget  # keep (-u)^p opaque rather than guess a branch
-    new_coeff = coeff ** n
+    new_coeff = _power(coeff, n)
     new_factors = tuple(sorted(
         (atom, _round12(e * n)) for atom, e in factors if _round12(e * n) != 0.0
     ))
+    if not all(math.isfinite(e) for _, e in new_factors):
+        raise _Budget
     return (new_coeff, new_factors, _nf_scale(exparg, n))
+
+
+def _power(num: float, n: float) -> float:
+    """``num ** n`` as a finite float; an overflow ends the expansion."""
+    try:
+        return num ** n
+    except OverflowError:
+        raise _Budget from None
 
 
 def _nf_pow(base, expo):
@@ -191,7 +208,7 @@ def _nf_pow(base, expo):
             if n < 0.0:
                 raise _Budget
             return _ZERO_NF
-        return _const_nf(num ** n)
+        return _const_nf(_power(num, n))
     if len(base) == 1:
         return _merge([_term_pow(base[0], n)])
     if n == round(n) and 2 <= n <= _MAX_EXPAND_POWER:
@@ -214,6 +231,8 @@ def _nf_exp(arg_nf):
         scale = math.exp(const_part)
     except OverflowError:
         raise _Budget from None
+    if not math.isfinite(scale):
+        raise _Budget  # exp of an overflowed sum
     return ((_round12(scale), (), _merge(rest)),)
 
 
@@ -265,6 +284,9 @@ def _nf_node(expr: Expr, memo: dict):
         return _atom_nf(("cos", nf(expr.operand)))
     if isinstance(expr, Antideriv):
         return _atom_nf(("antideriv", nf(expr.integrand), expr.var, expr.base))
+    if isinstance(expr, OdeSolution):
+        # an opaque atom; its text tells two solutions apart and sorts
+        return _atom_nf(("solution", str(expr)))
     raise TypeError(f"cannot normalize node of type {type(expr).__name__}")
 
 

@@ -16,7 +16,6 @@ from lagrangeforge import (
     Add,
     Antideriv,
     Const,
-    ConstructionVerificationError,
     Div,
     EvalDomainError,
     Ln,
@@ -26,7 +25,6 @@ from lagrangeforge import (
     Sqrt,
     Sub,
     Var,
-    build_reciprocal_linear,
     compile_callable,
     evaluate,
     integrate_ode,
@@ -147,16 +145,6 @@ def test_one_compile_per_spec(compiles):
         integrate_ode(ode, 1.0, 0.0, 0.0, t1)
     assert len(compiles) == 1
     integrate_ode(OdeSpec(ode.rhs), 1.0, 0.0, 0.0, 0.5)
-    assert len(compiles) == 2
-
-
-def test_a_reciprocal_linear_fit_compiles_its_rhs_once(compiles):
-    build_reciprocal_linear(Const(0.6), Const(0.0), (0.0, 2.0))
-    assert len(compiles) == 1
-    # a fit that climbs the ladder past its first rung compiles once too
-    with pytest.raises(ConstructionVerificationError):
-        build_reciprocal_linear(parse_expression("0.3*sin(9*t)"),
-                                parse_expression("4 + 2*cos(7*t)"), (0.0, 3.0))
     assert len(compiles) == 2
 
 

@@ -371,7 +371,7 @@ class TestStructure:
 
 # one tree holding every node type
 ALL_NODES = ("exp(2*x) + ln(v) - abs(t) * sqrt(x) / sin(v)^cos(t) + -x"
-             " + integral(s, 0.375, s*x)")
+             " + integral(s, 0.375, s*x) + ode_solution(-x, 0, 1, 1, 0, 0)")
 
 
 def _nodes(expr):
@@ -415,7 +415,7 @@ def _count_structural_hashes(monkeypatch):
 
 class TestNodeHash:
     def test_every_node_type_is_slotted_and_memoised(self):
-        assert len(_node_types()) == 15
+        assert len(_node_types()) == 16
         assert _unmemoised_node_types() == []
 
     def test_check_flags_a_plain_dataclass_node(self):

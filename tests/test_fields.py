@@ -43,6 +43,7 @@ from lagrangeforge import (
     build_reciprocal_linear,
     build_standard,
     compile_callable,
+    differentiate,
     euler_lagrange_residual,
     eval_jet2,
     evaluate,
@@ -50,6 +51,7 @@ from lagrangeforge import (
     invariant_drift,
     jet_field,
     parse_expression,
+    simplify,
     verify_lagrangian,
 )
 from lagrangeforge import evaluation, expressions
@@ -216,10 +218,22 @@ def _counting(monkeypatch, module, name):
     return seen
 
 
+def _horner_lagrangian() -> Lagrangian:
+    """L = 1 / (w^3 v + (w^3)' x) for a Horner polynomial w in
+    tau = (2t - 2.1) / 1.9."""
+    tau = simplify(Div(Const(2.0) * Var("t") - Const(2.1), Const(1.9)))
+    w = Const(0.05)
+    for k in range(11):
+        w = Const(1.0 if k == 10 else 0.05) + tau * w
+    f = Pow(w, Const(3.0))
+    return Lagrangian(simplify(Div(Const(1.0), f * Var("v")
+                                   + differentiate(f, "t") * Var("x"))))
+
+
 def test_each_distinct_subtree_is_walked_once(monkeypatch):
     # w is a Horner polynomial in tau, so L repeats the tau and Horner
     # chains many times over; a lost memo multiplies the work and fails here
-    L = BUILDS["reciprocal-linear"](BuilderOptions(verify=True, verify_tol=1e-5))
+    L = _horner_lagrangian()
     nodes = list(_nodes(L.expr))
     inner = {n for n in nodes if not isinstance(n, (Const, Var))}
     assert len(nodes) > 10 * len(inner)

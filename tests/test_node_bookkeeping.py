@@ -397,6 +397,8 @@ def _merge_reference(terms):
         scale = max(scale, abs(coeff))
     out = []
     for (factors, exparg), coeff in acc.items():
+        if not math.isfinite(coeff):
+            raise nf._Budget  # overflow is refused, not dropped as noise
         coeff = _round12_reference(coeff)
         if coeff == 0.0 or abs(coeff) <= 1e-12 * scale:
             continue

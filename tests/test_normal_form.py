@@ -1,6 +1,15 @@
 """Expanded-normal-form equivalence checks."""
+import numpy as np
+import pytest
 
-from lagrangeforge import equivalent_expressions, parse_expression
+from lagrangeforge import (
+    Const,
+    equivalent_expressions,
+    normal_form,
+    parse_expression,
+)
+from lagrangeforge.constructors import constraint_defect
+from lagrangeforge.constructors.common import max_abs_defect
 
 
 def eq(a, b, params=()):
@@ -76,3 +85,33 @@ class TestOpaqueFallback:
     def test_ln_atoms(self):
         assert eq("v*ln(v) - v*ln(v)", "0")
         assert eq("ln(v)*v", "v*ln(v)")
+
+
+class TestOverflowIsRefused:
+    """A form the floats cannot hold ends the expansion: None, the budget
+    signal, never an exception and never a dropped term."""
+
+    @pytest.mark.parametrize("text", [
+        "2^1e308 * x",                  # a constant power overflows
+        "(1e200*x + v)^2",              # a product of coefficients does
+        "(1e300*x)*(1e300*v) + x",      # one that was dropped as noise
+        "(1e110*x)^3",                  # a coefficient's power does
+        "exp(1e308*x + 1e308 + 1e308)",
+    ])
+    def test_normal_form_returns_none(self, text):
+        assert normal_form(parse_expression(text)) is None
+
+    def test_equivalence_falls_back_to_structure(self):
+        assert eq("(1e300*x)*(1e300*v)", "(1e300*x)*(1e300*v)")
+        assert not eq("(1e300*x)*(1e300*v) + x", "x")
+
+    def test_an_overflowing_defect_is_sampled(self):
+        defect = parse_expression("(1e300*x)*(1e300*v)")
+        columns = {"x": np.array([1.0, 2.0]), "v": np.array([1.0, 0.5])}
+        assert max_abs_defect(defect, lambda: columns) == np.inf
+
+    def test_a_huge_coefficient_constraint_is_measured(self):
+        # b^3 = 1e330 x^3 overflowed the cleared form's normal form
+        defect = constraint_defect(Const(0.0), parse_expression("1e110*x"),
+                                   parse_expression("x"))
+        assert defect > 1e200

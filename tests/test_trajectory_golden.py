@@ -4,8 +4,9 @@
 the ``float.hex`` spelling of every stored time, state and derivative, with
 the step and rejection counts.  The cases are the integrations of
 ``test_dynamics.py``, a right-hand side that runs every function rule and a
-shared subtree, one that carries an integral, and the auxiliary fits of two
-``reciprocal-linear`` builds (every segment the fit integrates, in order).
+shared subtree, one that carries an integral, and the auxiliary solutions
+of two ``reciprocal-linear`` builds (one trajectory per build, over the
+whole span).
 A failing integration is pinned by its exception type and message.
 
 Running this module as a script prints the digests of the current tree in
@@ -29,7 +30,7 @@ from lagrangeforge import (
     integrate_ode,
     parse_expression,
 )
-from lagrangeforge.constructors import reciprocal
+from lagrangeforge import evaluation
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "trajectory_golden.json").read_text())
@@ -113,7 +114,9 @@ def _fit(name: str, monkeypatch) -> dict:
         trajectories.append(integrate_ode(*args, **kwargs))
         return trajectories[-1]
 
-    monkeypatch.setattr(reciprocal, "integrate_ode", record)
+    # a solution solved earlier in this process would be read from the cache
+    evaluation._solution_table.cache_clear()
+    monkeypatch.setattr(evaluation, "integrate_ode", record)
     build_reciprocal_linear(parse_expression(b), parse_expression(c), span)
     return _digest(trajectories)
 
