@@ -35,7 +35,6 @@ from ..expressions import (
 __all__ = ["antiderivative_in", "primitive_in"]
 
 _ZERO = Const(0.0)
-_ONE = Const(1.0)
 
 
 def _linear_coefficient(u: Expr, var: str) -> Expr | None:

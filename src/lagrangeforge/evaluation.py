@@ -52,10 +52,12 @@ earlier point's limit and variables share its integral.  Each level of
 bisection evaluates the integrand once at the nodes of all open panels,
 with numpy's functions (``_integrand_field``) under the exact sweeps'
 domain masks; a masked node makes its point's integral undefined.
-A point's value never depends on the other points, so the scalar
-:func:`evaluate` of an integral, the same call over one point, agrees with
-the fields bit for bit; so does a compiled callable, which makes that same
-one-point call.  The jet of an integral node evaluates
+A point's value never depends on the other points.  So a one-point read of
+an integral or a solution node, by :func:`evaluate`, a compiled callable or
+:func:`definite_integral`, is literally the node's field rule
+(``_antideriv_field``, ``_solution_field``) over a sweep of one point
+(``_at_point``), which raises where the rule would mask, and it agrees with
+the fields bit for bit.  The jet of an integral node evaluates
 its cached symbolic derivatives from
 :func:`~lagrangeforge.expressions.differentiate`, which applies the
 fundamental theorem of calculus in the integration variable and
@@ -65,7 +67,7 @@ An ODE-solution node reads one trajectory of its equation, integrated once
 over its whole span and kept (``_solution_table``), through the cubic
 Hermite dense output that :meth:`~lagrangeforge.dynamics.Trajectory.sample`
 uses (:func:`hermite`).  Every entry point reads it through one array
-routine, a single time as an array of one, so they agree bit for bit.  Its
+routine, so they agree bit for bit.  Its
 jet, like an integral's, evaluates its symbolic derivatives: the rate node,
 and for the rate the equation's right-hand side.
 """
@@ -74,7 +76,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,12 +212,8 @@ def evaluate(expr: Expr, binding: Binding) -> float:
     if kind is Pow:
         return _pow_value(evaluate(expr.base, binding),
                           evaluate(expr.exponent, binding))
-    if kind is Antideriv:
-        return _antideriv_point(expr, binding)
-    if kind is OdeSolution:
-        if "t" not in binding:
-            raise EvalDomainError("unbound variable 't'")
-        return _solution_at(expr, float(binding["t"]))
+    if kind is Antideriv or kind is OdeSolution:
+        return _at_point(expr, free_vars(expr), binding)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
 
 
@@ -228,9 +226,9 @@ def evaluate(expr: Expr, binding: Binding) -> float:
 # walk first reaches it, so a call raises where evaluate raises and returns
 # its bits.  Equal subtrees evaluate identically (see the sweeps below), so
 # computing one once is exact.  The source holds only generated names:
-# arguments are a0, a1, ..., locals t0, t1, ..., and constants, value rules
-# and integrals are entries of the function's namespace, so no user text
-# reaches the compiler.
+# arguments are a0, a1, ..., locals t0, t1, ..., and constants, value rules,
+# the nodes that _at_point reads and their variables' names are entries of
+# the function's namespace, so no user text reaches the compiler.
 
 def compile_callable(expr: Expr, varnames: Sequence[str]) -> Callable[..., float]:
     """Compile ``expr`` to a positional-argument callable.
@@ -275,11 +273,12 @@ def _compile(expr, names):
         elif kind is Var:
             name = args[names.index(node.name)]
         else:
-            if kind is Antideriv:
-                text = f"{constant(_integral_call(node, names))}({', '.join(args)})"
-            elif kind is OdeSolution:
-                reader = functools.partial(_solution_at, node)
-                text = f"{constant(reader)}({args[names.index('t')]})"
+            if kind is Antideriv or kind is OdeSolution:
+                read = free_vars(node)
+                point = ", ".join(f"{constant(var)}: {arg}"
+                                  for var, arg in zip(names, args) if var in read)
+                text = (f"{constant(_at_point)}({constant(node)}, "
+                        f"{constant(read)}, {{{point}}})")
             elif kind is Pow:
                 base = emit(node.base)
                 text = f"_pow_value({base}, {emit(node.exponent)})"
@@ -304,14 +303,6 @@ def _compile(expr, names):
               + f"    return {result}\n")
     exec(compile(source, "<compile_callable>", "exec"), namespace)
     return namespace["compiled"]
-
-
-def _integral_call(node: Antideriv, names):
-    """An integral node as a function of the compiled callable's arguments."""
-    def integral(*a):
-        return _antideriv_point(node, dict(zip(names, a)))
-
-    return integral
 
 
 # --- antiderivative nodes ---------------------------------------------------
@@ -364,7 +355,7 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _antideriv_field(node: Antideriv, sweep) -> np.ndarray:
+def _antideriv_field(node: Antideriv | _Integral, sweep) -> np.ndarray:
     """An integral node at every unmasked point of ``sweep``, in one call.
 
     An integral that an earlier sweep over the same points computed
@@ -392,41 +383,21 @@ def _antideriv_field(node: Antideriv, sweep) -> np.ndarray:
     return out
 
 
-def _point_env(integrand: Expr, var: str, binding: Binding) -> dict:
-    """The integrand's other free variables at ``binding``, in name order."""
-    env = {}
-    for name in sorted(free_vars(integrand)):
-        if name != var:
-            if name not in binding:
-                raise EvalDomainError(f"unbound variable {name!r}")
-            env[name] = float(binding[name])
-    return env
-
-
-def _integral_at(integrand: Expr, var: str, lo: float, hi: float,
-                 env: Mapping) -> float:
-    """One integral through the batched path; raises where it is undefined."""
-    value = _integrate(integrand, var, lo, np.array([hi]),
-                       {name: np.array([v]) for name, v in env.items()})[0]
-    if math.isnan(value):
-        raise EvalDomainError(f"integrand undefined between {lo!r} and {hi!r}")
-    return float(value)
-
-
-def _antideriv_point(node: Antideriv, binding: Binding) -> float:
-    """:func:`evaluate` of an integral node: the field rule's call, one point."""
-    if node.var not in binding:
-        raise EvalDomainError(f"unbound variable {node.var!r}")
-    return _integral_at(node.integrand, node.var, node.base,
-                        float(binding[node.var]),
-                        _point_env(node.integrand, node.var, binding))
-
-
 # Nothing in the package reads or writes this dict.  The benchmark's traced
 # run (bench/worker.py::_cache_sizes, under --trace 1) reads its size, and
 # bench/ changes apart from the package, so the name stays, empty, until
 # that read goes.
 _ANTIDERIV_CACHE: dict = {}
+
+
+class _Integral(NamedTuple):
+    """An integral as :func:`_antideriv_field` reads it, without the checks
+    of an :class:`Antideriv` node, which refuses an infinite base and an
+    integrand that nests two integrals."""
+
+    integrand: Expr
+    var: str
+    base: float
 
 
 def definite_integral(
@@ -437,8 +408,8 @@ def definite_integral(
     binding: Binding | None = None,
 ) -> float:
     """Integrate ``expr`` in ``var`` over [lo, hi], other variables frozen."""
-    env = _point_env(expr, var, binding or {})
-    return _integral_at(expr, var, float(lo), float(hi), env)
+    return _at_point(_Integral(expr, var, float(lo)), free_vars(expr) | {var},
+                     {**(binding or {}), var: hi})
 
 
 # --- ODE-solution nodes ------------------------------------------------------
@@ -507,22 +478,14 @@ def _solution_read(node: OdeSolution, t: np.ndarray) -> tuple:
     inside = (t >= node.t0 - slack) & (t <= node.t1 + slack)
     if not inside.all():
         t = np.where(inside, t, node.t0)   # no work at a time outside
-    i = np.searchsorted(times, t, side="right") - 1
-    np.clip(i, 0, len(times) - 2, out=i)
+    # the step that holds t: the number of inner step ends at or before t,
+    # so the first and last steps take the times before and after them
+    i = np.searchsorted(times[1:-1], t, side="right")
+    j = i + 1
     y, d = (w, dw) if node.order == 0 else (dw, ddw)
     start = times[i]
-    h = times[i + 1] - start
-    return hermite((t - start) / h, h, y[i], d[i], y[i + 1], d[i + 1]), inside
-
-
-def _solution_at(node: OdeSolution, t: float) -> float:
-    """:func:`evaluate` of a solution node at time ``t``: the field rule's
-    read, one time."""
-    values, inside = _solution_read(node, np.array([t]))
-    if not inside[0]:
-        raise EvalDomainError(
-            f"time {t!r} outside the solution's span [{node.t0!r}, {node.t1!r}]")
-    return values[0].item()
+    h = times[j] - start
+    return hermite((t - start) / h, h, y[i], d[i], y[j], d[j]), inside
 
 
 def _solution_field(node: OdeSolution, sweep) -> np.ndarray:
@@ -534,8 +497,19 @@ def _solution_field(node: OdeSolution, sweep) -> np.ndarray:
     t = _full(t, len(sweep.bad))
     values, inside = _solution_read(node, t)
     sweep.fail(~inside, EvalDomainError,
-               "time {!r} outside the solution's span", t)
+               "time {!r} outside the solution's span [{!r}, {!r}]",
+               t, node.t0, node.t1)
     return values
+
+
+def _at_point(node, names, binding: Binding) -> float:
+    """``node``, an integral or a solution, at one point: its field rule
+    over a one-point sweep, which raises where the rule would mask.  The
+    point binds each name of ``names`` that ``binding`` holds."""
+    columns = {name: np.array([float(binding[name])])
+               for name in names if name in binding}
+    rule = _solution_field if type(node) is OdeSolution else _antideriv_field
+    return rule(node, _OnePoint(columns, ZERO))[0].item()
 
 
 # --- second-order jets ------------------------------------------------------
@@ -1140,7 +1114,9 @@ class _OnePoint(_Sweep):
         return np.array([_POINT.value(kind, *map(_scalar, operands))])
 
     def fail(self, where, error, message, *args) -> None:
-        _POINT.fail(np.any(where), error, message, *map(_scalar, args))
+        # ``where`` is a bool or holds one point
+        if where:
+            raise error(message.format(*map(_scalar, args)))
 
 
 def _operand_key(op):

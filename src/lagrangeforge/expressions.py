@@ -396,10 +396,6 @@ def free_vars(expr: Expr) -> frozenset[str]:
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
-_TOKEN_SPEC = [
-    ("NUMBER", _NUMBER_RE),
-    ("IDENT", _IDENT_RE),
-]
 _SINGLE_CHARS = set("+-*/^(),")
 
 

@@ -102,8 +102,7 @@ def _expand_term(term):
 
 
 def _merge(terms):
-    acc = {}
-    scale = 0.0
+    acc = {}   # each term's key -> [its sum, its largest |contribution|]
     for term in terms:
         flat = (term,)
         for atom, _ in term[1]:
@@ -112,18 +111,22 @@ def _merge(terms):
                 break
         for coeff, factors, exparg in flat:
             key = (factors, exparg)
-            acc[key] = acc.get(key, 0.0) + coeff
-            if abs(coeff) > scale:
-                scale = abs(coeff)
-    # cancellation down in the float noise counts as zero
-    noise = 1e-12 * scale
+            entry = acc.get(key)
+            if entry is None:
+                acc[key] = [coeff, abs(coeff)]
+            else:
+                entry[0] += coeff
+                if abs(coeff) > entry[1]:
+                    entry[1] = abs(coeff)
     out = []
     # terms in (factors, exparg) order; no two share a key
-    for (factors, exparg), coeff in sorted(acc.items()):
+    for (factors, exparg), (coeff, largest) in sorted(acc.items()):
         if not math.isfinite(coeff):
             raise _Budget  # an overflowed coefficient is not a form
         coeff = _round12(coeff)
-        if coeff == 0.0 or abs(coeff) <= noise:
+        # a term's own cancellation down in the float noise counts as zero;
+        # a term small beside the others is kept
+        if abs(coeff) <= 1e-11 * largest:
             continue
         out.append((coeff, factors, exparg))
     if len(out) > _MAX_TERMS:

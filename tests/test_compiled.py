@@ -8,6 +8,7 @@ import math
 import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,9 @@ from lagrangeforge import (
     Sub,
     Var,
     compile_callable,
+    definite_integral,
     evaluate,
+    evaluate_field,
     integrate_ode,
     parse_expression,
     substitute,
@@ -111,8 +114,19 @@ def test_integral_nodes_take_every_argument():
     node = Antideriv(parse_expression("exp(-(t*t))*x"), "t", 0.0)
     expr = Add(node, Mul(node, Var("v")))
     fn = compile_callable(expr, STATE)
-    for x, v, t in ((0.3, 1.0, 0.5), (0.3, -2.0, 1.5), (-1.0, 0.0, 0.0)):
+    pts = ((0.3, 1.0, 0.5), (0.3, -2.0, 1.5), (-1.0, 0.0, 0.0))
+    for x, v, t in pts:
         assert fn(x, v, t).hex() == evaluate(expr, {"x": x, "v": v, "t": t}).hex()
+    # each one-point read of the node is the field rule's, bit for bit
+    xs, vs, ts = (np.array(c) for c in zip(*pts))
+    field, bad = evaluate_field(node, {"x": xs, "v": vs, "t": ts})
+    assert not bad.any()
+    read = compile_callable(node, STATE)
+    for i, (x, v, t) in enumerate(pts):
+        want = field[i].hex()
+        assert evaluate(node, {"x": x, "v": v, "t": t}).hex() == want
+        assert read(x, v, t).hex() == want
+        assert definite_integral(node.integrand, "t", 0.0, t, {"x": x}).hex() == want
 
 
 def test_unbound_and_unknown_nodes_rejected():

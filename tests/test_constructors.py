@@ -57,6 +57,9 @@ from lagrangeforge.expressions import Const, Exp, Mul, Pow, Var, simplify
 
 NO_VERIFY = BuilderOptions(verify=False)
 POINTS = [(0.4, 0.6, 0.2), (-0.5, 1.3, 0.9), (0.8, 0.3, 1.4)]
+# a, b and c whose closure condition fails only on a narrow bump in x
+BUMP = (parse_expression("0.5*t"),
+        parse_expression("x + exp(-((x - 0.123)/0.02)^2)"), Var("x"))
 
 
 class TestStandardFamily:
@@ -73,6 +76,10 @@ class TestStandardFamily:
                                 Const(0.0))
         with pytest.raises(InadmissibleCoefficientsError):
             build_standard(coeffs)
+        # b_x = 1 + a narrow bump at x = 0.123 against a_t = 0.5: the bump's
+        # own terms must not be dropped as noise beside the larger ones
+        with pytest.raises(InadmissibleCoefficientsError):
+            build_standard(StandardCoeffs(*BUMP))
 
     def test_anchor_shift_is_a_gauge(self):
         coeffs = StandardCoeffs(parse_expression("0.2*x"), Const(0.1),
@@ -244,6 +251,9 @@ class TestMonomialFamily:
         ) == 0.0
         with pytest.raises(InadmissibleCoefficientsError):
             build_monomial(parse_expression("0.2*t"), Const(0.3), Const(0.0), 3.0)
+        # at mu = 2 the bump fails the residual sweep after the build
+        with pytest.raises(ConstructionVerificationError):
+            build_monomial(*BUMP, 2.0)
 
     def test_admissible_time_dependence(self):
         # a = s t matches b = 3 s x / 2 at mu = 3: (mu-1) b_x = 3 s = mu a_t

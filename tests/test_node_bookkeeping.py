@@ -387,20 +387,20 @@ def _round12_reference(c):
 
 def _merge_reference(terms):
     acc = {}
-    scale = 0.0
+    scale = {}   # each term's largest |contribution|
     flat = []
     for term in terms:
         flat.extend(nf._expand_term(term))
     for coeff, factors, exparg in flat:
         key = (factors, exparg)
         acc[key] = acc.get(key, 0.0) + coeff
-        scale = max(scale, abs(coeff))
+        scale[key] = max(scale.get(key, 0.0), abs(coeff))
     out = []
     for (factors, exparg), coeff in acc.items():
         if not math.isfinite(coeff):
             raise nf._Budget  # overflow is refused, not dropped as noise
         coeff = _round12_reference(coeff)
-        if coeff == 0.0 or abs(coeff) <= 1e-12 * scale:
+        if coeff == 0.0 or abs(coeff) <= 1e-11 * scale[factors, exparg]:
             continue
         out.append((coeff, factors, exparg))
     if len(out) > nf._MAX_TERMS:

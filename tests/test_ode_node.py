@@ -160,6 +160,12 @@ def test_reads_outside_the_span_are_masked():
         for t in (0.0, 2.5, 2.0 + 1e-9):
             with pytest.raises(EvalDomainError, match="outside the solution's span"):
                 evaluate(node, {"t": t})
+            compiled = compile_callable(node, ("t",))
+            for read in (evaluate, eval_jet2, lambda n, b: compiled(b["t"])):
+                with pytest.raises(EvalDomainError) as info:
+                    read(node, {"t": t})
+                assert str(info.value) == (
+                    f"time {t!r} outside the solution's span [0.1, 2.0]")
             with pytest.raises(EvalDomainError):
                 eval_jet2(node, {"t": t})
             with pytest.raises(EvalDomainError):
@@ -179,6 +185,10 @@ def test_a_grid_that_rounds_past_the_span_end_is_read():
     for walk in (evaluate_field, jet_field):
         assert not walk(node, columns)[1].any()
     end = evaluate(node, {"t": 2.9600000000000004})
+    # every entry point reads the grid end alike
+    field, _ = evaluate_field(node, {"t": np.array([2.9600000000000004])})
+    assert same(field[0], end)
+    assert same(compile_callable(node, ("t",))(2.9600000000000004), end)
     assert abs(end - evaluate(node, {"t": 2.96})) <= 1e-15
     assert abs(end - math.cos(2.96 - 0.31)) <= 1e-9
     assert min_abs_in_time(node, 0.31, 2.96) >= 0.0   # 201 times, none raises

@@ -14,6 +14,7 @@ from lagrangeforge import (
     QuadratureDepthError,
     QuadratureError,
     Var,
+    compile_callable,
     definite_integral,
     evaluate,
     evaluate_field,
@@ -215,6 +216,18 @@ class TestIntegralNodes:
             evaluate(e, {"s": -1.0})
         with pytest.raises(EvalDomainError, match="unbound variable 'x'"):
             evaluate(Antideriv(Mul(Var("x"), Var("s")), "s", 0.0), {"s": 1.0})
+        # every one-point read raises the field rule's error, message and all
+        xs = Antideriv(Mul(Var("x"), Var("s")), "s", 0.0)
+        for read, message in [
+                (lambda: evaluate(e, {"s": -1.0}),
+                 "integrand undefined between 0.0 and -1.0"),
+                (lambda: compile_callable(e, ("s",))(-1.0),
+                 "integrand undefined between 0.0 and -1.0"),
+                (lambda: evaluate(xs, {"x": 1.0}), "unbound variable 's'"),
+                (lambda: evaluate(xs, {"s": 1.0}), "unbound variable 'x'")]:
+            with pytest.raises(EvalDomainError) as info:
+                read()
+            assert str(info.value) == message
 
     def test_definite_integral_helper(self):
         e = parse_expression("x*s^2", params=("s",))
@@ -224,6 +237,14 @@ class TestIntegralNodes:
             definite_integral(e, "s", 0.0, 2.0)
         with pytest.raises(EvalDomainError):
             definite_integral(parse_expression("ln(x)"), "x", -1.0, 1.0)
+        # inputs that an integral node refuses: an infinite lower limit, and
+        # an integrand that nests two integrals (int_0^1 x 0.7^3 / 6 dx)
+        with pytest.raises(EvalDomainError) as info:
+            definite_integral(Var("x"), "x", math.inf, 2.0)
+        assert str(info.value) == "integrand undefined between inf and 2.0"
+        nested = parse_expression("integral(t, 0, integral(t, 0, t*x))")
+        got = definite_integral(nested, "x", 0.0, 1.0, {"t": 0.7})
+        assert got == pytest.approx(0.7 ** 3 / 12.0, rel=1e-9)
 
     def test_depth_error_propagates(self):
         e = Antideriv(Pow(Var("s"), Const(-1.0)), "s", 0.0)
