@@ -178,11 +178,6 @@ def _commit(out_dir: Path, files: dict) -> None:
     _sync_directory(out_dir)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``: a :func:`_commit` of one file."""
-    _commit(path.parent, {path.name: text})
-
-
 def _sync_directory(path: Path) -> None:
     """Fsync the directory ``path``, so the renames into it survive a power
     failure.  Windows cannot open a directory for fsync, so there it does
@@ -245,10 +240,6 @@ def _json_text(value, newline: str = "\n") -> str:
 def _json_file(payload: dict) -> str:
     """The text of a JSON file holding ``payload``."""
     return _json_text(payload) + "\n"
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, _json_file(payload))
 
 
 def _csv_text(header: list, rows) -> str:
@@ -1270,12 +1261,12 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.spec)
     except SpecValidationError as exc:
-        _write_json(out_dir / "report.json", {
+        _commit(out_dir, {"report.json": _json_file({
             "version": 1,
             "command": args.command,
             "error": {"code": "input-error", "message": str(exc)},
             "exit_code": EXIT_INPUT_ERROR,
-        })
+        })})
         print(f"{args.command}: input-error ({exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return run_tasks(spec, out_dir, [(args.command, "report.json")],

@@ -11,7 +11,6 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
 from . import evaluation
 from .evaluation import compile_callable, evaluate_points, hermite
 from .expressions import Expr, as_expr, free_vars
-from .lagrangian import _COMPILED_RHS, OdeSpec
+from .lagrangian import OdeSpec
 
 __all__ = [
     "IntegratorConfig",
@@ -98,20 +97,6 @@ class Trajectory:
         d0, d1 = self.derivs[i], self.derivs[i + 1]
         return tuple(hermite(theta, h, y0[k], d0[k], y1[k], d1[k])
                      for k in range(2))
-
-
-def _rhs_callable(ode: OdeSpec) -> Callable:
-    """``ode``'s compiled right-hand side, made once per spec object.
-
-    It is kept on the spec, outside its fields: it lives as long as the
-    spec, and ``==``, ``repr`` and pickling ignore it (see
-    :meth:`OdeSpec.__getstate__`).
-    """
-    rhs = ode.__dict__.get(_COMPILED_RHS)
-    if rhs is None:
-        rhs = compile_callable(ode.rhs, ("x", "v", "t"))
-        object.__setattr__(ode, _COMPILED_RHS, rhs)
-    return rhs
 
 
 def _guard(x: float, v: float, t: float, limit: float) -> None:
@@ -253,7 +238,7 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
 def integrate_ode(ode: OdeSpec, x0: float, v0: float, t0: float, t1: float,
                   config: IntegratorConfig = DEFAULT_INTEGRATOR) -> Trajectory:
     """Integrate x'' = rhs(x, x', t) from (x0, v0) at t0 to t1."""
-    f = _rhs_callable(ode)
+    f = compile_callable(ode.rhs, ("x", "v", "t"))
     x0, v0, t0, t1 = float(x0), float(v0), float(t0), float(t1)
     if t0 == t1:
         try:

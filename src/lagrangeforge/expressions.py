@@ -43,9 +43,8 @@ __all__ = [
     "Expr", "Const", "Var", "Add", "Sub", "Mul", "Div", "Neg", "Pow",
     "Exp", "Ln", "Abs", "Sqrt", "Sin", "Cos", "Antideriv", "OdeSolution",
     "parse_expression", "format_expression", "differentiate",
-    "differentiate_with_notes", "substitute", "free_vars", "simplify",
-    "canonical", "antideriv_depth", "as_expr",
-    "CORE_VARIABLES", "MAX_ANTIDERIV_DEPTH", "ABS_DERIVATIVE_NOTE",
+    "substitute", "free_vars", "simplify", "canonical", "antideriv_depth",
+    "as_expr", "CORE_VARIABLES", "MAX_ANTIDERIV_DEPTH",
 ]
 
 CORE_VARIABLES = ("x", "v", "t")
@@ -54,10 +53,6 @@ INTEGRAL_NAME = "integral"
 SOLUTION_NAME = "ode_solution"
 RESERVED_NAMES = frozenset(FUNCTION_NAMES) | {INTEGRAL_NAME, SOLUTION_NAME}
 MAX_ANTIDERIV_DEPTH = 2
-
-ABS_DERIVATIVE_NOTE = (
-    "derivative of abs uses the sign convention u/|u|, valid away from u = 0"
-)
 
 ExprLike = Union["Expr", float, int]
 
@@ -991,7 +986,7 @@ def _neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def _diff(expr: Expr, var: str, notes: set[str]) -> Expr:
+def _diff(expr: Expr, var: str) -> Expr:
     if isinstance(expr, Const):
         return ZERO
     if isinstance(expr, Var):
@@ -999,50 +994,50 @@ def _diff(expr: Expr, var: str, notes: set[str]) -> Expr:
     if var not in free_vars(expr):
         return ZERO
     if isinstance(expr, Add):
-        return _add(_diff(expr.left, var, notes), _diff(expr.right, var, notes))
+        return _add(_diff(expr.left, var), _diff(expr.right, var))
     if isinstance(expr, Sub):
-        return _sub(_diff(expr.left, var, notes), _diff(expr.right, var, notes))
+        return _sub(_diff(expr.left, var), _diff(expr.right, var))
     if isinstance(expr, Neg):
-        return _neg(_diff(expr.operand, var, notes))
+        return _neg(_diff(expr.operand, var))
     if isinstance(expr, Mul):
         l, r = expr.left, expr.right
-        return _add(_mul(_diff(l, var, notes), r), _mul(l, _diff(r, var, notes)))
+        return _add(_mul(_diff(l, var), r), _mul(l, _diff(r, var)))
     if isinstance(expr, Div):
         l, r = expr.left, expr.right
         return _div(
-            _sub(_mul(_diff(l, var, notes), r), _mul(l, _diff(r, var, notes))),
+            _sub(_mul(_diff(l, var), r), _mul(l, _diff(r, var))),
             Mul(r, r),
         )
     if isinstance(expr, Pow):
         base, exponent = expr.base, expr.exponent
-        db = _diff(base, var, notes)
+        db = _diff(base, var)
         if var not in free_vars(exponent):
             new_exp = simplify(Sub(exponent, ONE))
             return _mul(_mul(exponent, Pow(base, new_exp)), db)
-        de = _diff(exponent, var, notes)
+        de = _diff(exponent, var)
         # d(b^e) = b^e * (e' ln b + e b'/b)
         return _mul(
             expr,
             _add(_mul(de, Ln(base)), _div(_mul(exponent, db), base)),
         )
     if isinstance(expr, Exp):
-        return _mul(expr, _diff(expr.operand, var, notes))
+        return _mul(expr, _diff(expr.operand, var))
     if isinstance(expr, Ln):
-        return _div(_diff(expr.operand, var, notes), expr.operand)
+        return _div(_diff(expr.operand, var), expr.operand)
     if isinstance(expr, Sqrt):
-        return _div(_diff(expr.operand, var, notes), _mul(TWO, expr))
+        return _div(_diff(expr.operand, var), _mul(TWO, expr))
     if isinstance(expr, Sin):
-        return _mul(Cos(expr.operand), _diff(expr.operand, var, notes))
+        return _mul(Cos(expr.operand), _diff(expr.operand, var))
     if isinstance(expr, Cos):
-        return _neg(_mul(Sin(expr.operand), _diff(expr.operand, var, notes)))
+        return _neg(_mul(Sin(expr.operand), _diff(expr.operand, var)))
     if isinstance(expr, Abs):
-        notes.add(ABS_DERIVATIVE_NOTE)
+        # u/|u|, valid away from u = 0, where a jet raises
         u = expr.operand
-        return _mul(_div(u, expr), _diff(u, var, notes))
+        return _mul(_div(u, expr), _diff(u, var))
     if isinstance(expr, Antideriv):
         if var == expr.var:
             return expr.integrand
-        inner = _diff(expr.integrand, var, notes)
+        inner = _diff(expr.integrand, var)
         if _is_const(inner, 0.0):
             return ZERO
         return Antideriv(simplify(inner), expr.var, expr.base)
@@ -1063,10 +1058,8 @@ def _solution_rate(node: OdeSolution) -> Expr:
 
 
 @lru_cache(maxsize=1024)
-def _diff_cached(expr: Expr, var: str) -> tuple[Expr, frozenset[str]]:
-    notes: set[str] = set()
-    result = simplify(_diff(expr, var, notes))
-    return result, frozenset(notes)
+def _diff_cached(expr: Expr, var: str) -> Expr:
+    return simplify(_diff(expr, var))
 
 
 def differentiate(expr: Expr, var: str) -> Expr:
@@ -1077,13 +1070,6 @@ def differentiate(expr: Expr, var: str) -> Expr:
     with respect to other variables differentiate under the integral sign.
     An OdeSolution's t derivative comes from its equation, so a second
     derivative of the solution is the equation's right-hand side.
-    """
-    return _diff_cached(expr, var)[0]
-
-
-def differentiate_with_notes(expr: Expr, var: str) -> tuple[Expr, frozenset[str]]:
-    """Like :func:`differentiate` but also returns validity notes, e.g. the
-    away-from-zero caveat attached to the derivative of ``abs``.
     """
     return _diff_cached(expr, var)
 

@@ -41,7 +41,6 @@ __all__ = [
     "OdeSpec",
     "SingularStratum",
     "VerificationReport",
-    "acceleration_field",
     "energy_expression",
     "euler_lagrange_residual",
     "hamiltonian_value",
@@ -50,7 +49,6 @@ __all__ = [
     "invert_momentum",
     "largest",
     "legendre_momentum",
-    "max_acceleration_gap",
     "pairwise_acceleration_gap",
     "total_derivative_gauge",
     "verify_lagrangian",
@@ -74,10 +72,6 @@ def largest(values, keep=None) -> tuple | None:
     return kept[i].item(), int(index[i])
 
 
-# The attribute under which dynamics keeps an OdeSpec's compiled right-hand side
-_COMPILED_RHS = "_compiled_rhs"
-
-
 @dataclass(frozen=True)
 class OdeSpec:
     """Second-order dynamics ``x'' = rhs(x, x', t)``.
@@ -94,11 +88,6 @@ class OdeSpec:
 
     def rhs_value(self, x: float, v: float, t: float) -> float:
         return evaluate(self.rhs, {"x": x, "v": v, "t": t})
-
-    def __getstate__(self):
-        # the integrator's compiled right-hand side is kept on the spec
-        # (dynamics._rhs_callable); it is not part of the value
-        return {k: v for k, v in self.__dict__.items() if k != _COMPILED_RHS}
 
 
 @dataclass(frozen=True)
@@ -133,8 +122,9 @@ class SingularStratum:
 
     def __post_init__(self):
         object.__setattr__(self, "expr", as_expr(self.expr))
-        if self.radius < 0.0:
-            raise ValueError("stratum radius must be non-negative")
+        if not self.radius >= 0.0:
+            # a NaN radius would exclude nothing
+            raise ValueError("stratum radius must be non-negative, not NaN")
 
 
 def grid_points(lo: float, hi: float, n: int) -> list:
@@ -224,13 +214,15 @@ class DomainBox:
                 # its grid step and random draws would be NaN or infinite
                 raise ValueError(f"{name} interval is too wide for a float")
             object.__setattr__(self, name, (float(lo), float(hi)))
-        if len(self.grid) != 3 or any(int(n) < 1 for n in self.grid):
-            raise ValueError("grid must have three positive counts")
-        object.__setattr__(self, "grid", tuple(int(n) for n in self.grid))
-        if int(self.n_random) < 0:
-            raise ValueError("n_random must be non-negative")
         # an integral float (32.0, which JSON Schema accepts as an integer)
-        # counts draws like the int; np.fromiter takes only an int count
+        # counts like the int; any other float, NaN and infinities included,
+        # leaves a nonzero (or NaN) remainder and is refused, not truncated
+        if len(self.grid) != 3 or any(n % 1 or n < 1 for n in self.grid):
+            raise ValueError("grid must have three positive integer counts")
+        object.__setattr__(self, "grid", tuple(int(n) for n in self.grid))
+        if self.n_random % 1 or self.n_random < 0:
+            raise ValueError("n_random must be a non-negative integer")
+        # np.fromiter takes only an int count
         object.__setattr__(self, "n_random", int(self.n_random))
         if self.seed is None:
             # random.Random(None) draws from the system's entropy, which
@@ -289,12 +281,6 @@ class DomainBox:
 def _points(columns: dict) -> list:
     """The (x, v, t) tuples of field columns, as Python floats."""
     return list(zip(*(columns[name].tolist() for name in _STATE)))
-
-
-def _state_columns(points: Sequence[tuple]) -> dict:
-    """The x, v and t arrays of ``points``, as field columns."""
-    xs, vs, ts = np.array(points, dtype=float).reshape(-1, 3).T
-    return {"x": xs, "v": vs, "t": ts}
 
 
 # The Euler-Lagrange quantities, each written once: ``jet`` is a scalar jet
@@ -466,18 +452,13 @@ def _usable_accelerations(L: Lagrangian, columns: dict) -> tuple:
     return accels, ~(bad | (np.abs(jet.hvv) < EPS_REG))
 
 
-def acceleration_field(L: Lagrangian, points: Sequence[tuple]) -> list:
-    """Implied acceleration of ``L`` at each (x, v, t) point.
-
-    The entry is None where ``L`` is out of domain, non-differentiable or
-    degenerate there.
-    """
-    accels, usable = _usable_accelerations(L, _state_columns(points))
-    return [a if ok else None for a, ok in zip(accels.tolist(), usable.tolist())]
-
-
 def _acceleration_gap(accels: Sequence, usable: Sequence) -> float:
-    """:func:`max_acceleration_gap` of accelerations given with usable masks."""
+    """Largest normalized spread between acceleration fields on one point set.
+
+    ``accels`` holds one array per field and ``usable`` its mask.  Skips
+    points where some field is unusable; requires at least one point where
+    every field is usable.  A NaN at such a point makes the result NaN.
+    """
     keep = np.logical_and.reduce(usable)
     accels = np.where(keep, accels, 0.0)
     lo, hi = accels.min(axis=0), accels.max(axis=0)
@@ -486,17 +467,6 @@ def _acceleration_gap(accels: Sequence, usable: Sequence) -> float:
     if worst is None:
         raise EmptyDomainError("no common usable sample points")
     return worst[0]
-
-
-def max_acceleration_gap(fields: Sequence[list]) -> float:
-    """Largest normalized spread between acceleration fields on one point set.
-
-    Skips points where some field is None; requires at least one point where
-    every field is defined.  A NaN at such a point makes the result NaN.
-    """
-    cells = np.array(fields, dtype=object)
-    usable = np.not_equal(cells, None)
-    return _acceleration_gap(np.where(usable, cells, 0.0).astype(float), usable)
 
 
 def pairwise_acceleration_gap(lagrangians: Sequence[Lagrangian],

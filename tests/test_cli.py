@@ -792,7 +792,7 @@ class TestOutDirectory:
 class TestAtomicWrite:
     def test_writes_the_text_with_owner_only_mode(self, tmp_path):
         path = tmp_path / "deep" / "report.json"
-        cli._atomic_write(path, "first\r\nsecond\n")
+        cli._commit(path.parent, {path.name: "first\r\nsecond\n"})
         assert path.read_bytes() == b"first\r\nsecond\n"
         assert path.stat().st_mode & 0o777 == 0o600
         assert sorted(p.name for p in path.parent.iterdir()) == ["report.json"]
@@ -807,7 +807,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(cli.os, step, broken)
         with pytest.raises(OSError, match=f"{step} failed"):
-            cli._atomic_write(path, "new\n")
+            cli._commit(tmp_path, {path.name: "new\n"})
         monkeypatch.undo()
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -1,8 +1,10 @@
-"""Generated callables against ``evaluate``, and the integrator's memo of them.
+"""Generated callables against ``evaluate``, and ``OdeSpec`` as a plain value.
 
 ``compile_callable`` generates one straight-line function per tree, each
 distinct subtree computed once.  A call must return ``evaluate``'s bits and
 raise exactly where, and with the message with which, ``evaluate`` raises.
+The integrator compiles a spec's right-hand side on each call and keeps
+nothing on the spec, so a spec equals, prints and pickles as its fields.
 """
 import math
 import pickle
@@ -34,7 +36,7 @@ from lagrangeforge import (
     parse_expression,
     substitute,
 )
-from lagrangeforge import dynamics, expressions
+from lagrangeforge import expressions
 
 from test_expressions import expressions as expression_trees
 
@@ -137,38 +139,14 @@ def test_unbound_and_unknown_nodes_rejected():
     assert compile_callable(Var("v"), STATE)(1.0, 2.0, 3.0) == 2.0
 
 
-# --- the integrator compiles once per OdeSpec object --------------------------
+# --- an OdeSpec is its fields ------------------------------------------------
 
-@pytest.fixture
-def compiles(monkeypatch):
-    seen = []
-    real = dynamics.compile_callable
-
-    def counted(expr, *args, **kwargs):
-        seen.append(expr)
-        return real(expr, *args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "compile_callable", counted)
-    return seen
-
-
-def test_one_compile_per_spec(compiles):
-    ode = OdeSpec(substitute(parse_expression("-k*x", params=("k",)), "k",
-                             Const(4.0)))
-    for t1 in (0.5, 1.0, 1.5):
-        integrate_ode(ode, 1.0, 0.0, 0.0, t1)
-    assert len(compiles) == 1
-    integrate_ode(OdeSpec(ode.rhs), 1.0, 0.0, 0.0, 0.5)
-    assert len(compiles) == 2
-
-
-def test_memo_stays_out_of_eq_repr_and_pickle():
+def test_spec_eq_repr_and_pickle_round_trip():
     ode = OdeSpec(substitute(parse_expression("-k*x - 0.1*v", params=("k",)),
                              "k", Const(2.0)), "damped")
     fresh = OdeSpec(ode.rhs, "damped")
     text = repr(ode)
     want = integrate_ode(ode, 1.0, 0.0, 0.0, 1.0)
-    assert dynamics._rhs_callable(ode) is dynamics._rhs_callable(ode)
     assert ode == fresh and hash(ode) == hash(fresh) and repr(ode) == text
     restored = pickle.loads(pickle.dumps(ode))
     assert restored == ode and repr(restored) == text

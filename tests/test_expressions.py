@@ -33,7 +33,6 @@ from lagrangeforge import (
     canonical,
     compile_callable,
     differentiate,
-    differentiate_with_notes,
     evaluate,
     format_expression,
     free_vars,
@@ -227,8 +226,6 @@ class TestDifferentiation:
         assert evaluate(d, {"x": 2.0}) == pytest.approx(4.0 * (math.log(2.0) + 1.0))
 
     def test_abs_note(self):
-        _, notes = differentiate_with_notes(Abs(X), "x")
-        assert len(notes) == 1
         d = differentiate(Abs(X), "x")
         assert evaluate(d, {"x": -3.0}) == -1.0
 

@@ -2,6 +2,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,9 +33,9 @@ from lagrangeforge import (
 from lagrangeforge.constructors.common import relative_stratum
 from lagrangeforge.expressions import Add, Const, simplify, substitute
 from lagrangeforge.lagrangian import (
-    acceleration_field,
+    _acceleration_gap,
+    _usable_accelerations,
     largest,
-    max_acceleration_gap,
 )
 
 POINTS = [(-0.7, 0.4, 0.0), (0.3, -1.1, 0.8), (1.2, 0.9, 1.5), (0.0, 2.0, 0.3)]
@@ -366,30 +367,37 @@ class TestPairwiseGap:
 
     def test_a_nan_regularity_gives_a_nan_gap(self):
         # |L_vv| is NaN wherever the hole is: abs(nan) < EPS_REG is False,
-        # so those points are used, and their NaN acceleration is no None
+        # so those points are usable, and their acceleration is NaN
         L = Lagrangian(parse_expression("0.5*v^2 + " + NAN_HOLE))
         points = NAN_BOX.sample_points()
-        field = acceleration_field(L, points)
-        nans = [p for p, a in zip(points, field) if math.isnan(a)]
+        accels, usable = _usable_accelerations(L, NAN_BOX.sample_columns())
+        assert usable.all()
+        nans = [p for p, a in zip(points, accels.tolist()) if math.isnan(a)]
         assert len(nans) == 46
         assert all(math.isnan(L.jet(*p).hvv) for p in nans)
         other = Lagrangian(parse_expression("0.5*v^2"))
         assert math.isnan(pairwise_acceleration_gap([L, other], NAN_BOX))
         assert math.isnan(pairwise_acceleration_gap([other, L], NAN_BOX))
 
+    # (accelerations, usable masks), one row per field; an unusable point's
+    # acceleration is NaN, as _usable_accelerations gives it out of domain
     @pytest.mark.parametrize("fields", [
-        [[1.0, 2.0, math.nan], [1.0, 2.5, 1.0]],
-        [[1.0, math.nan, 2.0], [1.0, 1.0, 2.5]],
-        [[None, math.nan, 2.0], [1.0, 1.0, None]],
+        ([[1.0, 2.0, math.nan], [1.0, 2.5, 1.0]], [[1, 1, 1], [1, 1, 1]]),
+        ([[1.0, math.nan, 2.0], [1.0, 1.0, 2.5]], [[1, 1, 1], [1, 1, 1]]),
+        ([[math.nan, math.nan, 2.0], [1.0, 1.0, math.nan]],
+         [[0, 1, 1], [1, 1, 0]]),
     ])
     def test_a_nan_gap_is_nan(self, fields):
-        assert math.isnan(max_acceleration_gap(fields))
+        accels, usable = fields
+        assert math.isnan(_acceleration_gap(accels, np.array(usable, bool)))
 
     def test_points_where_a_field_is_undefined_are_skipped(self):
-        assert max_acceleration_gap([[None, 1.0, 3.0], [0.0, 1.0, 1.0]]) \
-            == 0.5
+        usable = np.array([[0, 1, 1], [1, 1, 1]], bool)
+        assert _acceleration_gap([[math.nan, 1.0, 3.0], [0.0, 1.0, 1.0]],
+                                 usable) == 0.5
         with pytest.raises(EmptyDomainError):
-            max_acceleration_gap([[None, 1.0], [1.0, None]])
+            _acceleration_gap([[math.nan, 1.0], [1.0, math.nan]],
+                              np.array([[0, 1], [1, 0]], bool))
 
 
 class TestLargest:

@@ -128,3 +128,26 @@ def test_an_interval_too_wide_for_a_float_is_refused(axis):
     with pytest.raises(ValueError, match="too wide"):
         DomainBox(**{axis: (-1e308, 1e308)})
     DomainBox(**{axis: (-8e307, 8e307)}).sample_columns()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: DomainBox(grid=(4.7, 4, 4)), "grid"),
+    (lambda: DomainBox(grid=(4, 0, 4)), "grid"),
+    (lambda: DomainBox(grid=(4, float("nan"), 4)), "grid"),
+    (lambda: DomainBox(n_random=32.5), "n_random"),
+    (lambda: DomainBox(n_random=float("inf")), "n_random"),
+    (lambda: DomainBox(n_random=-1), "n_random"),
+    (lambda: SingularStratum(parse_expression("x"), float("nan")), "radius"),
+    (lambda: SingularStratum(parse_expression("x"), -0.1), "radius"),
+])
+def test_a_fractional_count_or_a_nan_radius_is_refused(make, field):
+    # truncated, 4.7 and 32.5 would sample 4 and 32; a NaN radius passes
+    # radius < 0 and then excludes nothing
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_integral_float_counts_are_the_int_counts():
+    box = DomainBox(grid=(4.0, 2, 3.0), n_random=32.0)
+    assert (box.grid, box.n_random) == ((4, 2, 3), 32)
+    assert box == DomainBox(grid=(4, 2, 3), n_random=32)

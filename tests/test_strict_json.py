@@ -52,7 +52,7 @@ def reference_text(value) -> str:
 def test_non_finite_numbers_become_strings(tmp_path):
     payload = {"a": [1.5, math.nan, (math.inf, -math.inf)],
                "b": {"c": -0.0, "d": None, "e": True, "f": 3}, "g": "NaN"}
-    cli._write_json(tmp_path / "r.json", payload)
+    cli._commit(tmp_path, {"r.json": cli._json_file(payload)})
     assert strict_loads((tmp_path / "r.json").read_text()) == {
         "a": [1.5, "NaN", ["Infinity", "-Infinity"]],
         "b": {"c": -0.0, "d": None, "e": True, "f": 3}, "g": "NaN"}
@@ -60,7 +60,7 @@ def test_non_finite_numbers_become_strings(tmp_path):
 
 def test_a_finite_report_is_written_as_before(tmp_path):
     payload = {"z": [0.1, -0.0, 2], "a": {"b": (1e300, "x")}}
-    cli._write_json(tmp_path / "r.json", payload)
+    cli._commit(tmp_path, {"r.json": cli._json_file(payload)})
     assert (tmp_path / "r.json").read_text() == \
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
