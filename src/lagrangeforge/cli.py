@@ -517,9 +517,9 @@ class _Probe:
     def __init__(self, f, dom: dict):
         self.f = f
         self.dom = dom
-        self.f_v = simplify(differentiate(f, "v"))
-        self.f_vv = simplify(differentiate(self.f_v, "v"))
-        self.f_vvv = simplify(differentiate(self.f_vv, "v"))
+        self.f_v = differentiate(f, "v")
+        self.f_vv = differentiate(self.f_v, "v")
+        self.f_vvv = differentiate(self.f_vv, "v")
         self.points = _Points(f, dom, _PROBE_VS)
         self.cubic_term = self.points.max_rel(self.f_vvv)
         self.linear_term = self.points.max_rel(self.f_vv)

@@ -168,7 +168,7 @@ def _poly_times_exp(u: Expr, e: Expr, var: str) -> Expr | None:
         term = Mul(Div(Const(1.0 if j % 2 == 0 else -1.0),
                        Pow(k, Const(float(j + 1)))), cur)
         acc = term if acc is None else Add(acc, term)
-        cur = simplify(differentiate(cur, var))
+        cur = differentiate(cur, var)
     else:
         return None
     return None if acc is None else simplify(Mul(e, acc))

@@ -781,10 +781,15 @@ def simplify(expr: Expr) -> Expr:
     simplified is never walked again.  A node is marked only when the rules
     return it unchanged over children that are themselves unchanged, so by
     induction ``simplify(node) is node`` for every marked node, and the mark
-    never changes a result.  ``simplify`` is not idempotent in general
-    (``-1 * -x`` gives ``-(-x)``, and only a second call gives ``x``); a
-    node that a rule produced is not marked until a later call finds it
-    unchanged.
+    never changes a result.  A node that a rule produced is not marked
+    until a later call finds it unchanged.
+
+    ``simplify`` is idempotent, because every rule, given operands that are
+    fixed points, returns a fixed point: the node itself, an operand, a
+    constant, or a new node already passed through its own rule (``0 - u``
+    and ``-1 * u`` go through the ``Neg`` rule, so ``-1 * -x`` gives ``x``
+    in one call).  It is the one place where algebraic folds are written;
+    ``differentiate`` builds plain nodes and leaves every fold to it.
     """
     done: dict = {}
 
@@ -828,7 +833,7 @@ def _simplify_sub(expr: Sub) -> Expr:
     if rc and r.value == 0.0:
         return l
     if lc and l.value == 0.0:
-        return Const(-r.value) if rc else Neg(r)
+        return _simplify_neg(Neg(r))
     if lc and rc:
         folded = _fold_binary(lambda a, b: a - b, l.value, r.value)
         if folded is not None:
@@ -848,13 +853,22 @@ def _simplify_mul(expr: Mul) -> Expr:
     if rc and r.value == 1.0:
         return l
     if lc and l.value == -1.0:
-        return Const(-r.value) if rc else Neg(r)
+        return _simplify_neg(Neg(r))
     if rc and r.value == -1.0:
-        return Const(-l.value) if lc else Neg(l)
+        return _simplify_neg(Neg(l))
     if lc and rc:
         folded = _fold_binary(lambda a, b: a * b, l.value, r.value)
         if folded is not None:
             return folded
+    return expr
+
+
+def _simplify_neg(expr: Neg) -> Expr:
+    u = expr.operand
+    if isinstance(u, Const):
+        return Const(-u.value)
+    if isinstance(u, Neg):
+        return u.operand
     return expr
 
 
@@ -867,6 +881,7 @@ _SIMPLIFY_RULES = {
     Add: _simplify_add,
     Sub: _simplify_sub,
     Mul: _simplify_mul,
+    Neg: _simplify_neg,
 }
 
 
@@ -885,13 +900,6 @@ def _simplify_node(expr: Expr) -> Expr:
             folded = _fold_binary(lambda a, b: a / b, l.value, r.value)
             if folded is not None:
                 return folded
-        return expr
-    if isinstance(expr, Neg):
-        u = expr.operand
-        if isinstance(u, Const):
-            return Const(-u.value)
-        if isinstance(u, Neg):
-            return u.operand
         return expr
     if isinstance(expr, Pow):
         base, exponent = expr.base, expr.exponent
@@ -944,49 +952,8 @@ def _simplify_node(expr: Expr) -> Expr:
 # Differentiation
 # ---------------------------------------------------------------------------
 
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return Add(a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return Const(-b.value) if isinstance(b, Const) else Neg(b)
-    return Sub(a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return Mul(a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return ZERO
-    if _is_const(b, 1.0):
-        return a
-    return Div(a, b)
-
-
-def _neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.operand
-    return Neg(a)
-
-
 def _diff(expr: Expr, var: str) -> Expr:
+    """The derivative as plain nodes; ``_diff_cached`` simplifies it."""
     if isinstance(expr, Const):
         return ZERO
     if isinstance(expr, Var):
@@ -994,53 +961,44 @@ def _diff(expr: Expr, var: str) -> Expr:
     if var not in free_vars(expr):
         return ZERO
     if isinstance(expr, Add):
-        return _add(_diff(expr.left, var), _diff(expr.right, var))
+        return Add(_diff(expr.left, var), _diff(expr.right, var))
     if isinstance(expr, Sub):
-        return _sub(_diff(expr.left, var), _diff(expr.right, var))
+        return Sub(_diff(expr.left, var), _diff(expr.right, var))
     if isinstance(expr, Neg):
-        return _neg(_diff(expr.operand, var))
+        return Neg(_diff(expr.operand, var))
     if isinstance(expr, Mul):
         l, r = expr.left, expr.right
-        return _add(_mul(_diff(l, var), r), _mul(l, _diff(r, var)))
+        return Add(Mul(_diff(l, var), r), Mul(l, _diff(r, var)))
     if isinstance(expr, Div):
         l, r = expr.left, expr.right
-        return _div(
-            _sub(_mul(_diff(l, var), r), _mul(l, _diff(r, var))),
-            Mul(r, r),
-        )
+        return Div(Sub(Mul(_diff(l, var), r), Mul(l, _diff(r, var))),
+                   Mul(r, r))
     if isinstance(expr, Pow):
         base, exponent = expr.base, expr.exponent
         db = _diff(base, var)
         if var not in free_vars(exponent):
-            new_exp = simplify(Sub(exponent, ONE))
-            return _mul(_mul(exponent, Pow(base, new_exp)), db)
+            return Mul(Mul(exponent, Pow(base, Sub(exponent, ONE))), db)
         de = _diff(exponent, var)
         # d(b^e) = b^e * (e' ln b + e b'/b)
-        return _mul(
-            expr,
-            _add(_mul(de, Ln(base)), _div(_mul(exponent, db), base)),
-        )
+        return Mul(expr, Add(Mul(de, Ln(base)), Div(Mul(exponent, db), base)))
     if isinstance(expr, Exp):
-        return _mul(expr, _diff(expr.operand, var))
+        return Mul(expr, _diff(expr.operand, var))
     if isinstance(expr, Ln):
-        return _div(_diff(expr.operand, var), expr.operand)
+        return Div(_diff(expr.operand, var), expr.operand)
     if isinstance(expr, Sqrt):
-        return _div(_diff(expr.operand, var), _mul(TWO, expr))
+        return Div(_diff(expr.operand, var), Mul(TWO, expr))
     if isinstance(expr, Sin):
-        return _mul(Cos(expr.operand), _diff(expr.operand, var))
+        return Mul(Cos(expr.operand), _diff(expr.operand, var))
     if isinstance(expr, Cos):
-        return _neg(_mul(Sin(expr.operand), _diff(expr.operand, var)))
+        return Neg(Mul(Sin(expr.operand), _diff(expr.operand, var)))
     if isinstance(expr, Abs):
         # u/|u|, valid away from u = 0, where a jet raises
         u = expr.operand
-        return _mul(_div(u, expr), _diff(u, var))
+        return Mul(Div(u, expr), _diff(u, var))
     if isinstance(expr, Antideriv):
         if var == expr.var:
             return expr.integrand
-        inner = _diff(expr.integrand, var)
-        if _is_const(inner, 0.0):
-            return ZERO
-        return Antideriv(simplify(inner), expr.var, expr.base)
+        return Antideriv(_diff(expr.integrand, var), expr.var, expr.base)
     if isinstance(expr, OdeSolution):
         # var is t, the node's one free variable
         return _solution_rate(expr)
@@ -1063,7 +1021,11 @@ def _diff_cached(expr: Expr, var: str) -> Expr:
 
 
 def differentiate(expr: Expr, var: str) -> Expr:
-    """Symbolic partial derivative with local simplification.
+    """Symbolic partial derivative, simplified once.
+
+    The differentiation rules build plain nodes, and one closing
+    ``simplify`` does every fold, so the result is a fixed point of
+    ``simplify`` and ``simplify(differentiate(e, q))`` is a no-op.
 
     For Antideriv nodes the derivative with respect to the integration
     variable is the integrand (fundamental theorem of calculus); derivatives

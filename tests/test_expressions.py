@@ -42,6 +42,7 @@ from lagrangeforge import (
 )
 
 from lagrangeforge.expressions import _FORMAT_RULES, _diff_cached, _memo_hash
+from test_node_bookkeeping import trees
 
 X, V, T = Var("x"), Var("v"), Var("t")
 UNSET = object()  # getattr's default for a slot that holds no value
@@ -295,18 +296,19 @@ class TestSimplify:
         changed = simplify(Add(e.left, Mul(Const(1.0), e.right)))
         assert changed.left is e.left and changed.right is e.right
 
-    def test_simplify_is_not_idempotent_and_the_mark_keeps_that(self):
-        # -1 * -x gives -(-x); only a second call folds the double negation.
-        # A mark on a node before its children are simplified, or on a
-        # node a rule produced, would return these trees unchanged
-        for text, first in (("-1 * -x", Neg(Neg(X))),
-                            ("x + -1 * -x", Add(X, Neg(Neg(X))))):
+    def test_negations_fold_in_one_call_and_the_mark_keeps_that(self):
+        # the Neg that 0 - u or -1 * u builds goes through the Neg rule, so
+        # each double negation folds in one call. A mark on a node before
+        # its children are simplified, or on a node a rule produced, would
+        # return these trees unchanged
+        for text, want in (("-1 * -x", X), ("x * -1 * -1", X), ("0 - -x", X),
+                           ("x + -1 * -x", Add(X, X))):
             e = parse_expression(text)
-            for _ in range(2):
+            for _ in range(2):  # a fresh tree, then one with marked nodes
                 once = simplify(e)
-                assert once == first and repr(once) == repr(first)
-                assert simplify(once) == simplify(first) != first
-        assert simplify(simplify(parse_expression("-1 * -x"))) == X
+                assert once == want and repr(once) == repr(want)
+                assert not e._simplified
+                assert simplify(once) is once and once._simplified
 
 
 def _marked(expr):
@@ -316,8 +318,7 @@ def _marked(expr):
 @settings(max_examples=200, deadline=None)
 @given(expressions())
 def test_simplify_marks_only_fixed_points(drawn):
-    # in the second tree the result is a rule's product, -(-e), which a
-    # second call simplifies further
+    # in the second tree a rule's product, -(-e), goes through the Neg rule
     for expr in (drawn, Mul(Const(-1.0), Neg(copy.deepcopy(drawn)))):
         fresh = simplify(copy.deepcopy(expr))
         fresh_twice = simplify(simplify(copy.deepcopy(expr)))
@@ -332,6 +333,22 @@ def test_simplify_marks_only_fixed_points(drawn):
         for node in nodes:
             assert simplify(node) is node
             assert simplify(copy.deepcopy(node)) == node
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(trees())
+def test_simplify_is_idempotent_and_derivatives_are_its_fixed_points(drawn):
+    # every rule returns a fixed point, also where a rule builds -(-e); a
+    # deep copy drops the marks, so the second call walks the whole tree
+    for expr in (drawn, Mul(Const(-1.0), Neg(drawn)), Sub(Const(0.0), Neg(drawn))):
+        once = simplify(copy.deepcopy(expr))
+        for again in (simplify(once), simplify(copy.deepcopy(once))):
+            assert again == once and repr(again) == repr(once)
+        for q in ("x", "v", "t"):
+            d = differentiate(expr, q)
+            again = simplify(copy.deepcopy(d))
+            assert again == d and repr(again) == repr(d)
+            assert simplify(d) is d
 
 
 class TestStructure:

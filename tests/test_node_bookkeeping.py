@@ -126,7 +126,7 @@ def _simplify_node_reference(expr):
         if _is_const(r, 0.0):
             return l
         if _is_const(l, 0.0):
-            return Const(-r.value) if isinstance(r, Const) else Neg(r)
+            return _simplify_node_reference(Neg(r))
         if isinstance(l, Const) and isinstance(r, Const):
             folded = _fold(lambda a, b: a - b, l.value, r.value)
             if folded is not None:
@@ -143,9 +143,9 @@ def _simplify_node_reference(expr):
         if _is_const(r, 1.0):
             return l
         if _is_const(l, -1.0):
-            return Const(-r.value) if isinstance(r, Const) else Neg(r)
+            return _simplify_node_reference(Neg(r))
         if _is_const(r, -1.0):
-            return Const(-l.value) if isinstance(l, Const) else Neg(l)
+            return _simplify_node_reference(Neg(l))
         if isinstance(l, Const) and isinstance(r, Const):
             folded = _fold(lambda a, b: a * b, l.value, r.value)
             if folded is not None:
@@ -274,8 +274,8 @@ def _marks(expr):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(trees())
 def test_dispatched_simplify_matches_the_isinstance_chain(drawn):
-    # the second tree's result is a rule's product, -(-e): unmarked until a
-    # second call; the third repeats one subtree object at two places
+    # in the second tree a rule's product, -(-e), goes through the Neg
+    # rule; the third repeats one subtree object at two places
     for expr in (drawn, Mul(Const(-1.0), Neg(drawn)), Add(drawn, drawn)):
         ours, theirs = copy.deepcopy(expr), copy.deepcopy(expr)
         for _ in range(3):  # a fresh tree, then the marked earlier results
