@@ -1050,9 +1050,12 @@ def cmd_compare(spec: dict, builds: dict):
                     "compare members target different dynamics: "
                     f"{built[0].ode.rhs} vs {other.ode.rhs}")
         members = {}
-        for idx, b in enumerate(built):
+        for idx, (block, b) in enumerate(zip(spec["members"], built)):
+            label = block.get("name")   # one member's name, several's prefix
             for name, L in b.members.items():
-                key = spec["members"][idx].get("name") or f"{idx}:{name}"
+                key = label if label and len(b.members) < 2 else f"{label or idx}:{name}"
+                if key in members:
+                    raise SpecValidationError(f"compare members repeat the name {key!r}")
                 members[key] = L
         ode = built[0].ode
         notes = sorted({note for b in built for note in b.notes})
@@ -1256,19 +1259,25 @@ def main(argv=None) -> int:
         print(f"{args.command}: input-error (cannot use --out {args.out}: "
               f"{exc.strerror or exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.command == "demo":
-        return cmd_demo(args.name, out_dir, args.tol, args.seed)
     try:
-        spec = load_spec(args.spec)
+        # the schema's bounds; random.Random seeds by a seed's absolute value
+        if args.tol is not None and not 0.0 < args.tol < math.inf:
+            raise SpecValidationError(f"--tol must be positive and finite: {args.tol!r}")
+        if args.seed is not None and args.seed < 0:
+            raise SpecValidationError(f"--seed must be non-negative: {args.seed!r}")
+        spec = None if args.command == "demo" else load_spec(args.spec)
     except SpecValidationError as exc:
-        _commit(out_dir, {"report.json": _json_file({
-            "version": 1,
-            "command": args.command,
-            "error": {"code": "input-error", "message": str(exc)},
-            "exit_code": EXIT_INPUT_ERROR,
-        })})
+        if args.command != "demo":
+            _commit(out_dir, {"report.json": _json_file({
+                "version": 1,
+                "command": args.command,
+                "error": {"code": "input-error", "message": str(exc)},
+                "exit_code": EXIT_INPUT_ERROR,
+            })})
         print(f"{args.command}: input-error ({exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.command == "demo":
+        return cmd_demo(args.name, out_dir, args.tol, args.seed)
     return run_tasks(spec, out_dir, [(args.command, "report.json")],
                      tol=args.tol, seed=args.seed)
 

@@ -47,8 +47,10 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not (math.isfinite(self.overflow_guard) and self.overflow_guard > 0):
             raise ValueError("overflow_guard must be finite and positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        # an integral float counts as the int; NaN, inf and fractions leave a remainder
+        if self.max_steps % 1 or self.max_steps < 1:
+            raise ValueError("max_steps must be a positive integer")
+        object.__setattr__(self, "max_steps", int(self.max_steps))
 
 
 DEFAULT_INTEGRATOR = IntegratorConfig()

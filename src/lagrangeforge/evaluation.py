@@ -1,22 +1,21 @@
 """Numeric evaluation of expressions: plain values and second-order jets.
 
-The rules for each node type are written once, in tables keyed by node type:
+The rules of each function node type (``/``, powers, ``exp``, ``ln``,
+``sqrt``, ``abs``, ``sin`` and ``cos``) are one row of ``_FUNCTIONS``:
 
-* A *value rule* maps operand values to the node's value and owns the node's
-  domain check (``_div_value``, ``_pow_value``, ``_exp_value``, ``_ln_value``,
-  ``_sqrt_value``, ``_sin_value``, ``_cos_value``; negation and ``abs`` are
-  defined everywhere).  The array sweeps hold each check once more, as an
-  exact mask over operand arrays (``_DOMAIN``).
-* A *derivative rule* maps a function node's operand value to
-  ``(f, f', f'')``, built on the node's value rule; a jet applies it through
-  :meth:`Jet2.chain`.  Each is written once for a float and for an array
-  over the sweep's points.  Jets add only the checks that values do not
-  need: ``sqrt`` and ``abs`` are not differentiable at zero, a variable
-  exponent needs a positive base, and a derivative whose denominator
-  rounds to zero (``1/u`` divides by ``u**3``, ``ln`` by ``u**2``) is out
-  of domain.
+* A *domain predicate*, written once for a float and for an array over a
+  sweep's points: at one point it decides whether the value rule raises,
+  and over a sweep it is the exact mask of those points.
+* The C library's function, which the scalar value rule (the node's
+  compiled callable) calls after the domain check, and numpy's.
+* A *derivative rule* maps the operand value to ``(f, f', f'')``, built on
+  the value rule, for a float and an array alike; a jet applies it through
+  :meth:`Jet2.chain`.  Jets add only the checks that values do not need:
+  ``sqrt`` and ``abs`` are not differentiable at zero, a variable exponent
+  needs a positive base, and a derivative whose denominator rounds to zero
+  (``1/u`` divides by ``u**3``, ``ln`` by ``u**2``) is out of domain.
 
-Five entry points read the tables:
+Five entry points read the table:
 
 * :func:`evaluate` walks the tree and returns a float.
 * :func:`compile_callable` generates one straight-line Python function per
@@ -27,13 +26,11 @@ Five entry points read the tables:
   :func:`evaluate`'s bit for bit.  :func:`evaluate_points` is
   :func:`evaluate_field` for scans that need every point: it raises where
   the mask is set.
-  ``+ - * /``, negation, ``sqrt`` and ``abs`` run in numpy, which rounds
-  them exactly as Python floats do.  ``exp``, ``ln``, ``sin``, ``cos`` and
-  powers map the C library's function, the one the scalar rule calls, over
-  the unmasked points: numpy's ``exp``, ``log``, ``power``, ``sin`` and
-  ``cos`` differ from the C library's in the last bit on a few percent of
-  inputs.  Where a map overflows, that node runs point by point through
-  its scalar rule.
+  Arithmetic, ``/``, ``sqrt`` and ``abs`` run in numpy, which rounds them
+  as Python floats do.  The other functions map the C library's function
+  over the unmasked points: numpy's differ from it in the last bit on a
+  few percent of inputs.  Where a map overflows, that node runs point by
+  point through its scalar rule.
 * :func:`jet_field` walks the tree once over the sample points for a
   :class:`Jet2`: the value together with the gradient with respect to the
   state variables ``x, v, t`` and the three second derivatives that the
@@ -120,85 +117,182 @@ __all__ = [
 Binding = Mapping[str, float]
 
 
-# --- value rules: one per node type, each owning its domain check ------------
+# --- function nodes: one row of rules per node type --------------------------
 
-def _div_value(num: float, den: float) -> float:
-    if den == 0.0:
-        raise EvalDomainError("division by zero")
-    return num / den
+class _Function(NamedTuple):
+    """The rules of one function node type: a row of ``_FUNCTIONS``.
 
+    ``undefined(*operands)`` is the domain predicate (None: defined
+    everywhere) and ``message(*operands)`` its error's text; ``overflow``
+    is the text where ``libm``, the C library's function, overflows (None:
+    it cannot).  numpy's ``ufunc`` rounds as ``libm`` does where ``exact``.
+    ``value``, the scalar value rule, is built from these (:func:`_value_rule`)."""
 
-def _pow_value(base: float, exponent: float) -> float:
-    """Real power with explicit domain rules.
-
-    Integer exponents admit negative bases; fractional exponents require a
-    positive base; zero cannot be raised to a negative power.
-    """
-    if base < 0.0 and not (math.isfinite(exponent)
-                           and exponent == math.floor(exponent)):
-        raise EvalDomainError(
-            f"negative base {base!r} with non-integer exponent {exponent!r}"
-        )
-    if base == 0.0 and exponent < 0.0:
-        raise EvalDomainError("zero raised to a negative power")
-    try:
-        return base ** exponent
-    except OverflowError:
-        raise EvalDomainError(
-            f"overflow computing {base!r} ** {exponent!r}"
-        ) from None
+    libm: Callable
+    ufunc: Callable
+    derivative: Callable
+    exact: bool = False
+    undefined: Callable | None = None
+    message: Callable | None = None
+    overflow: Callable | None = None
+    value: Callable | None = None
 
 
-def _exp_value(u: float) -> float:
-    try:
-        return math.exp(u)
-    except OverflowError:
-        raise EvalDomainError(f"overflow computing exp({u!r})") from None
+def _pow_domain(base, exponent):
+    """A negative base with an exponent that is not a finite integer, or a
+    zero base with a negative exponent."""
+    if type(exponent) is not float:
+        if isinstance(exponent, np.ndarray):
+            integral = np.isfinite(exponent) & (exponent == np.floor(exponent))
+            return ((base < 0.0) & ~integral) | ((base == 0.0) & (exponent < 0.0))
+        exponent = float(exponent)   # numpy's arithmetic would raise flags
+    # one exponent for every point: decide its tests once.  A finite integer
+    # leaves no remainder; an infinity or NaN leaves NaN.
+    if exponent % 1.0 == 0.0:
+        return exponent < 0.0 and base == 0.0
+    return base <= 0.0 if exponent < 0.0 else base < 0.0
 
 
-def _ln_value(u: float) -> float:
-    if u <= 0.0:
-        raise EvalDomainError(f"log of non-positive value {u!r}")
-    return math.log(u)
+def _pow_message(base, exponent) -> str:
+    return ("zero raised to a negative power" if base == 0.0 else
+            f"negative base {base!r} with non-integer exponent {exponent!r}")
 
 
-def _sqrt_value(u: float) -> float:
-    if u < 0.0:
-        raise EvalDomainError(f"square root of negative value {u!r}")
-    return math.sqrt(u)
+def _infinite(u):
+    return abs(u) == math.inf
 
 
-def _sin_value(u: float) -> float:
-    try:
-        return math.sin(u)
-    except ValueError:
-        raise EvalDomainError(f"sine of {u!r}") from None
+# The derivative rules map an operand value to (f, f', f'').  Each is written
+# once, for one point and for a sweep alike: ``u`` is a float or an array over
+# the sweep's points, and ``on`` is the walk.  ``on.value(kind, *operands)``
+# applies a node type's value rule, and ``on.fail(where, error, message,
+# *args)`` raises ``error`` if ``where`` holds at a point (``_POINT``, and
+# eval_jet2's one-point sweep) or masks the points where it holds (a sweep).
+
+def _exp_rule(u, on) -> tuple:
+    e = on.value(Exp, u)
+    return e, e, e
 
 
-def _cos_value(u: float) -> float:
-    try:
-        return math.cos(u)
-    except ValueError:
-        raise EvalDomainError(f"cosine of {u!r}") from None
+def _ln_rule(u, on) -> tuple:
+    f = on.value(Ln, u)
+    uu = u * u
+    on.fail(uu == 0.0, EvalDomainError,
+            "second derivative of log at {!r} overflows", u)
+    return f, 1.0 / u, -1.0 / uu
 
 
-# The value rule of each node type that has one.  Binary arithmetic nodes hold
-# their operands as left/right; Pow holds base/exponent and has its own rule.
-_BINARY_VALUE = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-                 Div: _div_value}
-_UNARY_VALUE = {Neg: operator.neg, Exp: _exp_value, Ln: _ln_value,
-                Sqrt: _sqrt_value, Abs: abs, Sin: _sin_value, Cos: _cos_value}
-# Every function node's value rule, powers included
-_VALUE_RULE = {**_UNARY_VALUE, Pow: _pow_value}
+def _sqrt_rule(u, on) -> tuple:
+    on.fail(u == 0.0, NonDifferentiableError,
+            "square root is not differentiable at zero")
+    s = on.value(Sqrt, u)
+    su = s * u
+    on.fail(su == 0.0, EvalDomainError,
+            "second derivative of sqrt at {!r} overflows", u)
+    return s, 0.5 / s, -0.25 / su
+
+
+def _abs_rule(u, on) -> tuple:
+    on.fail(u == 0.0, NonDifferentiableError,
+            "absolute value is not differentiable at zero")
+    # the sign: 1.0 above zero, -1.0 elsewhere (NaN too), on floats and arrays
+    return abs(u), (u > 0.0) * 2.0 - 1.0, 0.0
+
+
+def _sin_rule(u, on) -> tuple:
+    s, c = on.value(Sin, u), on.value(Cos, u)
+    return s, c, -s
+
+
+def _cos_rule(u, on) -> tuple:
+    s, c = on.value(Sin, u), on.value(Cos, u)
+    return c, -s, -c
+
+
+def _recip_rule(u, on) -> tuple:
+    """(f, f', f'') of 1/u; undefined where u cubed is zero."""
+    u2 = u * u
+    u3 = u2 * u
+    on.fail(u3 == 0.0, EvalDomainError,
+            "division by {!r}: its cube is zero", u)
+    return 1.0 / u, -1.0 / u2, 2.0 / u3
+
+
+def _pow_rule(u, n: float, on) -> tuple:
+    """(f, f', f'') of u**n for a constant exponent n, a float."""
+    # skip undefined derivative terms whose coefficients vanish, so x**2 is
+    # fine at x = 0
+    f0 = _power(u, n, on)
+    f1 = 0.0 if n == 0.0 else n * _power(u, n - 1.0, on)
+    f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * _power(u, n - 2.0, on)
+    return f0, f1, f2
+
+
+def _power(u, n: float, on):
+    """u**n by ``on``'s value rule; 1.0 at exponent zero, which is u**0.0 for
+    every float u, NaN and infinities included, and where no domain rule
+    masks a point."""
+    return 1.0 if n == 0.0 else on.value(Pow, u, n)
+
+
+_FUNCTIONS = {
+    Div: _Function(operator.truediv, np.divide, _recip_rule, exact=True,
+                   undefined=lambda num, den: den == 0.0,
+                   message="division by zero".format),
+    Pow: _Function(operator.pow, np.power, _pow_rule, undefined=_pow_domain,
+                   message=_pow_message,
+                   overflow="overflow computing {!r} ** {!r}".format),
+    Exp: _Function(math.exp, np.exp, _exp_rule,
+                   overflow="overflow computing exp({!r})".format),
+    Ln: _Function(math.log, np.log, _ln_rule, undefined=lambda u: u <= 0.0,
+                  message="log of non-positive value {!r}".format),
+    Sqrt: _Function(math.sqrt, np.sqrt, _sqrt_rule, exact=True,
+                    undefined=lambda u: u < 0.0,
+                    message="square root of negative value {!r}".format),
+    Abs: _Function(abs, np.abs, _abs_rule, exact=True),
+    Sin: _Function(math.sin, np.sin, _sin_rule, undefined=_infinite,
+                   message="sine of {!r}".format),
+    Cos: _Function(math.cos, np.cos, _cos_rule, undefined=_infinite,
+                   message="cosine of {!r}".format),
+}
+
+# Sums, differences and products: one operator on floats, arrays and jets
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _operands(expr: Expr) -> tuple:
+    """A function node's operands, in the order that the walks visit them."""
+    kind = type(expr)
+    if kind is Div:
+        return expr.left, expr.right
+    if kind is Pow:
+        return expr.base, expr.exponent
+    return (expr.operand,)
+
+
+class _Point:
+    """The rules' side of one point given as Python floats: raises where they fail."""
+
+    @staticmethod
+    def value(kind, *operands):
+        return _FUNCTIONS[kind].value(*operands)
+
+    @staticmethod
+    def fail(where, error, message, *args):
+        if where:
+            raise error(message.format(*args))
+
+
+_POINT = _Point()
 
 
 def evaluate(expr: Expr, binding: Binding) -> float:
     """Evaluate ``expr`` at ``binding``; unbound names and domain violations raise."""
-    # constants and binary arithmetic are tested first: they are most of a tree
+    # constants and arithmetic are tested first: they are most of a tree
     kind = type(expr)
     if kind is Const:
         return expr.value
-    rule = _BINARY_VALUE.get(kind)
+    rule = _ARITHMETIC.get(kind)
     if rule is not None:
         return rule(evaluate(expr.left, binding), evaluate(expr.right, binding))
     if kind is Var:
@@ -206,12 +300,14 @@ def evaluate(expr: Expr, binding: Binding) -> float:
             return float(binding[expr.name])
         except KeyError:
             raise EvalDomainError(f"unbound variable {expr.name!r}") from None
-    rule = _UNARY_VALUE.get(kind)
-    if rule is not None:
-        return rule(evaluate(expr.operand, binding))
-    if kind is Pow:
-        return _pow_value(evaluate(expr.base, binding),
-                          evaluate(expr.exponent, binding))
+    row = _FUNCTIONS.get(kind)
+    if row is not None:
+        if kind is Div or kind is Pow:
+            a, b = _operands(expr)
+            return row.value(evaluate(a, binding), evaluate(b, binding))
+        return row.value(evaluate(expr.operand, binding))
+    if kind is Neg:
+        return -evaluate(expr.operand, binding)
     if kind is Antideriv or kind is OdeSolution:
         return _at_point(expr, free_vars(expr), binding)
     raise TypeError(f"cannot evaluate node of type {type(expr).__name__}")
@@ -225,10 +321,11 @@ def evaluate(expr: Expr, binding: Binding) -> float:
 # subtree becomes one local, computed once, in the order in which the scalar
 # walk first reaches it, so a call raises where evaluate raises and returns
 # its bits.  Equal subtrees evaluate identically (see the sweeps below), so
-# computing one once is exact.  The source holds only generated names:
-# arguments are a0, a1, ..., locals t0, t1, ..., and constants, value rules,
-# the nodes that _at_point reads and their variables' names are entries of
-# the function's namespace, so no user text reaches the compiler.
+# computing one once is exact.  A function node runs its row's parts inline.
+# The source holds only generated names: arguments are a0, a1, ..., locals
+# t0, t1, ..., and constants, the rows' parts, the nodes that _at_point
+# reads and their variables' names are entries of the function's
+# namespace, so no user text reaches the compiler.
 
 def compile_callable(expr: Expr, varnames: Sequence[str]) -> Callable[..., float]:
     """Compile ``expr`` to a positional-argument callable.
@@ -253,8 +350,7 @@ _INLINE = {Add: "+", Sub: "-", Mul: "*"}
 
 def _compile(expr, names):
     args = [f"a{i}" for i in range(len(names))]
-    namespace = {rule.__name__: rule for rule in (*_VALUE_RULE.values(),
-                                                  _div_value)}
+    namespace = {"_Error": EvalDomainError, "_Overflow": OverflowError}
     lines = []
     held = {}   # each distinct node walked so far -> the name holding its value
 
@@ -273,28 +369,39 @@ def _compile(expr, names):
         elif kind is Var:
             name = args[names.index(node.name)]
         else:
+            overflow = None
             if kind is Antideriv or kind is OdeSolution:
                 read = free_vars(node)
                 point = ", ".join(f"{constant(var)}: {arg}"
                                   for var, arg in zip(names, args) if var in read)
                 text = (f"{constant(_at_point)}({constant(node)}, "
                         f"{constant(read)}, {{{point}}})")
-            elif kind is Pow:
-                base = emit(node.base)
-                text = f"_pow_value({base}, {emit(node.exponent)})"
+            elif kind in _INLINE:
+                left = emit(node.left)
+                text = f"{left} {_INLINE[kind]} {emit(node.right)}"
+            elif kind in _FUNCTIONS:
+                # the row's parts, as _Ln, _Ln_undefined, _Ln_message, ...
+                row, rule = _FUNCTIONS[kind], f"_{kind.__name__}"
+                namespace[rule] = row.libm
+                for part in ("undefined", "message", "overflow"):
+                    namespace[f"{rule}_{part}"] = getattr(row, part)
+                operands = ", ".join([emit(op) for op in _operands(node)])
+                text = f"{rule}({operands})"
+                if row.undefined is not None:
+                    lines.append(f"    if {rule}_undefined({operands}):\n"
+                                 f"        raise _Error({rule}_message({operands}))\n")
+                if row.overflow is not None:
+                    overflow = f"{rule}_overflow({operands})"
             elif kind is Neg:
                 text = f"-{emit(node.operand)}"
-            elif kind in _UNARY_VALUE:
-                text = f"{_UNARY_VALUE[kind].__name__}({emit(node.operand)})"
-            elif kind in _BINARY_VALUE:
-                left = emit(node.left)
-                right = emit(node.right)
-                text = (f"{left} {_INLINE[kind]} {right}" if kind in _INLINE
-                        else f"_div_value({left}, {right})")
             else:
                 raise TypeError(f"cannot compile node of type {kind.__name__}")
             name = f"t{len(lines)}"
-            lines.append(f"    {name} = {text}\n")
+            line = f"    {name} = {text}\n"
+            if overflow is not None:
+                line = (f"    try:\n    {line}    except _Overflow:\n"
+                        f"        raise _Error({overflow}) from None\n")
+            lines.append(line)
         held[node] = name
         return name
 
@@ -303,6 +410,16 @@ def _compile(expr, names):
               + f"    return {result}\n")
     exec(compile(source, "<compile_callable>", "exec"), namespace)
     return namespace["compiled"]
+
+
+def _value_rule(kind):
+    """The scalar value rule of ``kind``'s row: a compiled node over variables."""
+    names = ("u", "w")[:len(kind.__match_args__)]
+    return _compile(kind(*map(Var, names)), names)
+
+
+_FUNCTIONS = {kind: row._replace(value=_value_rule(kind))
+              for kind, row in _FUNCTIONS.items()}
 
 
 # --- antiderivative nodes ---------------------------------------------------
@@ -702,84 +819,6 @@ class Jet2:
         return Jet2(f0, cx, cv, ct, hxv, hvv, hvt)
 
 
-# --- derivative rules: (f, f', f'') at the operand value ---------------------
-#
-# Each rule is written once, for one point and for a sweep alike: ``u`` is a
-# float or an array over the sweep's points, and ``on`` is the walk.
-# ``on.value(kind, *operands)`` applies a node type's value rule, and
-# ``on.fail(where, error, message, *args)`` raises ``error`` if ``where``
-# holds at a point (``_POINT``, and eval_jet2's one-point sweep) or masks
-# the points where it holds (a sweep).
-
-class _Point:
-    """The rules' side of one point given as Python floats: raises where they fail."""
-
-    @staticmethod
-    def value(kind, *operands):
-        return _VALUE_RULE[kind](*operands)
-
-    @staticmethod
-    def fail(where, error, message, *args):
-        if where:
-            raise error(message.format(*args))
-
-
-_POINT = _Point()
-
-
-def _exp_rule(u, on) -> tuple:
-    e = on.value(Exp, u)
-    return e, e, e
-
-
-def _ln_rule(u, on) -> tuple:
-    f = on.value(Ln, u)
-    uu = u * u
-    on.fail(uu == 0.0, EvalDomainError,
-            "second derivative of log at {!r} overflows", u)
-    return f, 1.0 / u, -1.0 / uu
-
-
-def _sqrt_rule(u, on) -> tuple:
-    on.fail(u == 0.0, NonDifferentiableError,
-            "square root is not differentiable at zero")
-    s = on.value(Sqrt, u)
-    su = s * u
-    on.fail(su == 0.0, EvalDomainError,
-            "second derivative of sqrt at {!r} overflows", u)
-    return s, 0.5 / s, -0.25 / su
-
-
-def _abs_rule(u, on) -> tuple:
-    on.fail(u == 0.0, NonDifferentiableError,
-            "absolute value is not differentiable at zero")
-    # the sign: 1.0 above zero, -1.0 elsewhere (NaN too), on floats and arrays
-    return abs(u), (u > 0.0) * 2.0 - 1.0, 0.0
-
-
-def _sin_rule(u, on) -> tuple:
-    s, c = on.value(Sin, u), on.value(Cos, u)
-    return s, c, -s
-
-
-def _cos_rule(u, on) -> tuple:
-    s, c = on.value(Sin, u), on.value(Cos, u)
-    return c, -s, -c
-
-
-def _recip_rule(u, on) -> tuple:
-    """(f, f', f'') of 1/u; undefined where u cubed is zero."""
-    u2 = u * u
-    u3 = u2 * u
-    on.fail(u3 == 0.0, EvalDomainError,
-            "division by {!r}: its cube is zero", u)
-    return 1.0 / u, -1.0 / u2, 2.0 / u3
-
-
-_DERIVATIVE_RULES = {Exp: _exp_rule, Ln: _ln_rule, Sqrt: _sqrt_rule,
-                     Abs: _abs_rule, Sin: _sin_rule, Cos: _cos_rule}
-
-
 def _is_constant_jet(j: Jet2):
     """Where every derivative slot of ``j`` is zero: a bool, or an array over
     a sweep's points."""
@@ -789,24 +828,6 @@ def _is_constant_jet(j: Jet2):
     return flat
 
 
-def _pow_rule(u, n: float, on) -> tuple:
-    """(f, f', f'') of u**n for a constant exponent n, a float."""
-    # skip undefined derivative terms whose coefficients vanish, so x**2 is
-    # fine at x = 0
-    f0 = _power(u, n, on)
-    f1 = 0.0 if n == 0.0 else n * _power(u, n - 1.0, on)
-    f2 = 0.0 if n in (0.0, 1.0) else n * (n - 1.0) * _power(u, n - 2.0, on)
-    return f0, f1, f2
-
-
-def _power(u, n: float, on):
-    """u**n by ``on``'s value rule; 1.0 at exponent zero, which is u**0.0 for
-    every float u, NaN and infinities included, and where no domain rule
-    masks a point."""
-    return 1.0 if n == 0.0 else on.value(Pow, u, n)
-
-
-_JET_BINARY = {Add: Jet2.__add__, Sub: Jet2.__sub__, Mul: Jet2.__mul__}
 _VAR_SLOT = {"x": "gx", "v": "gv", "t": "gt"}
 
 
@@ -853,16 +874,15 @@ def _is_zero(slot: Expr) -> bool:
 # C-library calls and integrals skip masked points, so they do work exactly
 # where the scalar walks do.
 #
-# A function node's value rule runs in two steps (_Sweep.value): its domain
-# check as a mask over the operands (_DOMAIN; comparisons and isinf are
-# exact), then the value at the unmasked points; while no point is masked
-# the map runs over whole columns, and a power whose exponent is one number
-# decides that number's domain tests once.  Exp and powers can still
-# overflow there: where a mapped C-library call raises OverflowError, the
-# node is redone point by point with its scalar rule, which masks exactly
-# the overflowing points.  The integrands' sweep (``vectorised``) takes
-# numpy's functions for the values and reads overflow off as an infinite
-# result of finite operands.
+# A function node's value rule runs in two steps (_Sweep.value): its row's
+# domain predicate masks the operands, and the value is computed at the
+# unmasked points, by numpy where it rounds as the C library does and else
+# by mapping the C library's function; while no point is masked the map
+# runs over whole columns.  Exp and powers can still overflow there: where
+# a mapped C-library call raises OverflowError, the node is redone point by
+# point with its scalar rule, which masks exactly the overflowing points.
+# The integrands' sweep (``vectorised``) takes numpy's functions for the
+# values and reads overflow off as an infinite result of finite operands.
 #
 # A sweep walks each distinct subtree once: it keeps every node's value and
 # jet, keyed by the node, and returns the kept result when an equal node
@@ -924,28 +944,6 @@ def _is_zero(slot: Expr) -> bool:
 # other points', which one array cannot hold, so a sweep with such a point
 # among others is redone.
 
-def _pow_domain(base, exponent):
-    if not isinstance(exponent, np.ndarray):
-        # one exponent for every point: decide its tests once
-        exponent = float(exponent)
-        if math.isfinite(exponent) and exponent == math.floor(exponent):
-            return base == 0.0 if exponent < 0.0 else False
-        return base <= 0.0 if exponent < 0.0 else base < 0.0
-    integral = np.isfinite(exponent) & (exponent == np.floor(exponent))
-    return ((base < 0.0) & ~integral) | ((base == 0.0) & (exponent < 0.0))
-
-
-# Where each value rule's domain check raises, over operand arrays
-_DOMAIN = {Ln: lambda u: u <= 0.0, Sqrt: lambda u: u < 0.0,
-           Sin: np.isinf, Cos: np.isinf, Pow: _pow_domain}
-# The C library's function that each value rule calls, for the exact sweeps
-_LIBM = {Exp: math.exp, Ln: math.log, Sin: math.sin, Cos: math.cos,
-         Pow: operator.pow}
-# numpy's counterparts: exact for sqrt and abs, last-bit close for the rest
-_UFUNC = {Exp: np.exp, Ln: np.log, Sqrt: np.sqrt, Abs: np.abs, Sin: np.sin,
-          Cos: np.cos, Pow: np.power}
-
-
 class _Sweep:
     __slots__ = ("columns", "bad", "vectorised", "zero", "values", "jets",
                  "maps", "integrals", "flagged", "redo")
@@ -985,20 +983,19 @@ class _Sweep:
         same function and operands returns the values kept from the first
         (see above).
         """
-        libm = _LIBM.get(kind)
-        if libm is not None and not self.vectorised:
+        row = _FUNCTIONS[kind]
+        if not (row.exact or self.vectorised):
             key = (kind, *map(_operand_key, operands))
             kept = self.maps.get(key)
             if kept is None:
                 # the operands stay alive with the values, so no array's id
                 # is reused while the sweep lives
-                kept = self.maps[key] = (operands, self.mapped(kind, *operands))
+                kept = self.maps[key] = (operands, self.mapped(row, *operands))
             return kept[1]
-        domain = _DOMAIN.get(kind)
-        if domain is not None:
-            self.bad |= domain(*operands)
-        value = _UFUNC[kind](*operands)
-        if kind in (Exp, Pow):
+        if row.undefined is not None:
+            self.bad |= row.undefined(*operands)
+        value = row.ufunc(*operands)
+        if row.overflow is not None:
             # the C library raises where finite operands overflow
             overflow = np.isinf(value)
             for op in operands:
@@ -1006,13 +1003,11 @@ class _Sweep:
             self.bad |= overflow
         return value
 
-    def mapped(self, kind, *operands) -> np.ndarray:
-        """``kind``'s C-library function over the unmasked points, after its
+    def mapped(self, row: _Function, *operands) -> np.ndarray:
+        """``row``'s C-library function over the unmasked points, after its
         domain check."""
-        domain = _DOMAIN.get(kind)
-        if domain is not None:
-            self.bad |= domain(*operands)
-        libm = _LIBM[kind]
+        if row.undefined is not None:
+            self.bad |= row.undefined(*operands)
         # with no point masked yet, map over whole columns: no index, no scatter
         good = ~self.bad if self.bad.any() else None
         count = len(self.bad) if good is None else int(np.count_nonzero(good))
@@ -1020,11 +1015,11 @@ class _Sweep:
                 if isinstance(op, np.ndarray) else [float(op)] * count
                 for op in operands]
         try:
-            values = np.fromiter(map(libm, *args), float, count)
+            values = np.fromiter(map(row.libm, *args), float, count)
         except OverflowError:
             # exp or a power overflowed at some point: the scalar rule, point
             # by point, masks exactly the points where it raises
-            return self.per_point(_VALUE_RULE[kind], *operands)
+            return self.per_point(row.value, *operands)
         if good is None:
             return values
         out = np.full(len(good), math.nan)
@@ -1111,7 +1106,7 @@ class _OnePoint(_Sweep):
         self.zero = zero
 
     def value(self, kind, *operands) -> np.ndarray:
-        return np.array([_POINT.value(kind, *map(_scalar, operands))])
+        return np.array([_FUNCTIONS[kind].value(*map(_scalar, operands))])
 
     def fail(self, where, error, message, *args) -> None:
         # ``where`` is a bool or holds one point
@@ -1197,30 +1192,22 @@ def _value_node(expr, sweep):
     kind = type(expr)
     if kind is Const:
         return expr.value
-    if kind in _BINARY_VALUE:
-        left = _value_walk(expr.left, sweep)
-        right = _value_walk(expr.right, sweep)
-        if kind is Add:
-            return left + right
-        if kind is Sub:
-            return left - right
-        if kind is Mul:
-            return left * right
-        sweep.fail(right == 0.0, EvalDomainError, "division by zero")
-        return np.divide(left, right)
+    rule = _ARITHMETIC.get(kind)
+    if rule is not None:
+        return rule(_value_walk(expr.left, sweep), _value_walk(expr.right, sweep))
     if kind is Var:
         value = sweep.columns.get(expr.name)
         if value is None:
             sweep.fail(True, EvalDomainError, "unbound variable {!r}", expr.name)
             return math.nan
         return value if isinstance(value, np.ndarray) else float(value)
+    if kind in _FUNCTIONS:
+        if kind is Div or kind is Pow:
+            a, b = _operands(expr)
+            return sweep.value(kind, _value_walk(a, sweep), _value_walk(b, sweep))
+        return sweep.value(kind, _value_walk(expr.operand, sweep))
     if kind is Neg:
         return -_value_walk(expr.operand, sweep)
-    if kind in _UNARY_VALUE:
-        return sweep.value(kind, _value_walk(expr.operand, sweep))
-    if kind is Pow:
-        base = _value_walk(expr.base, sweep)
-        return sweep.value(Pow, base, _value_walk(expr.exponent, sweep))
     if kind is Antideriv:
         return _antideriv_field(expr, sweep)
     if kind is OdeSolution:
@@ -1330,15 +1317,9 @@ def _jet_node(expr, sweep):
     n = len(sweep.bad)
     if kind is Const:
         return _leaf(np.float64(expr.value), sweep.zero)
-    if kind in _BINARY_VALUE:
-        left = _jet_walk(expr.left, sweep)
-        right = _jet_walk(expr.right, sweep)
-        if kind is not Div:
-            return _JET_BINARY[kind](left, right)
-        # a constant denominator stays a scalar, as a numpy one, so that a
-        # zero is masked rather than raised
-        return left * right.chain(*sweep.vetted(_recip_rule, np.asarray(right.f),
-                                                sweep))
+    rule = _ARITHMETIC.get(kind)
+    if rule is not None:
+        return rule(_jet_walk(expr.left, sweep), _jet_walk(expr.right, sweep))
     if kind is Var:
         value, = sweep.vetted(_leaf_values, sweep, (expr,), source=True)
         jet = _leaf(value, sweep.zero)
@@ -1346,10 +1327,13 @@ def _jet_node(expr, sweep):
         if slot is not None:
             setattr(jet, slot, 1.0)
         return jet
-    rule = _DERIVATIVE_RULES.get(kind)
-    if rule is not None:
-        u = _jet_walk(expr.operand, sweep)
-        return u.chain(*sweep.vetted(rule, _full(u.f, n), sweep))
+    row = _FUNCTIONS.get(kind)
+    if kind is Div:
+        left, right = _jet_walk(expr.left, sweep), _jet_walk(expr.right, sweep)
+        # a constant denominator stays a scalar, as a numpy one, so that a
+        # zero is masked rather than raised
+        return left * right.chain(*sweep.vetted(row.derivative,
+                                                np.asarray(right.f), sweep))
     if kind is Pow:
         base = _jet_walk(expr.base, sweep)
         exponent = _jet_walk(expr.exponent, sweep)
@@ -1358,13 +1342,17 @@ def _jet_node(expr, sweep):
         if (flat.all() if varies else flat) and (
                 n == 1 or not isinstance(exponent.f, np.ndarray)):
             power = exponent.f[0] if isinstance(exponent.f, np.ndarray) else exponent.f
-            return base.chain(*sweep.vetted(_pow_rule, _full(base.f, n), power, sweep))
+            return base.chain(*sweep.vetted(row.derivative, _full(base.f, n),
+                                            power, sweep))
         # an exponent that varies: u**w = exp(w * ln u), for u > 0 (see above)
         sweep.redo |= bool(np.any(flat & ~sweep.bad))
         sweep.fail(base.f <= 0.0, EvalDomainError,
                    "non-positive base {!r} with variable exponent", base.f)
         arg = exponent * base.chain(*sweep.vetted(_ln_rule, _full(base.f, n), sweep))
         return arg.chain(*sweep.vetted(_exp_rule, _full(arg.f, n), sweep))
+    if row is not None:
+        u = _jet_walk(expr.operand, sweep)
+        return u.chain(*sweep.vetted(row.derivative, _full(u.f, n), sweep))
     if kind is Neg:
         return -_jet_walk(expr.operand, sweep)
     if kind is Antideriv or kind is OdeSolution:

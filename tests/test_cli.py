@@ -311,6 +311,31 @@ class TestVerify:
         assert not report["verification"]["user"]["passed"]
         assert report["exit_code"] == EXIT_VERIFY_FAIL
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_a_tolerance_override_out_of_bounds_is_input_error(self, tmp_path,
+                                                               tol):
+        # --tol inf would certify the wrong sign of the test above
+        doc = {"version": 1,
+               "equation": {"rhs": "-1.0*x",
+                            "lagrangian": "0.5*v^2 + 0.5*x^2"}}
+        out = tmp_path / "out"
+        assert run("verify", write_spec(tmp_path, doc), out,
+                   "--tol", tol) == EXIT_INPUT_ERROR
+        report = load_report(out)
+        assert report["exit_code"] == EXIT_INPUT_ERROR
+        assert report["error"] == {
+            "code": "input-error",
+            "message": f"--tol must be positive and finite: {float(tol)!r}"}
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    def test_a_negative_seed_override_is_input_error(self, tmp_path):
+        # random.Random(-3) samples as random.Random(3) does
+        out = tmp_path / "out"
+        assert run("verify", write_spec(tmp_path, DAMPED), out,
+                   "--seed", "-3") == EXIT_INPUT_ERROR
+        assert load_report(out)["error"]["message"] == \
+            "--seed must be non-negative: -3"
+
     def test_residual_csv_field_sweep(self, tmp_path):
         spec = write_spec(tmp_path, DAMPED)
         out = tmp_path / "out"
@@ -485,6 +510,29 @@ class TestCompare:
         assert run("compare", spec, out) == EXIT_OK
         assert load_report(out)["equivalent"]
 
+    def test_a_named_block_prefixes_its_members(self, tmp_path):
+        doc = {"version": 1,
+               "equation": {"family": "multiL", "k": 0.5},
+               "domain": {"t": [0.0, 2.0]},
+               "members": [{"family": "multiL", "k": 0.5, "name": "m"},
+                           {"family": "multiL", "k": 0.5}]}
+        out = tmp_path / "out"
+        assert run("compare", write_spec(tmp_path, doc), out) == EXIT_OK
+        names = [m["name"] for m in load_report(out)["members"]]
+        assert len(names) == len(set(names)) == 12
+        assert [n.split(":")[0] for n in names] == ["m"] * 6 + ["1"] * 6
+        header, _ = read_csv(out / "matrix.csv")
+        assert header == ["member"] + names
+
+    def test_a_repeated_member_name_is_input_error(self, tmp_path):
+        doc = {**self.MEMBERS,
+               "members": [{**m, "name": "same"} for m in self.MEMBERS["members"]]}
+        out = tmp_path / "out"
+        assert run("compare", write_spec(tmp_path, doc), out) == EXIT_INPUT_ERROR
+        assert load_report(out)["error"] == {
+            "code": "input-error",
+            "message": "compare members repeat the name 'same'"}
+
     def test_single_member_is_inapplicable(self, tmp_path):
         spec = write_spec(tmp_path, DAMPED)
         assert run("compare", spec, tmp_path / "out") == EXIT_INAPPLICABLE
@@ -583,6 +631,17 @@ class TestDemo:
         err = capsys.readouterr().err
         for name in preset_names():
             assert name in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--tol", "inf"), ("--tol", "0"), ("--seed", "-1")])
+    def test_a_demo_refuses_overrides_out_of_bounds(self, tmp_path, capsys,
+                                                    option, value):
+        out = tmp_path / "o"
+        code = main(["demo", "free-particle", "--out", str(out), option, value])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(
+            f"demo: input-error ({option} must be")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("name", preset_names())
     def test_every_preset_succeeds(self, tmp_path, name):

@@ -107,7 +107,7 @@ def test_generated_source_holds_no_user_text():
     code = fn.__code__
     assert set(code.co_consts) <= {None}
     assert all(re.fullmatch(r"[at]\d+", name) for name in code.co_varnames)
-    assert all(re.fullmatch(r"k\d+|_\w+_value", name) for name in code.co_names)
+    assert all(re.fullmatch(r"k\d+|_[A-Z][a-z]+(_[a-z]+)?", name) for name in code.co_names)
     assert fn(0.5, 0.25, 2.0, 1.25).hex() == evaluate(
         expr, {"x": 0.5, "v": 0.25, "t": 2.0, "gain": 1.25}).hex()
 

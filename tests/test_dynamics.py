@@ -136,6 +136,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="overflow_guard"):
             IntegratorConfig(overflow_guard=value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 0, -3])
+    def test_max_steps_must_be_a_positive_integer(self, value):
+        # nan would switch the step limit off: no comparison with it is true
+        with pytest.raises(ValueError, match="max_steps"):
+            IntegratorConfig(max_steps=value)
+
+    def test_an_integral_float_max_steps_counts_as_the_int(self):
+        cfg = IntegratorConfig(max_steps=3.0)
+        assert cfg.max_steps == 3 and type(cfg.max_steps) is int
+        with pytest.raises(IntegrationError, match="step limit 3 reached"):
+            integrate_ode(HARMONIC, 0.0, 1.0, 0.0, 50.0, cfg)
+
     def test_the_defaults_are_accepted(self):
         IntegratorConfig()
         IntegratorConfig(rel_tol=1e-6, abs_tol=1e-300, overflow_guard=1e300)

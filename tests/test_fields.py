@@ -334,7 +334,7 @@ def test_exp_overflow_edge_is_the_scalar_one(fallbacks):
     xs = _neighbours(EXP_EDGE)
     bad, jet_bad = _matches_scalar(Exp(Var("x")), {"x": np.array(xs)})
     assert bad == jet_bad == [x > EXP_EDGE for x in xs]
-    assert fallbacks == [evaluation._exp_value] * 2
+    assert fallbacks == [evaluation._FUNCTIONS[Exp].value] * 2
 
 
 def test_power_of_ten_overflow_edge_is_the_scalar_one(fallbacks):
@@ -343,7 +343,7 @@ def test_power_of_ten_overflow_edge_is_the_scalar_one(fallbacks):
     assert bad == jet_bad
     assert 0 < sum(bad) < len(xs) and bad == sorted(bad)
     # the value walk falls back; so may the jet's exp(x*ln(10))
-    assert evaluation._pow_value in fallbacks
+    assert evaluation._FUNCTIONS[Pow].value in fallbacks
 
 
 def test_integral_exponent_overflow_of_a_negative_base(fallbacks):
@@ -352,14 +352,14 @@ def test_integral_exponent_overflow_of_a_negative_base(fallbacks):
         evaluate(expr, {"x": -2.0})
     bad, jet_bad = _matches_scalar(expr, {"x": np.array([-2.0, 1.0, -1.0, 0.5])})
     assert bad == jet_bad == [True, False, False, False]
-    assert set(fallbacks) == {evaluation._pow_value}
+    assert set(fallbacks) == {evaluation._FUNCTIONS[Pow].value}
 
 
 def test_only_the_overflowing_points_are_masked(fallbacks):
     xs = np.array([1.0, 710.0, -3.0, 800.0, 709.0, math.inf, -math.inf, math.nan])
     bad, jet_bad = _matches_scalar(Exp(Var("x")), {"x": xs})
     assert bad == jet_bad == [False, True, False, True, False, False, False, False]
-    assert fallbacks == [evaluation._exp_value] * 2
+    assert fallbacks == [evaluation._FUNCTIONS[Exp].value] * 2
 
 
 def test_no_fallback_without_overflow(fallbacks):
@@ -638,7 +638,7 @@ def bounded(expr, point):
         right, dr = bounded(expr.right, point)
         if kind is Div:
             _unsure(right, dr, 0.0)
-            value = evaluation._div_value(left, right)
+            value = evaluation._FUNCTIONS[Div].value(left, right)
             if dl == dr == 0.0:
                 return value, 0.0
             spread = (dl + _scaled(value, dr) * (1 + 4 * EPS)) / (abs(right) - dr)
@@ -667,26 +667,26 @@ def bounded(expr, point):
             # whether the power overflows
             if abs(log_value - LOG_HUGE) <= 1.01 * spread_log + 1e-9 * max(1.0, abs(log_value)):
                 raise Unsure
-        value = evaluation._pow_value(base, exponent)
+        value = evaluation._FUNCTIONS[Pow].value(base, exponent)
         if db == de == 0.0:
             return value, _function(value, 0.0)
         return value, _function(value, abs(value) * _expm1(1.01 * spread_log))
     u, du = bounded(expr.operand, point)
     if kind is Exp:
         _unsure(u, du, LOG_HUGE)
-        value = evaluation._exp_value(u)
+        value = evaluation._FUNCTIONS[Exp].value(u)
         return value, _function(value, _scaled(value, _expm1(du)))
     if kind is Ln:
         _unsure(u, du, 0.0)
-        value = evaluation._ln_value(u)
+        value = evaluation._FUNCTIONS[Ln].value(u)
         return value, _function(value, -math.log1p(-du / u) if du else 0.0)
     if kind is Sqrt:
         # correctly rounded in both walks
         _unsure(u, du, 0.0)
-        value = evaluation._sqrt_value(u)
+        value = evaluation._FUNCTIONS[Sqrt].value(u)
         return value, _rounded(value, du / math.sqrt(u) if du else 0.0)
     _unsure(u, du)
-    value = evaluation._UNARY_VALUE[kind](u)   # sin, cos
+    value = evaluation._FUNCTIONS[kind].value(u)   # sin, cos
     return value, _function(value, min(du, 2.0))
 
 

@@ -310,7 +310,8 @@ def test_each_power_is_mapped_once_per_operand_and_exponent(monkeypatch):
         exponents[exponent] += 1
         return operator.pow(base, exponent)
 
-    monkeypatch.setitem(evaluation._LIBM, Pow, counted)
+    row = evaluation._FUNCTIONS[Pow]
+    monkeypatch.setitem(evaluation._FUNCTIONS, Pow, row._replace(libm=counted))
     jet, bad = jet_field(expr, {"x": xs})
     monkeypatch.undo()
     # each power's jet maps pow at n, n-1 and n-2: 4, 3, 2 / 3, 2, 1 / 2, 1;
@@ -326,9 +327,9 @@ def test_a_number_operand_keeps_the_sign_of_its_zero(monkeypatch):
     # sin(-0.0) is -0.0 and sin(0.0) is 0.0: one map each
     expr = Add(Mul(Sin(Neg(Const(0.0))), Sin(Const(0.0))), X)
     maps = []
-    real = evaluation._LIBM[Sin]
-    monkeypatch.setitem(evaluation._LIBM, Sin,
-                        lambda u: maps.append(math.copysign(1.0, u)) or real(u))
+    row = evaluation._FUNCTIONS[Sin]
+    monkeypatch.setitem(evaluation._FUNCTIONS, Sin, row._replace(
+        libm=lambda u: maps.append(math.copysign(1.0, u)) or row.libm(u)))
     xs = np.array([-0.0, 0.0])
     values, bad = evaluate_field(expr, {"x": xs})
     jet, jet_bad = jet_field(expr, {"x": xs})
@@ -343,10 +344,10 @@ def test_sine_and_cosine_share_their_maps(monkeypatch):
     expr = parse_expression("sin(x) * cos(x) + sin(x)^2")
     counts = Counter()
     for kind in (Sin, Cos):
-        real = evaluation._LIBM[kind]
-        monkeypatch.setitem(evaluation._LIBM, kind,
-                            lambda u, real=real, kind=kind:
-                            counts.update([kind]) or real(u))
+        row = evaluation._FUNCTIONS[kind]
+        monkeypatch.setitem(evaluation._FUNCTIONS, kind, row._replace(
+            libm=lambda u, real=row.libm, kind=kind:
+            counts.update([kind]) or real(u)))
     xs = np.linspace(-2.0, 2.0, 7)
     jet, bad = jet_field(expr, {"x": xs})
     monkeypatch.undo()

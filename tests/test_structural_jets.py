@@ -114,9 +114,9 @@ def dense_jet2(expr, binding):
         if slot is not None:
             setattr(jet, slot, 1.0)
         return jet
-    if kind in evaluation._DERIVATIVE_RULES:
+    if kind in evaluation._FUNCTIONS and kind is not Pow:
         u = dense_jet2(expr.operand, binding)
-        return u.chain(*evaluation._DERIVATIVE_RULES[kind](u.f, evaluation._POINT))
+        return u.chain(*evaluation._FUNCTIONS[kind].derivative(u.f, evaluation._POINT))
     if kind is Pow:
         return dense_pow(dense_jet2(expr.base, binding),
                          dense_jet2(expr.exponent, binding))
@@ -373,7 +373,7 @@ def test_variable_exponents_run_as_arrays(text, cols, redone, fallbacks):
     cols = {q: np.array(c) for q, c in cols.items()}
     jet, bad = jet_field(expr, cols)
     assert redone == []
-    assert set(fallbacks) <= set(evaluation._VALUE_RULE.values())
+    assert set(fallbacks) <= {row.value for row in evaluation._FUNCTIONS.values()}
     for i in range(len(bad)):
         want = outcome(dense_jet2, expr, {q: cols[q][i].item() for q in "xvt"})
         assert bool(bad[i]) == (want is None)
