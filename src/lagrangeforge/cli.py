@@ -1010,9 +1010,8 @@ def cmd_integrate(spec: dict, builds: dict):
     columns = [c for c in ("t", "x", "v", "L", "E", "p") if c in cfg["columns"]]
     if L is None:
         columns = [c for c in columns if c in ("t", "x", "v")]
-    xs, vs = zip(*traj.states)
-    state = {"x": np.array(xs, dtype=float), "v": np.array(vs, dtype=float),
-             "t": np.array(traj.times, dtype=float)}
+    t, x, v = traj.table[:3]
+    state = {"x": x, "v": v, "t": t}
     cells = {name: _cells(column) for name, column in state.items()}
     if "L" in columns:
         cells["L"] = _field_cells(*evaluate_field(L.expr, state))
@@ -1026,7 +1025,7 @@ def cmd_integrate(spec: dict, builds: dict):
     payload = {
         "rhs": str(ode.rhs),
         "integration": {
-            "nodes": len(traj.times),
+            "nodes": len(t),
             "steps": traj.n_steps,
             "rejected": traj.n_rejected,
             "final_time": traj.final_time,
@@ -1128,6 +1127,16 @@ def _classified_error(exc: Exception):
     raise exc
 
 
+def _check_overrides(tol: float | None, seed: int | None) -> None:
+    """Hold the ``tol`` and ``seed`` overrides to the schema's bounds, which
+    they skip: ``verify_tol`` positive and finite, ``seed`` non-negative
+    (``random.Random`` seeds by a seed's absolute value)."""
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise SpecValidationError(f"--tol must be positive and finite: {tol!r}")
+    if seed is not None and seed < 0:
+        raise SpecValidationError(f"--seed must be non-negative: {seed!r}")
+
+
 def run_command(command: str, spec: dict, out_dir: Path, builds: dict,
                 tol: float | None = None, seed: int | None = None,
                 report_name: str = "report.json") -> tuple:
@@ -1136,13 +1145,10 @@ def run_command(command: str, spec: dict, out_dir: Path, builds: dict,
     Returns the exit code, the task's files (name -> text: the report named
     ``report_name`` after the command's CSV files) and the status line to
     print once the files are in ``out_dir``.  ``builds`` is the run's memo
-    of built problems (see :func:`_build_block`).
+    of built problems (see :func:`_build_block`).  An override out of the
+    schema's bounds is an input error.
     """
     normalized = normalize_spec(spec)
-    if seed is not None:
-        normalized["domain"]["seed"] = seed
-    if tol is not None:
-        normalized["options"]["verify_tol"] = tol
     report = {
         "version": 1,
         "command": command,
@@ -1151,6 +1157,11 @@ def run_command(command: str, spec: dict, out_dir: Path, builds: dict,
     }
     code = EXIT_OK
     try:
+        _check_overrides(tol, seed)
+        if seed is not None:
+            normalized["domain"]["seed"] = seed
+        if tol is not None:
+            normalized["options"]["verify_tol"] = tol
         allowed = normalized.get("tasks")
         if allowed and command not in allowed:
             raise SpecValidationError(
@@ -1260,11 +1271,7 @@ def main(argv=None) -> int:
               f"{exc.strerror or exc})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
-        # the schema's bounds; random.Random seeds by a seed's absolute value
-        if args.tol is not None and not 0.0 < args.tol < math.inf:
-            raise SpecValidationError(f"--tol must be positive and finite: {args.tol!r}")
-        if args.seed is not None and args.seed < 0:
-            raise SpecValidationError(f"--seed must be non-negative: {args.seed!r}")
+        _check_overrides(args.tol, args.seed)
         spec = None if args.command == "demo" else load_spec(args.spec)
     except SpecValidationError as exc:
         if args.command != "demo":

@@ -4,12 +4,19 @@ One integrator covers the needs here: an adaptive Dormand-Prince 5(4) pair
 with FSAL reuse, whose step size follows a mixed relative/absolute error
 test.  Dense output between accepted nodes is cubic Hermite, which matches
 the stored state and derivative at both ends.
+
+:func:`integrate_ode` solves each problem once per process: it keeps the
+last ``_TRAJECTORY_CACHE_SIZE`` trajectories it solved, keyed by the
+right-hand side, the initial state and span bit for bit, and the
+configuration, and a repeated problem returns the kept trajectory.  The
+CLI's ``integrate`` task, the ODE-solution nodes of :mod:`evaluation` and
+library callers all read this one cache.  A trajectory holds its nodes as
+one read-only array, so a kept one costs 40 bytes a node.
 """
 from __future__ import annotations
 
-import bisect
+import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,49 +63,83 @@ class IntegratorConfig:
 DEFAULT_INTEGRATOR = IntegratorConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted integration nodes with derivatives for dense evaluation."""
+    """Accepted integration nodes with derivatives for dense evaluation.
 
-    times: tuple
-    states: tuple          # (x, v) per node
-    derivs: tuple          # (v, a) per node
+    ``table`` is one read-only float64 array with a column per accepted
+    node and five rows: the times, the states (x, v) and the derivatives
+    (x', v').  A derivative's x' is the integrator's last stage at the
+    node, which can differ from the state's v in the sign of a zero, so
+    both are kept.  :attr:`times`, :attr:`states` and :attr:`derivs` give
+    the rows as tuples of Python floats.
+    """
+
+    table: np.ndarray
     n_steps: int
     n_rejected: int
 
     @property
+    def times(self) -> tuple:
+        return tuple(self.table[0].tolist())
+
+    @property
+    def states(self) -> tuple:
+        """(x, v) per node."""
+        return tuple(zip(*self.table[1:3].tolist()))
+
+    @property
+    def derivs(self) -> tuple:
+        """(x', v') per node."""
+        return tuple(zip(*self.table[3:5].tolist()))
+
+    @property
     def final_time(self) -> float:
-        return self.times[-1]
+        return self.table[0, -1].item()
 
     @property
     def final_state(self) -> tuple:
-        return self.states[-1]
+        return tuple(self.table[1:3, -1].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return (self.n_steps == other.n_steps
+                and self.n_rejected == other.n_rejected
+                and np.array_equal(self.table, other.table))
 
     def sample(self, t: float) -> tuple:
         """(x, v) at time ``t`` by cubic Hermite between stored nodes."""
-        times = self.times
-        ascending = times[-1] >= times[0]
-        lo_t, hi_t = (times[0], times[-1]) if ascending else (times[-1], times[0])
+        times = self.table[0]
+        first, last = times[0].item(), times[-1].item()
+        ascending = last >= first
+        lo_t, hi_t = (first, last) if ascending else (last, first)
         if not (lo_t <= t <= hi_t):
             raise ValueError(f"time {t!r} outside trajectory range")
         if len(times) == 1:
             # a zero-width trajectory: t is its one time
-            return self.states[0]
+            return self.final_state
         if ascending:
-            i = bisect.bisect_right(times, t) - 1
+            i = int(np.searchsorted(times, t, side="right")) - 1
         else:
             # decreasing times are increasing on the negated axis
-            i = bisect.bisect_right(times, -t, key=operator.neg) - 1
+            i = int(np.searchsorted(-times, -t, side="right")) - 1
         i = max(0, min(i, len(times) - 2))
-        t0, t1 = times[i], times[i + 1]
+        (t0, t1), (x0, x1), (v0, v1), (p0, p1), (a0, a1) = \
+            self.table[:, i:i + 2].tolist()
         h = t1 - t0
         if h == 0.0:
-            return self.states[i]
+            return x0, v0
         theta = (t - t0) / h
-        y0, y1 = self.states[i], self.states[i + 1]
-        d0, d1 = self.derivs[i], self.derivs[i + 1]
-        return tuple(hermite(theta, h, y0[k], d0[k], y1[k], d1[k])
-                     for k in range(2))
+        return (hermite(theta, h, x0, p0, x1, p1),
+                hermite(theta, h, v0, a0, v1, a1))
+
+
+def _trajectory(nodes: list, n_steps: int, n_rejected: int) -> Trajectory:
+    """A :class:`Trajectory` of ``nodes``, one (t, x, v, x', v') per node."""
+    table = np.array(nodes, dtype=float).T.copy()
+    table.setflags(write=False)
+    return Trajectory(table, n_steps, n_rejected)
 
 
 def _guard(x: float, v: float, t: float, limit: float) -> None:
@@ -143,10 +184,8 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
     abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
-    times = [t0]
-    states = [(x0, v0)]
     a0 = f(x0, v0, t0)
-    derivs = [(v0, a0)]
+    nodes = [(t0, x0, v0, v0, a0)]
 
     t, x, v = t0, x0, v0
     k1 = (v, a0)
@@ -221,9 +260,7 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
             if not (ax5 <= limit and av5 <= limit):
                 _guard(x, v, t, limit)
             k1 = (p7, q7)  # FSAL: last stage sits at (t + h, y5)
-            times.append(t)
-            states.append((x, v))
-            derivs.append(k1)
+            nodes.append((t, x, v, p7, q7))
             steps += 1
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
@@ -231,17 +268,36 @@ def _integrate_dp45(f, x0, v0, t0, t1, cfg):
             factor = min(1.0, max(0.2, 0.9 * err ** -0.2))
         h = h * factor
 
-    return Trajectory(
-        times=tuple(times), states=tuple(states), derivs=tuple(derivs),
-        n_steps=steps, n_rejected=rejected,
-    )
+    return _trajectory(nodes, steps, rejected)
 
 
 def integrate_ode(ode: OdeSpec, x0: float, v0: float, t0: float, t1: float,
                   config: IntegratorConfig = DEFAULT_INTEGRATOR) -> Trajectory:
-    """Integrate x'' = rhs(x, x', t) from (x0, v0) at t0 to t1."""
-    f = compile_callable(ode.rhs, ("x", "v", "t"))
-    x0, v0, t0, t1 = float(x0), float(v0), float(t0), float(t1)
+    """Integrate x'' = rhs(x, x', t) from (x0, v0) at t0 to t1.
+
+    A problem solved before in this process, and still kept, returns the
+    kept trajectory (see the module docstring), which equals a fresh solve
+    bit for bit.  A solve that fails raises on every call.
+    """
+    return _solve(ode.rhs, *(float(u).hex() for u in (x0, v0, t0, t1)), config)
+
+
+# How many trajectories _solve keeps.  An entry holds five float64 numbers a
+# node: 15 KB for the 375 steps of the damped-oscillator preset's trajectory.
+_TRAJECTORY_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_TRAJECTORY_CACHE_SIZE)
+def _solve(rhs: Expr, x0: str, v0: str, t0: str, t1: str,
+           config: IntegratorConfig) -> Trajectory:
+    """:func:`integrate_ode`'s solve, kept per problem.
+
+    The initial state and the span are ``float.hex`` strings, so that a
+    -0.0 and a 0.0, which start trajectories that differ in the sign of a
+    zero, are different keys.  A solve that raises is not kept.
+    """
+    f = compile_callable(rhs, ("x", "v", "t"))
+    x0, v0, t0, t1 = map(float.fromhex, (x0, v0, t0, t1))
     if t0 == t1:
         try:
             a0 = f(x0, v0, t0)
@@ -249,10 +305,7 @@ def integrate_ode(ode: OdeSpec, x0: float, v0: float, t0: float, t1: float,
             raise IntegrationError(
                 f"dynamics evaluation failed at t = {t0!r}: {err}"
             ) from err
-        return Trajectory(
-            times=(t0,), states=((x0, v0),), derivs=(((v0, a0)),),
-            n_steps=0, n_rejected=0,
-        )
+        return _trajectory([(t0, x0, v0, v0, a0)], 0, 0)
     try:
         return _integrate_dp45(f, x0, v0, t0, t1, config)
     except EvalDomainError as err:
@@ -275,6 +328,5 @@ def monitor_quantity(traj: Trajectory, quantity: Expr) -> list:
     missing = free_vars(quantity) - {"x", "v", "t"}
     if missing:
         raise EvalDomainError(f"unbound variables {sorted(missing)}")
-    xs, vs = zip(*traj.states)
-    return evaluate_points(quantity, {"x": np.array(xs), "v": np.array(vs),
-                                      "t": np.array(traj.times)})
+    t, x, v = traj.table[:3]
+    return evaluate_points(quantity, {"x": x, "v": v, "t": t})

@@ -60,17 +60,17 @@ its cached symbolic derivatives from
 fundamental theorem of calculus in the integration variable and
 differentiates under the integral sign in the others.
 
-An ODE-solution node reads one trajectory of its equation, integrated once
-over its whole span and kept (``_solution_table``), through the cubic
-Hermite dense output that :meth:`~lagrangeforge.dynamics.Trajectory.sample`
-uses (:func:`hermite`).  Every entry point reads it through one array
-routine, so they agree bit for bit.  Its
+An ODE-solution node reads one trajectory of its equation over its whole
+span, from :func:`~lagrangeforge.dynamics.integrate_ode`, which solves a
+problem once per process and keeps it, through the cubic Hermite dense
+output that :meth:`~lagrangeforge.dynamics.Trajectory.sample` uses
+(:func:`hermite`).  Every entry point reads it through one array routine,
+so they agree bit for bit.  Its
 jet, like an integral's, evaluates its symbolic derivatives: the rate node,
 and for the rate the equation's right-hand side.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -231,8 +231,14 @@ def _pow_rule(u, n: float, on) -> tuple:
 def _power(u, n: float, on):
     """u**n by ``on``'s value rule; 1.0 at exponent zero, which is u**0.0 for
     every float u, NaN and infinities included, and where no domain rule
-    masks a point."""
-    return 1.0 if n == 0.0 else on.value(Pow, u, n)
+    masks a point.  At exponent one it is ``u``, which the C library's
+    ``pow(u, 1.0)`` returns bit for bit, with NaN at the masked points as a
+    map leaves them."""
+    if n == 0.0:
+        return 1.0
+    if n == 1.0:
+        return np.where(on.bad, math.nan, u) if on.bad.any() else u
+    return on.value(Pow, u, n)
 
 
 _FUNCTIONS = {
@@ -272,6 +278,8 @@ def _operands(expr: Expr) -> tuple:
 
 class _Point:
     """The rules' side of one point given as Python floats: raises where they fail."""
+
+    bad = np.False_   # a failing rule raises, so no point is ever masked
 
     @staticmethod
     def value(kind, *operands):
@@ -321,7 +329,8 @@ def evaluate(expr: Expr, binding: Binding) -> float:
 # subtree becomes one local, computed once, in the order in which the scalar
 # walk first reaches it, so a call raises where evaluate raises and returns
 # its bits.  Equal subtrees evaluate identically (see the sweeps below), so
-# computing one once is exact.  A function node runs its row's parts inline.
+# computing one once is exact.  A function node runs its row's parts inline,
+# less a domain check that a constant operand decides (_defined_by_constant).
 # The source holds only generated names: arguments are a0, a1, ..., locals
 # t0, t1, ..., and constants, the rows' parts, the nodes that _at_point
 # reads and their variables' names are entries of the function's
@@ -387,7 +396,7 @@ def _compile(expr, names):
                     namespace[f"{rule}_{part}"] = getattr(row, part)
                 operands = ", ".join([emit(op) for op in _operands(node)])
                 text = f"{rule}({operands})"
-                if row.undefined is not None:
+                if row.undefined is not None and not _defined_by_constant(node):
                     lines.append(f"    if {rule}_undefined({operands}):\n"
                                  f"        raise _Error({rule}_message({operands}))\n")
                 if row.overflow is not None:
@@ -410,6 +419,18 @@ def _compile(expr, names):
               + f"    return {result}\n")
     exec(compile(source, "<compile_callable>", "exec"), namespace)
     return namespace["compiled"]
+
+
+def _defined_by_constant(node) -> bool:
+    """Whether a constant operand alone passes ``node``'s domain check: an
+    integral exponent >= 0 (a power of any base), or a nonzero divisor."""
+    kind = type(node)
+    if kind is Pow and type(node.exponent) is Const:
+        n = node.exponent.value
+        return n >= 0.0 and n % 1.0 == 0.0
+    if kind is Div and type(node.right) is Const:
+        return node.right.value != 0.0
+    return False
 
 
 def _value_rule(kind):
@@ -533,17 +554,14 @@ def definite_integral(
 #
 # dynamics imports this module, so this module cannot import the integrator.
 # dynamics sets these three names when it loads: the integrator, the spec
-# type it takes and the tolerances of a solve.  A solve looks
+# type it takes and the tolerances of a solve.  A read looks
 # ``integrate_ode`` up here, in this module, so a wrapper bound in its place
 # (the benchmark's tracer wraps it in every module that binds it) sees it.
+# The integrator keeps what it solves, so every read of a solution, and of
+# its rate, after the first returns the kept trajectory.
 integrate_ode = None
 _SPEC_TYPE = None
 _SOLUTION_CONFIG = None
-
-# How many trajectories _solution_table keeps.  An entry holds four float64
-# arrays of one element per accepted step: 3 KB for the 93 steps that a
-# reciprocal-linear build's auxiliary equation takes at the median.
-_SOLUTION_CACHE_SIZE = 16
 
 
 def hermite(theta, h, y0, d0, y1, d1):
@@ -562,25 +580,6 @@ def hermite(theta, h, y0, d0, y1, d1):
     return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 
 
-@functools.lru_cache(maxsize=_SOLUTION_CACHE_SIZE)
-def _solution_table(rhs: Expr, t0: float, t1: float, w0: float,
-                    dw0: float) -> tuple:
-    """One trajectory of ``w'' = rhs(w, w', t)`` from ``(w0, dw0)`` at
-    ``t0`` to ``t1``, as read-only arrays: the accepted times, then w, w'
-    and w'' at them.
-
-    Keyed by the equation, the span and the initial data, so a solution
-    node and its rate share one solve.  Raises the integrator's
-    :class:`~lagrangeforge.errors.IntegrationError` where the solve fails.
-    """
-    traj = integrate_ode(_SPEC_TYPE(rhs), w0, dw0, t0, t1, _SOLUTION_CONFIG)
-    states, derivs = np.array(traj.states), np.array(traj.derivs)
-    table = (np.array(traj.times), states[:, 0], states[:, 1], derivs[:, 1])
-    for column in table:
-        column.setflags(write=False)
-    return table
-
-
 def _solution_read(node: OdeSolution, t: np.ndarray) -> tuple:
     """``node`` at the times ``t``, a float64 array, and where it is defined.
 
@@ -589,8 +588,9 @@ def _solution_read(node: OdeSolution, t: np.ndarray) -> tuple:
     as ``lo + i * step``, whose last point can round past ``hi``.  Such a
     time reads the end step's interpolant a hair outside it.
     """
-    times, w, dw, ddw = _solution_table(node.rhs, node.t0, node.t1,
-                                        node.w0, node.dw0)
+    traj = integrate_ode(_SPEC_TYPE(node.rhs), node.w0, node.dw0, node.t0,
+                         node.t1, _SOLUTION_CONFIG)
+    times, w, dw, _, ddw = traj.table
     slack = 8.0 * math.ulp(max(abs(node.t0), abs(node.t1)))
     inside = (t >= node.t0 - slack) & (t <= node.t1 + slack)
     if not inside.all():

@@ -336,6 +336,25 @@ class TestVerify:
         assert load_report(out)["error"]["message"] == \
             "--seed must be non-negative: -3"
 
+    @pytest.mark.parametrize("override, message", [
+        ({"tol": math.inf}, "--tol must be positive and finite: inf"),
+        ({"seed": -3}, "--seed must be non-negative: -3")])
+    def test_the_library_entry_points_hold_overrides_to_the_bounds(
+            self, tmp_path, override, message):
+        # run_tasks and run_command take the overrides without main's parser
+        doc = {"version": 1,
+               "equation": {"rhs": "-1.0*x",
+                            "lagrangian": "0.5*v^2 + 0.5*x^2"}}
+        out = tmp_path / "out"
+        assert cli.run_tasks(doc, out, [("verify", "report.json")],
+                             **override) == EXIT_INPUT_ERROR
+        report = load_report(out)
+        assert report["exit_code"] == EXIT_INPUT_ERROR
+        assert report["error"] == {"code": "input-error", "message": message}
+        code, files, line = cli.run_command("verify", doc, out, {}, **override)
+        assert code == EXIT_INPUT_ERROR and sorted(files) == ["report.json"]
+        assert line == f"verify: input-error ({message})"
+
     def test_residual_csv_field_sweep(self, tmp_path):
         spec = write_spec(tmp_path, DAMPED)
         out = tmp_path / "out"

@@ -3,7 +3,7 @@
 ``compile_callable`` generates one straight-line function per tree, each
 distinct subtree computed once.  A call must return ``evaluate``'s bits and
 raise exactly where, and with the message with which, ``evaluate`` raises.
-The integrator compiles a spec's right-hand side on each call and keeps
+The integrator compiles a spec's right-hand side once per solve and keeps
 nothing on the spec, so a spec equals, prints and pickles as its fields.
 """
 import math
@@ -36,7 +36,7 @@ from lagrangeforge import (
     parse_expression,
     substitute,
 )
-from lagrangeforge import expressions
+from lagrangeforge import dynamics, expressions
 
 from test_expressions import expressions as expression_trees
 
@@ -112,6 +112,25 @@ def test_generated_source_holds_no_user_text():
         expr, {"x": 0.5, "v": 0.25, "t": 2.0, "gain": 1.25}).hex()
 
 
+@pytest.mark.parametrize("expr, check, kept", [
+    (Pow(Var("x"), Const(3.0)), "_Pow_undefined", False),
+    (Pow(Var("x"), Const(0.0)), "_Pow_undefined", False),
+    (Div(Var("u"), Const(3.0)), "_Div_undefined", False),
+    (Pow(Var("x"), Const(-1.0)), "_Pow_undefined", True),
+    (Pow(Var("x"), Const(0.5)), "_Pow_undefined", True),
+    (Div(Var("u"), parse_expression("1 + t")), "_Div_undefined", True),
+])
+def test_a_check_that_a_constant_decides_is_not_emitted(expr, check, kept):
+    # an integral exponent >= 0 takes any base, and a nonzero divisor any
+    # numerator; every other check stays, and so does the overflow path
+    fn = compile_callable(expr, ("x", "u", "t"))
+    assert (check in fn.__code__.co_names) is kept
+    assert ("_Pow_overflow" in fn.__code__.co_names) is (type(expr) is Pow)
+    for point in ((0.0, -0.0, 0.5), (-2.0, 1.5, -1.0), (1e200, 4.0, 0.0)):
+        assert outcome(lambda: fn(*point)) == outcome(lambda: evaluate(
+            expr, dict(zip(("x", "u", "t"), point))))
+
+
 def test_integral_nodes_take_every_argument():
     node = Antideriv(parse_expression("exp(-(t*t))*x"), "t", 0.0)
     expr = Add(node, Mul(node, Var("v")))
@@ -151,5 +170,7 @@ def test_spec_eq_repr_and_pickle_round_trip():
     restored = pickle.loads(pickle.dumps(ode))
     assert restored == ode and repr(restored) == text
     assert restored.__dict__ == fresh.__dict__
+    # solve again, not read the solve of ``ode`` that integrate_ode kept
+    dynamics._solve.cache_clear()
     assert integrate_ode(restored, 1.0, 0.0, 0.0, 1.0) == want
     assert math.isfinite(want.final_state[0])

@@ -1,4 +1,5 @@
-"""Trajectory integration: endpoint accuracy, dense output, failure modes."""
+"""Trajectory integration: endpoint accuracy, dense output, failure modes,
+and the cache that solves each problem once per process."""
 import math
 
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from lagrangeforge import (
     IntegrationError,
     IntegratorConfig,
+    OdeSolution,
     OdeSpec,
     OverflowGuardError,
+    evaluate,
     integrate_ode,
     monitor_quantity,
     parse_expression,
 )
+from lagrangeforge import dynamics, evaluation
 
 LINEAR_DRAG = OdeSpec(parse_expression("-1.0*v"))          # v' = -v
 QUADRATIC_DRAG = OdeSpec(parse_expression("-1.0*v^2"))     # v' = -v^2
@@ -176,3 +180,79 @@ class TestMonitor:
         traj = integrate_ode(HARMONIC, 0.0, 1.0, 0.0, 1.0)
         with pytest.raises(Exception):
             monitor_quantity(traj, parse_expression("g*v", params=("g",)))
+
+
+def hexes(traj) -> tuple:
+    """Every stored number of ``traj`` as ``float.hex``, with its counts."""
+    def flat(rows):
+        return [float(u).hex() for row in rows for u in row]
+    return (flat([traj.times]), flat(traj.states), flat(traj.derivs),
+            traj.n_steps, traj.n_rejected)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The integrations run from here on; the kept ones are dropped first."""
+    dynamics._solve.cache_clear()
+    made = []
+    solve = dynamics._integrate_dp45
+
+    def counted(*args):
+        made.append(args[1:])
+        return solve(*args)
+
+    monkeypatch.setattr(dynamics, "_integrate_dp45", counted)
+    return made
+
+
+class TestCache:
+    def test_a_hit_equals_a_fresh_solve_bit_for_bit(self, solves):
+        args = (QUADRATIC_DRAG, 0.0, 1.0, 0.0, 2.0)
+        kept = integrate_ode(*args)
+        hit = integrate_ode(*args)
+        assert len(solves) == 1
+        dynamics._solve.cache_clear()
+        fresh = integrate_ode(*args)
+        assert len(solves) == 2 and fresh is not hit
+        assert hexes(hit) == hexes(fresh) == hexes(kept)
+        assert hit == fresh and hit.n_steps > 0
+        assert not hit.table.flags.writeable
+
+    def test_the_sign_of_a_zero_is_part_of_the_key(self, solves):
+        plus = integrate_ode(HARMONIC, 0.0, 1.0, 0.0, 1.0)
+        minus = integrate_ode(HARMONIC, -0.0, 1.0, 0.0, 1.0)
+        assert len(solves) == 2
+        assert dynamics._solve.cache_info().currsize == 2
+        assert math.copysign(1.0, plus.states[0][0]) == 1.0
+        assert math.copysign(1.0, minus.states[0][0]) == -1.0
+
+    def test_a_failing_problem_raises_on_every_call(self, solves):
+        ode = OdeSpec(parse_expression("ln(x)"))
+        for _ in range(3):
+            with pytest.raises(IntegrationError, match="log of non-positive"):
+                integrate_ode(ode, -1.0, 0.0, 0.0, 1.0)
+        assert len(solves) == 3
+        assert dynamics._solve.cache_info().currsize == 0
+
+    def test_the_cache_is_bounded(self, solves):
+        size = dynamics._solve.cache_info().maxsize
+        assert size == dynamics._TRAJECTORY_CACHE_SIZE and 0 < size <= 64
+        for k in range(size + 4):
+            integrate_ode(HARMONIC, 0.0, 1.0 + k, 0.0, 1.0)
+        assert dynamics._solve.cache_info().currsize == size
+        # the oldest problems went first
+        integrate_ode(HARMONIC, 0.0, 1.0 + size + 3, 0.0, 1.0)
+        assert len(solves) == size + 4
+        integrate_ode(HARMONIC, 0.0, 1.0, 0.0, 1.0)
+        assert len(solves) == size + 5
+
+    def test_a_solution_node_and_integrate_ode_share_one_solve(self, solves):
+        node = OdeSolution(parse_expression("-0.3*v - x"), 0.0, 1.5, 1.0, 0.0)
+        value = evaluate(node, {"t": 0.75})
+        traj = integrate_ode(OdeSpec(node.rhs), 1.0, 0.0, 0.0, 1.5,
+                             evaluation._SOLUTION_CONFIG)
+        assert len(solves) == 1
+        assert traj.sample(0.75)[0].hex() == value.hex()
+        # another configuration is another problem
+        integrate_ode(OdeSpec(node.rhs), 1.0, 0.0, 0.0, 1.5)
+        assert len(solves) == 2

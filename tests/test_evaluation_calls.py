@@ -4,7 +4,7 @@ Scans over many points go through ``evaluate_field`` (or ``jet_field``) and
 its mask.  Outside ``evaluation.py`` only the single-point methods below may
 call ``evaluate``, ``eval_jet2`` or ``compile_callable``; the integrator's
 right-hand side calls its compiled function, generated straight-line code
-that is faster per call, made once per ``integrate_ode`` call.
+that is faster per call, made once per solve.
 """
 import ast
 from pathlib import Path
@@ -17,7 +17,7 @@ ALLOWED = {
     "lagrangian.py:OdeSpec.rhs_value",
     "lagrangian.py:Lagrangian.value",
     "lagrangian.py:Lagrangian.jet",
-    "dynamics.py:integrate_ode",
+    "dynamics.py:_solve",
 }
 
 

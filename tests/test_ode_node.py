@@ -257,9 +257,10 @@ def test_the_name_is_reserved():
 # --- one trajectory per solution --------------------------------------------------
 
 def test_a_build_integrates_once_and_compiles_its_rhs_once(monkeypatch):
-    evaluation._solution_table.cache_clear()
+    # a solve made earlier in this process would be read from the cache
+    dynamics._solve.cache_clear()
     solves, compiles = [], []
-    real_solve, real_compile = evaluation.integrate_ode, dynamics.compile_callable
+    real_solve, real_compile = dynamics._integrate_dp45, dynamics.compile_callable
 
     def solve(*args, **kwargs):
         solves.append(args)
@@ -269,7 +270,7 @@ def test_a_build_integrates_once_and_compiles_its_rhs_once(monkeypatch):
         compiles.append(expr)
         return real_compile(expr, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "integrate_ode", solve)
+    monkeypatch.setattr(dynamics, "_integrate_dp45", solve)
     monkeypatch.setattr(dynamics, "compile_callable", compile_once)
     build_reciprocal_linear(Const(0.6), Const(0.0), (0.0, 2.0))
     assert len(solves) == 1 and len(compiles) == 1
@@ -293,12 +294,12 @@ def test_the_solve_goes_through_the_traced_integrator():
 
 
 def test_the_trajectory_cache_is_bounded():
-    size = evaluation._solution_table.cache_info().maxsize
-    assert size == evaluation._SOLUTION_CACHE_SIZE and 0 < size <= 64
+    size = dynamics._solve.cache_info().maxsize
+    assert size == dynamics._TRAJECTORY_CACHE_SIZE and 0 < size <= 64
     for k in range(size + 4):
         evaluate(OdeSolution(parse_expression("-x"), 0.0, 1.0, 1.0 + k, 0.0),
                  {"t": 0.5})
-    assert evaluation._solution_table.cache_info().currsize == size
+    assert dynamics._solve.cache_info().currsize == size
 
 
 # --- the builds it serves --------------------------------------------------------

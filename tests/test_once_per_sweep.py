@@ -314,13 +314,27 @@ def test_each_power_is_mapped_once_per_operand_and_exponent(monkeypatch):
     monkeypatch.setitem(evaluation._FUNCTIONS, Pow, row._replace(libm=counted))
     jet, bad = jet_field(expr, {"x": xs})
     monkeypatch.undo()
-    # each power's jet maps pow at n, n-1 and n-2: 4, 3, 2 / 3, 2, 1 / 2, 1;
-    # at exponent 0 the power is 1.0 at every point, so it is never mapped
-    assert exponents == dict.fromkeys((4.0, 3.0, 2.0, 1.0), len(xs))
-    assert 0.0 not in exponents
+    # each power's jet takes pow at n, n-1 and n-2: 4, 3, 2 / 3, 2, 1 / 2, 1;
+    # at exponent 0 the power is 1.0 at every point and at exponent 1 it is
+    # the base, so neither is mapped
+    assert exponents == dict.fromkeys((4.0, 3.0, 2.0), len(xs))
+    assert 0.0 not in exponents and 1.0 not in exponents
     assert not bad.any()
     for i, x in enumerate(xs.tolist()):
         assert hexes(jet, i) == hexes(eval_jet2(expr, {"x": x}))
+
+
+def test_a_power_at_exponent_one_is_its_base_with_nan_where_masked():
+    # x^2's first derivative reads x^1: the base, NaN at the points masked
+    # before it, as a map of pow leaves them
+    expr = parse_expression("x^2")
+    xs = np.array([-1.5, -0.0, 3.0, 0.25])
+    given = np.array([False, False, True, False])
+    jet, bad = jet_field(expr, {"x": xs}, given)
+    assert bad.tolist() == given.tolist()
+    assert math.isnan(jet.f[2]) and math.isnan(jet.gx[2])
+    for i in (0, 1, 3):
+        assert hexes(jet, i) == hexes(eval_jet2(expr, {"x": xs[i].item()}))
 
 
 def test_a_number_operand_keeps_the_sign_of_its_zero(monkeypatch):

@@ -30,7 +30,7 @@ from lagrangeforge import (
     integrate_ode,
     parse_expression,
 )
-from lagrangeforge import evaluation
+from lagrangeforge import dynamics
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "trajectory_golden.json").read_text())
@@ -100,6 +100,8 @@ def _digest(trajectories) -> dict:
 def _integration(name: str) -> dict:
     ode, x0, v0, t0, t1, config = INTEGRATIONS[name]
     args = (ode, x0, v0, t0, t1) + ((config,) if config else ())
+    # a problem solved earlier in this process would be read from the cache
+    dynamics._solve.cache_clear()
     try:
         return _digest([integrate_ode(*args)])
     except LagrangeForgeError as err:
@@ -109,14 +111,15 @@ def _integration(name: str) -> dict:
 def _fit(name: str, monkeypatch) -> dict:
     b, c, span = FITS[name]
     trajectories = []
+    solve = dynamics._integrate_dp45
 
     def record(*args, **kwargs):
-        trajectories.append(integrate_ode(*args, **kwargs))
+        trajectories.append(solve(*args, **kwargs))
         return trajectories[-1]
 
     # a solution solved earlier in this process would be read from the cache
-    evaluation._solution_table.cache_clear()
-    monkeypatch.setattr(evaluation, "integrate_ode", record)
+    dynamics._solve.cache_clear()
+    monkeypatch.setattr(dynamics, "_integrate_dp45", record)
     build_reciprocal_linear(parse_expression(b), parse_expression(c), span)
     return _digest(trajectories)
 
