@@ -55,6 +55,7 @@ from .constructors import (
     build_reciprocal_nu2,
     build_standard,
     c_from_ab,
+    closure_defect,
     constraint_defect,
     generalized_kinetic_rhs,
     log_velocity_lagrangian,
@@ -585,8 +586,7 @@ def _if_linear(test: Callable) -> Callable:
 @_if_quadratic
 def _classify_standard(p, a, b, c):
     """Quadratic kinetic profile: b_x = 2 a_t."""
-    res = p.xt.max_rel(simplify(differentiate(b, "x")
-                                - Const(2.0) * differentiate(a, "t")))
+    res = p.xt.max_rel(closure_defect(a, b, 2.0))
     ok = res is not None and res <= _STRUCT_TOL
     return ok, res, ("admissible" if ok else
                      "cross-derivative condition b_x = 2 a_t fails")

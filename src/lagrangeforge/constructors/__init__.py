@@ -19,6 +19,7 @@ from .power import (
     build_generalized_kinetic,
     build_monomial,
     build_power_damping,
+    closure_defect,
     generalized_kinetic_rhs,
     monomial_admissibility_defect,
     monomial_rhs,
@@ -78,6 +79,7 @@ __all__ = [
     "build_reciprocal_nu2_variant",
     "build_standard",
     "c_from_ab",
+    "closure_defect",
     "constraint_defect",
     "generalized_kinetic_rhs",
     "log_velocity_lagrangian",

@@ -102,17 +102,15 @@ def build_composed_invariant(invariant: Expr, outer: Expr, ode: OdeSpec,
     return post_verify(lagr, ode, box, options)
 
 
-def compose_invariant(quantity, ode: OdeSpec, outer: Expr,
-                      options: BuilderOptions = DEFAULT_OPTIONS
-                      ) -> Lagrangian:
+def compose_invariant(quantity, ode: OdeSpec, outer: Expr) -> Lagrangian:
     """Apply an outer profile to a conserved quantity of the dynamics.
 
-    Same construction as :func:`build_composed_invariant` but accepting the
-    quantity either as a bare expression or as a (possibly degenerate)
-    Lagrangian whose value is the first integral.
+    Same construction as :func:`build_composed_invariant`, with the default
+    options, but accepting the quantity either as a bare expression or as a
+    (possibly degenerate) Lagrangian whose value is the first integral.
     """
     inner = quantity.expr if isinstance(quantity, Lagrangian) else quantity
-    return build_composed_invariant(inner, outer, ode, options)
+    return build_composed_invariant(inner, outer, ode)
 
 
 def log_velocity_lagrangian(k: float,
@@ -152,8 +150,7 @@ def multi_lagrangian_suite(k: float = 0.5,
     used to confirm that disagreement is detectable.
     """
     k = float(k)
-    ode = StandardCoeffs(Const(0.0), Const(k), Const(0.0)).ode(
-        description=f"linear drag, k={k}")
+    ode = StandardCoeffs(Const(0.0), Const(k), Const(0.0)).ode()
     two_kt = Exp(Mul(Const(2.0 * k), _T))
     one_kt = Exp(Mul(Const(k), _T))
     members = {

@@ -29,7 +29,7 @@ from ..expressions import (
     simplify,
     substitute,
 )
-from ..lagrangian import DomainBox, Lagrangian, OdeSpec, grid_points
+from ..lagrangian import DomainBox, Lagrangian, OdeSpec
 from ._symbolic import antiderivative_in
 from .common import (
     BuilderOptions,
@@ -44,6 +44,7 @@ __all__ = [
     "build_generalized_kinetic",
     "build_monomial",
     "build_power_damping",
+    "closure_defect",
     "generalized_kinetic_rhs",
     "monomial_admissibility_defect",
     "monomial_rhs",
@@ -59,17 +60,19 @@ _DEFAULT_BOX = DomainBox(
 )
 
 
-def monomial_admissibility_defect(a: Expr, b: Expr, mu: float,
-                                  box: DomainBox = _DEFAULT_BOX) -> float:
-    """Max |(mu-1) db/dx - mu da/dt| over the box, 0.0 when structural."""
-    defect = simplify(
+def closure_defect(a: Expr, b: Expr, mu: float) -> Expr:
+    """(mu-1) b_x - mu a_t, which vanishes exactly when L = F x'^mu - G
+    exists; at mu = 2 it is the quadratic family's b_x - 2 a_t."""
+    return simplify(
         Const(mu - 1.0) * differentiate(b, "x")
         - Const(mu) * differentiate(a, "t")
     )
-    nx, nt = max(box.grid[0], 2), max(box.grid[2], 2)
-    return max_abs_defect(defect, lambda: {
-        "x": np.repeat(grid_points(*box.x, nx), nt),
-        "t": np.tile(grid_points(*box.t, nt), nx)})
+
+
+def monomial_admissibility_defect(a: Expr, b: Expr, mu: float,
+                                  box: DomainBox = _DEFAULT_BOX) -> float:
+    """Max |(mu-1) b_x - mu a_t| over the box's samples, 0.0 when structural."""
+    return max_abs_defect(closure_defect(a, b, mu), box.sample_columns)
 
 
 def monomial_rhs(a: Expr, b: Expr, c: Expr, mu: float) -> Expr:

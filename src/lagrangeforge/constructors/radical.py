@@ -90,15 +90,12 @@ def radical_forward_rhs(A: Expr, B: Expr, mu: float, nu: float) -> Expr:
 
 
 def build_radical(A: Expr, B: Expr, mu: float, nu: float,
-                  ode: OdeSpec | None = None,
                   options: BuilderOptions = DEFAULT_OPTIONS) -> Lagrangian:
     """L = (A x'^nu + B)^(1/mu) for the dynamics given by the forward map."""
     mu, nu = _check_exponents(mu, nu)
     radicand = simplify(A * Pow(_V, Const(nu)) + B)
     L = simplify(Pow(radicand, Const(1.0 / mu)))
     lagr = Lagrangian(L, family="radical", gauge=f"mu={mu}, nu={nu}")
-    if ode is None:
-        ode = OdeSpec(radical_forward_rhs(A, B, mu, nu))
     # |d2L/dv2| ~ radicand^(1/mu - 2) * ((nu - mu)/mu A v^nu + (nu - 1) B)
     regularity = simplify(
         Const((nu - mu) / mu) * A * Pow(_V, Const(nu))
@@ -109,7 +106,8 @@ def build_radical(A: Expr, B: Expr, mu: float, nu: float,
         grid=(4, 4, 4), n_random=32, seed=43,
         strata=(relative_stratum(radicand), relative_stratum(regularity)),
     )
-    return post_verify(lagr, ode, box, options)
+    return post_verify(lagr, OdeSpec(radical_forward_rhs(A, B, mu, nu)), box,
+                       options)
 
 
 def radical_equal_rhs(a: Expr, b: Expr, nu: float) -> Expr:

@@ -132,9 +132,8 @@ def build_reciprocal(F: Expr, G: Expr, nu: float = 1.0,
 # --- autonomous coefficients -------------------------------------------------
 
 def constraint_defect(a: Expr, b: Expr, c: Expr,
-                      x_interval: tuple = (0.2, 1.2),
-                      n: int = 41) -> float:
-    """Max |c' + (a - b'/b) c - (2/9) b^2| over an x grid.
+                      x_interval: tuple = (0.2, 1.2)) -> float:
+    """Max |c' + (a - b'/b) c - (2/9) b^2| over 41 evenly spaced x.
 
     Returns 0.0 immediately when the defect vanishes structurally.
     """
@@ -151,18 +150,18 @@ def constraint_defect(a: Expr, b: Expr, c: Expr,
         - Const(2.0 / 9.0) * Pow(b, Const(3.0))
     )
     return max_abs_defect(
-        defect, lambda: {"x": np.array(grid_points(*x_interval, n))}, cleared)
+        defect, lambda: {"x": np.array(grid_points(*x_interval, 41))}, cleared)
 
 
-def c_from_ab(a: Expr, b: Expr, lam: float = 0.0, x0: float = 0.0) -> Expr:
+def c_from_ab(a: Expr, b: Expr, lam: float = 0.0) -> Expr:
     """Force coefficient completing (a, b) to an admissible autonomous triple.
 
-    c = (2/9) b e^{-A} (lam + int_x0^x b e^{A}),  A = int_x0^x a.
+    c = (2/9) b e^{-A} (lam + int_0^x b e^{A}),  A = int_0^x a.
     """
     require_free_of(a, ("v", "t"), "coefficient a")
     require_free_of(b, ("v", "t"), "coefficient b")
-    A = antiderivative_in(a, "x", x0)
-    inner = antiderivative_in(simplify(b * Exp(A)), "x", x0)
+    A = antiderivative_in(a, "x", 0.0)
+    inner = antiderivative_in(simplify(b * Exp(A)), "x", 0.0)
     return simplify(
         Const(2.0 / 9.0) * b * Exp(simplify(Neg(A))) * (Const(float(lam)) + inner)
     )
@@ -270,9 +269,8 @@ def build_reciprocal_linear(b: Expr, c: Expr, t_span: tuple,
                        replace(options, verify=True))
 
 
-def build_reciprocal_linear_variant(b: Expr, c: Expr, t_span: tuple,
-                                    options: BuilderOptions = DEFAULT_OPTIONS
-                                    ) -> Lagrangian:
+def build_reciprocal_linear_variant(b: Expr, c: Expr,
+                                    t_span: tuple) -> Lagrangian:
     """Variant construction for x'' + b x' + c x = 0 that skips the
     auxiliary oscillation: f = exp(int phi) with
     phi(z) = e^{-B(z)} int_0^z (2 b' - c) e^{B}, B = int b, and g = 2 f b - f'.
@@ -329,21 +327,19 @@ def build_reciprocal_nu2(a: Expr, b: Expr,
                        options)
 
 
-def build_reciprocal_nu2_variant(a: Expr, b: Expr,
-                                 options: BuilderOptions = DEFAULT_OPTIONS
-                                 ) -> Lagrangian:
+def build_reciprocal_nu2_variant(a: Expr, b: Expr) -> Lagrangian:
     """Sign-flipped variant of :func:`build_reciprocal_nu2` with
-    F = exp(-(2 int a + 3 int b)), G = exp(-int b).
+    F = exp(-(2 int_0 a + 3 int_0 b)), G = exp(-int_0 b).
 
     Negative control: it reproduces x'' = +a x'^2 + b x', the mirror of the
     intended dynamics, so it must fail verification; none is run here.
     """
     require_free_of(a, ("v", "t"), "coefficient a")
     require_free_of(b, ("v", "x"), "coefficient b")
-    Ia = antiderivative_in(a, "x", options.x0)
-    Ib = antiderivative_in(b, "t", options.t0)
+    Ia = antiderivative_in(a, "x", 0.0)
+    Ib = antiderivative_in(b, "t", 0.0)
     F = Exp(simplify(Neg(Const(2.0) * Ia + Const(3.0) * Ib)))
     G = Exp(simplify(Neg(Ib)))
     L = simplify(Pow(F * Pow(_V, Const(2.0)) + G, Const(-1.0)))
     return Lagrangian(L, family="reciprocal-variant",
-                      gauge=f"nu=2, anchors x0={options.x0}, t0={options.t0}")
+                      gauge="nu=2, anchors x0=0.0, t0=0.0")

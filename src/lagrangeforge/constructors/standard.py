@@ -17,9 +17,7 @@ from ..expressions import (
     Exp,
     Expr,
     Pow,
-    Sub,
     Var,
-    differentiate,
     simplify,
     substitute,
 )
@@ -28,10 +26,10 @@ from ._symbolic import antiderivative_in
 from .common import (
     BuilderOptions,
     DEFAULT_OPTIONS,
-    max_abs_defect,
     post_verify,
     require_free_of,
 )
+from .power import monomial_admissibility_defect
 
 __all__ = [
     "StandardCoeffs",
@@ -62,19 +60,16 @@ class StandardCoeffs:
             -(self.a * Pow(_V, Const(2.0)) + self.b * _V + self.c)
         )
 
-    def ode(self, description="") -> OdeSpec:
-        return OdeSpec(self.rhs(), description)
+    def ode(self) -> OdeSpec:
+        return OdeSpec(self.rhs())
 
 
 def admissibility_defect(coeffs: StandardCoeffs,
                          box: DomainBox | None = None) -> float:
-    """Max |b_x - 2 a_t| over the box; zero when closure holds symbolically."""
-    defect = simplify(Sub(
-        differentiate(coeffs.b, "x"),
-        Const(2.0) * differentiate(coeffs.a, "t"),
-    ))
-    box = box or DomainBox(grid=(7, 1, 7), n_random=20)
-    return max_abs_defect(defect, box.sample_columns)
+    """Max |b_x - 2 a_t| over the box's samples; the monomial closure scan
+    at mu = 2."""
+    return monomial_admissibility_defect(
+        coeffs.a, coeffs.b, 2.0, box or DomainBox(grid=(7, 1, 7), n_random=20))
 
 
 def _kinetic_factor(coeffs: StandardCoeffs, x0: float, t0: float) -> Expr:

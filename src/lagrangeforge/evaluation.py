@@ -166,8 +166,8 @@ def _infinite(u):
 # once, for one point and for a sweep alike: ``u`` is a float or an array over
 # the sweep's points, and ``on`` is the walk.  ``on.value(kind, *operands)``
 # applies a node type's value rule, and ``on.fail(where, error, message,
-# *args)`` raises ``error`` if ``where`` holds at a point (``_POINT``, and
-# eval_jet2's one-point sweep) or masks the points where it holds (a sweep).
+# *args)`` raises ``error`` if ``where`` holds at the point (eval_jet2's
+# one-point sweep) or masks the points where it holds (a sweep).
 
 def _exp_rule(u, on) -> tuple:
     e = on.value(Exp, u)
@@ -274,24 +274,6 @@ def _operands(expr: Expr) -> tuple:
     if kind is Pow:
         return expr.base, expr.exponent
     return (expr.operand,)
-
-
-class _Point:
-    """The rules' side of one point given as Python floats: raises where they fail."""
-
-    bad = np.False_   # a failing rule raises, so no point is ever masked
-
-    @staticmethod
-    def value(kind, *operands):
-        return _FUNCTIONS[kind].value(*operands)
-
-    @staticmethod
-    def fail(where, error, message, *args):
-        if where:
-            raise error(message.format(*args))
-
-
-_POINT = _Point()
 
 
 def evaluate(expr: Expr, binding: Binding) -> float:
@@ -1033,7 +1015,8 @@ class _Sweep:
                 if type(node) is Antideriv and isinstance(value, np.ndarray)}
 
     def fail(self, where, error, message, *args) -> None:
-        """:meth:`_Point.fail` for a sweep: mask where ``where`` holds."""
+        """Mask the points where ``where`` holds; a one-point sweep raises
+        there instead."""
         self.bad |= where
 
     def flag(self, kind: str, flag: int) -> None:

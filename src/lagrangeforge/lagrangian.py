@@ -81,7 +81,6 @@ class OdeSpec:
     """
 
     rhs: Expr
-    description: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "rhs", as_expr(self.rhs))
@@ -128,14 +127,12 @@ class SingularStratum:
 
 
 def grid_points(lo: float, hi: float, n: int) -> list:
-    """``n`` evenly spaced points from ``lo`` to ``hi``; the midpoint if n is 1.
+    """``n`` >= 2 evenly spaced points from ``lo`` to ``hi``.
 
     Each point is ``lo + (hi - lo) * i / (n - 1)``, which the structural
     scans and probes share; :meth:`DomainBox.sample_columns` steps by
     ``(hi - lo) / (n - 1)`` instead, which rounds differently.
     """
-    if n == 1:
-        return [0.5 * (lo + hi)]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
@@ -506,13 +503,13 @@ def energy_expression(L) -> Expr:
 
 
 def invert_momentum(L: Lagrangian, p: float, x: float, t: float,
-                    bracket: tuple = (-10.0, 10.0),
-                    tol: float = 1e-12) -> float:
+                    bracket: tuple = (-10.0, 10.0)) -> float:
     """Solve dL/dv(x, v, t) = p for v inside ``bracket``.
 
     The momentum must be strictly monotone in v across the bracket (checked
     through the sign of L_vv); a bracket that does not straddle the target
-    raises :class:`BracketError`.  Uses Newton steps guarded by bisection.
+    raises :class:`BracketError`.  Uses Newton steps guarded by bisection,
+    until a step moves v by at most 1e-12 (1 + |v|).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -555,7 +552,7 @@ def invert_momentum(L: Lagrangian, p: float, x: float, t: float,
         candidate = vv - step
         if not (lo < candidate < hi):
             candidate = 0.5 * (lo + hi)
-        if abs(candidate - vv) <= tol * (1.0 + abs(vv)):
+        if abs(candidate - vv) <= 1e-12 * (1.0 + abs(vv)):
             return candidate
         vv = candidate
     return vv

@@ -304,13 +304,12 @@ def normal_form(expr: Expr):
         return None
 
 
-def equivalent_expressions(a: Expr, b: Expr, rel_tol: float = 1e-9) -> bool:
+def equivalent_expressions(a: Expr, b: Expr) -> bool:
     """True when ``a`` and ``b`` expand to the same normal form.
 
-    Factor structure must match exactly; coefficients may differ by
-    ``rel_tol`` relative to the largest coefficient present.  A False result
-    means the engine could not identify the expressions, not a proof that
-    they differ.
+    Factor structure must match exactly; coefficients may differ by 1e-9
+    relative to the largest coefficient present.  A False result means the
+    engine could not identify the expressions, not a proof that they differ.
     """
     nfa = normal_form(a)
     nfb = normal_form(b)
@@ -325,6 +324,6 @@ def equivalent_expressions(a: Expr, b: Expr, rel_tol: float = 1e-9) -> bool:
     for (ca, fa, ea), (cb, fb, eb) in zip(nfa, nfb):
         if fa != fb or ea != eb:
             return False
-        if abs(ca - cb) > rel_tol * max(scale, 1e-300):
+        if abs(ca - cb) > 1e-9 * max(scale, 1e-300):
             return False
     return True

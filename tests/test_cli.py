@@ -67,6 +67,14 @@ class TestSpecValidation:
         spec = write_spec(tmp_path, {**DAMPED, "bogus": 1})
         assert run("build", spec, tmp_path / "out") == EXIT_INPUT_ERROR
 
+    def test_an_output_key_is_rejected(self, tmp_path):
+        # artifacts go to --out alone; a spec cannot name another directory
+        spec = write_spec(tmp_path, {**DAMPED,
+                                     "output": {"dir": "/nonexistent/out"}})
+        out = tmp_path / "out"
+        assert run("build", spec, out) == EXIT_INPUT_ERROR
+        assert load_report(out)["error"]["code"] == "input-error"
+
     def test_unknown_equation_key_is_rejected(self, tmp_path):
         doc = {"version": 1,
                "equation": {"family": "standard", "a": "0", "b": "0",
@@ -827,18 +835,22 @@ class TestFamilyTable:
             rhs.add(load_report(out)["rhs"])
         assert len(rhs) == 1, rhs
 
-    @pytest.mark.parametrize(
-        "family", sorted(set(FAMILY_BLOCKS) - MULTI_MEMBER))
-    def test_builder_certifies_reported_rhs(self, tmp_path, monkeypatch,
-                                            family):
-        verified = []
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        """The target of every residual sweep that a builder runs."""
+        targets = []
         original = common.verify_lagrangian
 
         def recording(L, ode, *args, **kwargs):
-            verified.append(ode)
+            targets.append(ode)
             return original(L, ode, *args, **kwargs)
 
         monkeypatch.setattr(common, "verify_lagrangian", recording)
+        return targets
+
+    @pytest.mark.parametrize(
+        "family", sorted(set(FAMILY_BLOCKS) - MULTI_MEMBER))
+    def test_builder_certifies_reported_rhs(self, tmp_path, verified, family):
         spec = write_spec(tmp_path, family_spec(family))
         out = tmp_path / "out"
         assert run("build", spec, out) == EXIT_OK
@@ -846,6 +858,22 @@ class TestFamilyTable:
         assert verified
         assert all(str(ode.rhs) == reported for ode in verified), \
             [str(ode.rhs) for ode in verified]
+
+    @pytest.mark.parametrize("family", sorted(MULTI_MEMBER))
+    def test_members_certify_the_reported_rhs(self, tmp_path, verified,
+                                              family):
+        # the members' targets are written apart (-(0.5 * v) against
+        # -0.5 * v), so they are compared by value on the probe grid
+        doc = family_spec(family)
+        out = tmp_path / "out"
+        assert run("build", write_spec(tmp_path, doc), out) == EXIT_OK
+        reported = parse_expression(load_report(out)["rhs"])
+        points = cli._Points(reported, normalize_spec(doc)["domain"],
+                             cli._PROBE_VS)
+        assert len(verified) >= 2
+        for ode in verified:
+            gap = points.max_rel(ode.rhs - reported)
+            assert gap is not None and gap <= 1e-12, (str(ode.rhs), gap)
 
 
 class TestOutDirectory:

@@ -162,8 +162,8 @@ def test_unbound_and_unknown_nodes_rejected():
 
 def test_spec_eq_repr_and_pickle_round_trip():
     ode = OdeSpec(substitute(parse_expression("-k*x - 0.1*v", params=("k",)),
-                             "k", Const(2.0)), "damped")
-    fresh = OdeSpec(ode.rhs, "damped")
+                             "k", Const(2.0)))
+    fresh = OdeSpec(ode.rhs)
     text = repr(ode)
     want = integrate_ode(ode, 1.0, 0.0, 0.0, 1.0)
     assert ode == fresh and hash(ode) == hash(fresh) and repr(ode) == text

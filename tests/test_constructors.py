@@ -251,8 +251,9 @@ class TestMonomialFamily:
         ) == 0.0
         with pytest.raises(InadmissibleCoefficientsError):
             build_monomial(parse_expression("0.2*t"), Const(0.3), Const(0.0), 3.0)
-        # at mu = 2 the bump fails the residual sweep after the build
-        with pytest.raises(ConstructionVerificationError):
+        # at mu = 2 the closure scan over the box's samples sees the bump
+        assert monomial_admissibility_defect(*BUMP[:2], 2.0) > 0.0
+        with pytest.raises(InadmissibleCoefficientsError):
             build_monomial(*BUMP, 2.0)
 
     def test_admissible_time_dependence(self):

@@ -75,11 +75,8 @@ def admissibility_loop(coeffs, box):
 def monomial_loop(a, b, mu, box):
     defect = simplify(Const(mu - 1.0) * differentiate(b, "x")
                       - Const(mu) * differentiate(a, "t"))
-    nx, nt = max(box.grid[0], 2), max(box.grid[2], 2)
-    return max_abs_loop(defect, [
-        {"x": box.x[0] + (box.x[1] - box.x[0]) * i / (nx - 1),
-         "t": box.t[0] + (box.t[1] - box.t[0]) * j / (nt - 1)}
-        for i in range(nx) for j in range(nt)])
+    return max_abs_loop(defect, [{"x": x, "v": v, "t": t}
+                                 for x, v, t in box.sample_points()])
 
 
 def monitor_loop(traj, quantity):

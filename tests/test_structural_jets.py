@@ -44,6 +44,24 @@ SLOTS = Jet2.__slots__
 DERIVATIVES = SLOTS[1:]
 
 
+class _Point:
+    """The rules' side of one point given as Python floats: raises where they fail."""
+
+    bad = np.False_   # a failing rule raises, so no point is ever masked
+
+    @staticmethod
+    def value(kind, *operands):
+        return evaluation._FUNCTIONS[kind].value(*operands)
+
+    @staticmethod
+    def fail(where, error, message, *args):
+        if where:
+            raise error(message.format(*args))
+
+
+POINT = _Point()
+
+
 class DenseJet:
     """The jet arithmetic with every term computed, in the full formulas' order."""
 
@@ -86,17 +104,16 @@ class DenseJet:
         )
 
     def __truediv__(self, other):
-        return self * other.chain(*evaluation._recip_rule(other.f, evaluation._POINT))
+        return self * other.chain(*evaluation._recip_rule(other.f, POINT))
 
 
 def dense_pow(base, exponent):
-    point = evaluation._POINT
     if all(getattr(exponent, s) == 0.0 for s in DERIVATIVES):
-        return base.chain(*evaluation._pow_rule(base.f, exponent.f, point))
+        return base.chain(*evaluation._pow_rule(base.f, exponent.f, POINT))
     if base.f <= 0.0:
         raise EvalDomainError("non-positive base with variable exponent")
-    arg = exponent * base.chain(*evaluation._ln_rule(base.f, point))
-    return arg.chain(*evaluation._exp_rule(arg.f, point))
+    arg = exponent * base.chain(*evaluation._ln_rule(base.f, POINT))
+    return arg.chain(*evaluation._exp_rule(arg.f, POINT))
 
 
 def dense_jet2(expr, binding):
@@ -116,7 +133,7 @@ def dense_jet2(expr, binding):
         return jet
     if kind in evaluation._FUNCTIONS and kind is not Pow:
         u = dense_jet2(expr.operand, binding)
-        return u.chain(*evaluation._FUNCTIONS[kind].derivative(u.f, evaluation._POINT))
+        return u.chain(*evaluation._FUNCTIONS[kind].derivative(u.f, POINT))
     if kind is Pow:
         return dense_pow(dense_jet2(expr.base, binding),
                          dense_jet2(expr.exponent, binding))
